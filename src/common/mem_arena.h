@@ -4,9 +4,12 @@
 /// \file mem_arena.h
 /// \brief Memory-placement layer for the engine's probe-heavy structures:
 /// an aligned bump arena with optional hugepage backing, a std-allocator
-/// adapter so flat vectors (join tables, CSR postings, group-by slots) land
-/// in arena blocks, and the process-wide MemConfig that tunes hugepage use
-/// and the software-prefetch pipelines.
+/// adapter so flat vectors (the inverted index's CSR arrays, the string
+/// pool's storage) land in arena blocks, and the process-wide MemConfig
+/// that tunes hugepage use and the software-prefetch pipelines. Arenas back
+/// only structures built once per αDB; the executor's per-query join and
+/// group-by tables use plain vectors, since a fresh 2 MiB block per query
+/// costs more than it saves at benched scales.
 ///
 /// Why: at out-of-cache scales the online phase is dominated by
 /// pointer-chasing probes (inverted-index lookups, FlatJoinHash probes,

@@ -187,6 +187,12 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
         }
       }
       const std::vector<uint32_t>& new_rows = state.rows[next_alias];
+      // Check the product before reserving it: a few disconnected
+      // mid-sized tables multiply past any buffer that could be allocated.
+      if (!new_rows.empty() &&
+          state.tuples.size() > kMaxTupleIndex / new_rows.size()) {
+        return Status::OutOfRange("intermediate result exceeds 2^32 tuples");
+      }
       TupleBuffer expanded;
       expanded.InitEmpty(state.tuples.width() + 1,
                          state.tuples.size() * new_rows.size());
@@ -206,9 +212,6 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
       expanded.AppendExpanded(state.tuples, sel.data(), out_rows.data(), fill);
       stats_.tuples_materialized += expanded.size();
       state.tuples = std::move(expanded);
-      if (state.tuples.size() > kMaxTupleIndex) {
-        return Status::OutOfRange("intermediate result exceeds 2^32 tuples");
-      }
       state.bound[next_alias] = true;
       state.bound_order.push_back(next_alias);
       ++bound_count;
@@ -443,8 +446,8 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
     }
     // Grouping keys are packed per column — (validity, symbol-or-bits)
     // pairs — a chunk at a time into one flat scratch block, then folded
-    // into the arena-backed GroupKeyTable, whose pipelined AddBatch
-    // prefetches slot reads a window ahead (see exec/group_table.h).
+    // into the GroupKeyTable, whose pipelined AddBatch prefetches slot
+    // reads a window ahead (see exec/group_table.h).
     const size_t parts = keys.size() * 2;
     GroupKeyTable table(parts);
     std::vector<uint64_t> scratch(kProbeChunk * parts);

@@ -6,13 +6,18 @@
 /// vectorized hash equi-joins in connectivity order, group-by count
 /// aggregation with HAVING, DISTINCT projection, and INTERSECT of blocks.
 ///
-/// Intermediate tuples live in a columnar TupleBuffer (exec/tuple_buffer.h)
-/// and joins probe a flat open-addressing FlatJoinHash (exec/join_hash.h)
-/// in batches of packed keys — no per-tuple allocation anywhere on the
-/// pipeline. Invariant: vectorization never changes results — for any given
-/// plan, every query result is byte-identical to a per-tuple executor of
-/// that plan (the golden-parity suite in tests/exec_parity_test.cpp pins
-/// this). Plan *choices* may intentionally differ from older releases (the
+/// Pushed-down predicates are resolved once per query into typed scan
+/// kernels over the raw column vectors (exec/expression.h): string = / <>
+/// compare dictionary symbols, orderings compare string views, numerics
+/// compare in place, and each kernel refines one selection vector — no
+/// Value is built per scanned row. Intermediate tuples live in a columnar
+/// TupleBuffer (exec/tuple_buffer.h) and joins probe a flat open-addressing
+/// FlatJoinHash (exec/join_hash.h) in batches of packed keys — no per-tuple
+/// allocation anywhere on the pipeline. Invariant: neither kernels nor
+/// vectorization change results — for any given plan, every query result is
+/// byte-identical to a per-tuple executor of that plan that filters through
+/// Value comparisons (the golden-parity suite in tests/exec_parity_test.cpp
+/// pins this). Plan *choices* may intentionally differ from older releases (the
 /// start-alias fix reorders output for queries with join-disconnected FROM
 /// entries).
 ///

@@ -6,14 +6,7 @@
 namespace squid {
 
 GroupKeyTable::GroupKeyTable(size_t parts)
-    : parts_(parts),
-      arena_(std::make_shared<MemArena>()),
-      slots_(ArenaAllocator<uint32_t>(arena_)),
-      groups_(ArenaAllocator<Group>(arena_)),
-      key_storage_(ArenaAllocator<uint64_t>(arena_)),
-      cap_(16) {
-  slots_.assign(cap_, kNoGroup);
-}
+    : parts_(parts), slots_(16, kNoGroup), cap_(16) {}
 
 uint64_t GroupKeyTable::HashKey(const uint64_t* key) const {
   uint64_t h = 1469598103934665603ULL;

@@ -2,23 +2,20 @@
 #define SQUID_EXEC_GROUP_TABLE_H_
 
 /// \file group_table.h
-/// \brief Arena-backed group-by key table for the executor's aggregation
-/// path, extracted from the inline open-addressing loop it grew up as.
+/// \brief Group-by key table for the executor's aggregation path,
+/// extracted from the inline open-addressing loop it grew up as.
 ///
 /// A grouping key is `parts` packed 64-bit words per tuple — (validity,
 /// symbol-or-bits) pairs, one pair per GROUP BY column — stored contiguously
 /// in one flat array. The table assigns dense group ids in first-occurrence
 /// order (the executor's output-determinism contract) and each group
-/// remembers only its first tuple's index plus a running count. All three
-/// arrays (slot table, group list, key storage) live in one bump arena, so
-/// the whole structure is hugepage-backed per MemConfig and its exact
-/// footprint is one stats() read.
+/// remembers only its first tuple's index plus a running count. The three
+/// arrays (slot table, group list, key storage) are plain heap vectors: a
+/// table lives for one query, too briefly to repay a hugepage arena block.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-
-#include "common/mem_arena.h"
+#include <vector>
 
 namespace squid {
 
@@ -51,8 +48,12 @@ class GroupKeyTable {
   const Group* groups() const { return groups_.data(); }
   size_t num_groups() const { return groups_.size(); }
 
-  /// Exact footprint of slots + groups + key storage (arena stats).
-  size_t ApproxBytes() const { return arena_->stats().used_bytes; }
+  /// Exact footprint of slots + groups + key storage.
+  size_t ApproxBytes() const {
+    return slots_.capacity() * sizeof(uint32_t) +
+           groups_.capacity() * sizeof(Group) +
+           key_storage_.capacity() * sizeof(uint64_t);
+  }
 
  private:
   static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
@@ -64,10 +65,9 @@ class GroupKeyTable {
   void Rehash();
 
   size_t parts_;
-  std::shared_ptr<MemArena> arena_;
-  ArenaVector<uint32_t> slots_;      // power-of-two, <= 50% load
-  ArenaVector<Group> groups_;        // dense, first-occurrence order
-  ArenaVector<uint64_t> key_storage_;  // group g's key at [g * parts_, ...)
+  std::vector<uint32_t> slots_;        // power-of-two, <= 50% load
+  std::vector<Group> groups_;          // dense, first-occurrence order
+  std::vector<uint64_t> key_storage_;  // group g's key at [g * parts_, ...)
   size_t cap_;
 };
 

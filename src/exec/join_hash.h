@@ -15,10 +15,8 @@
 /// of probe keys at once.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/mem_arena.h"
 #include "storage/table.h"
 #include "storage/value.h"
 
@@ -67,11 +65,6 @@ class FlatJoinHash {
     bool empty() const { return size == 0; }
   };
 
-  FlatJoinHash()
-      : arena_(std::make_shared<MemArena>()),
-        table_(ArenaAllocator<Entry>(arena_)),
-        rows_(ArenaAllocator<uint32_t>(arena_)) {}
-
   /// Builds over `rows` of `column`; null cells are skipped. Within each
   /// key, row ids keep their order in `rows` (the executor's output order
   /// contract depends on this).
@@ -95,8 +88,11 @@ class FlatJoinHash {
   size_t num_keys() const { return num_keys_; }
   size_t num_rows() const { return rows_.size(); }
 
-  /// Exact footprint of the bucket table + row array (arena stats).
-  size_t ApproxBytes() const { return arena_->stats().used_bytes; }
+  /// Exact footprint of the bucket table + row array.
+  size_t ApproxBytes() const {
+    return table_.capacity() * sizeof(Entry) +
+           rows_.capacity() * sizeof(uint32_t);
+  }
 
  private:
   /// One bucket of the flat probe table (16 bytes, 16-aligned: a bucket
@@ -112,14 +108,14 @@ class FlatJoinHash {
   };
   static_assert(sizeof(Entry) == 16, "bucket layout audited at 16 bytes");
 
-  /// One bucket probe touches one 16-byte entry — at most two cache lines,
-  /// one after the alignment below — and a hit's row span is one contiguous
-  /// read. Both arrays live in `arena_` (hugepage-backed per MemConfig),
-  /// adjacent instead of scattered across the heap.
-  std::shared_ptr<MemArena> arena_;
-  ArenaVector<Entry> table_;  // power-of-two, <= 50% load
+  /// One bucket probe touches one 16-byte entry — one cache line, by the
+  /// alignment above — and a hit's row span is one contiguous read. Both
+  /// arrays are plain heap vectors: a table lives for one query, and at
+  /// benched αDB scales a per-query hugepage arena block (mmap, a zeroing
+  /// 2 MiB fault, munmap) cost more than its dTLB reach saved.
+  std::vector<Entry> table_;  // power-of-two, <= 50% load
   uint64_t mask_ = 0;
-  ArenaVector<uint32_t> rows_;
+  std::vector<uint32_t> rows_;
   size_t num_keys_ = 0;
 };
 

@@ -3,9 +3,11 @@
 
 /// \file column_index.h
 /// \brief Sorted (B-tree-style) and hash indexes over single columns. The
-/// executor uses them for sargable point/range predicates and for FK joins;
-/// the αDB uses them for entity-keyed lookups into derived relations (the
-/// "point queries ... using B-tree indexes" of §7.2).
+/// αDB uses the hash index for entity-keyed lookups into derived relations
+/// (the "point queries ... using B-tree indexes" of §7.2) and for
+/// primary-key lookups while computing statistics. The executor uses
+/// neither: it scans with typed kernels (exec/expression.h) and joins
+/// through per-query FlatJoinHash tables (exec/join_hash.h).
 
 #include <cstdint>
 #include <map>

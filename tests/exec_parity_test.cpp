@@ -6,7 +6,9 @@
 // queries (INTERSECT, group-by/HAVING, anti-joins) and the results must be
 // byte-identical, row for row, to the production Executor. The two
 // pipelines share only the packed-key helpers (PackCellKey/PackProbeKey/
-// JoinCellsEqual) and the plan logic; everything vectorized is independent.
+// JoinCellsEqual) and the plan logic; everything vectorized is independent,
+// and the reference scans every row through Value comparisons
+// (BoundPredicate::Matches), so the typed scan kernels are checked too.
 
 #include <gtest/gtest.h>
 
@@ -64,7 +66,13 @@ Result<ResultSet> ReferenceSelect(const Database& db, const SelectQuery& query) 
       SQUID_ASSIGN_OR_RETURN(BoundPredicate bp, BindPredicate(*table, p));
       preds.push_back(std::move(bp));
     }
-    rows[i] = FilterRows(*table, preds);
+    // The reference's own scan: every row through the Value path
+    // (BoundPredicate::Matches), never the production scan kernels.
+    for (size_t r = 0; r < table->num_rows(); ++r) {
+      bool ok = true;
+      for (const auto& bp : preds) ok = ok && bp.Matches(r);
+      if (ok) rows[i].push_back(static_cast<uint32_t>(r));
+    }
   }
 
   // Start alias: smallest filtered join-connected relation (global fallback).

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "exec/executor.h"
+#include "exec/expression.h"
 #include "exec/join_hash.h"
 #include "exec/tuple_buffer.h"
 #include "sql/parser.h"
@@ -143,6 +147,22 @@ TEST(ExecutorTest, DisconnectedFromIsCartesian) {
   auto rs = RunSql(*db, "SELECT p.name FROM person p, genre g");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs.value().num_rows(), 6u * 3u);
+}
+
+TEST(ExecutorTest, CartesianOverflowIsOutOfRangeBeforeAllocating) {
+  // 2000^3 = 8e9 tuples: the product is checked before any buffer for it
+  // is reserved, so this returns OutOfRange instead of dying in bad_alloc.
+  Database db("d");
+  for (const char* name : {"a", "b", "c"}) {
+    auto t = db.CreateTable(Schema(name, {{"k", ValueType::kInt64}}));
+    ASSERT_TRUE(t.ok());
+    for (int64_t v = 0; v < 2000; ++v) {
+      ASSERT_TRUE(t.value()->AppendRow({Value(v)}).ok());
+    }
+  }
+  auto rs = RunSql(db, "SELECT a.k FROM a a, b b, c c");
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(ExecutorTest, EmptyResultIsOk) {
@@ -415,6 +435,178 @@ TEST(ExecStatsTest, RowsScannedCountsOnlyPredicateVisits) {
   ASSERT_TRUE(rs.ok());
   const size_t person_rows = db->GetTable("person").value()->num_rows();
   EXPECT_EQ(exec.stats().rows_scanned, person_rows);  // castinfo adds 0
+}
+
+// ---------- Scan kernels vs Value semantics ----------
+
+/// A table whose cells stress every corner of Value::Compare: NULLs in every
+/// column, 0.0 / -0.0 / NaN / infinities, integers beyond 2^53 (where the
+/// int64 -> double view rounds), and strings of several orders.
+std::unique_ptr<Database> MakeEdgeDb() {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const int64_t k53 = int64_t{1} << 53;
+  auto db = std::make_unique<Database>("edge");
+  auto t = db->CreateTable(Schema("e", {{"i", ValueType::kInt64},
+                                        {"d", ValueType::kDouble},
+                                        {"s", ValueType::kString}}));
+  EXPECT_TRUE(t.ok());
+  const std::vector<std::vector<Value>> rows = {
+      {Value::Null(), Value::Null(), Value::Null()},
+      {Value(int64_t{0}), Value(0.0), Value("")},
+      {Value(int64_t{-1}), Value(-0.0), Value("a")},
+      {Value(int64_t{5}), Value(kNaN), Value::Null()},
+      {Value(k53), Value(9007199254740992.0), Value("b")},
+      {Value(k53 + 1), Value(9007199254740994.0), Value("abc")},
+      {Value::Null(), Value(2.5), Value("B")},
+      {Value(std::numeric_limits<int64_t>::max()), Value(kInf), Value("5")},
+      {Value(std::numeric_limits<int64_t>::min()), Value(-kInf), Value("zz")},
+      {Value(int64_t{2}), Value::Null(), Value("a")},
+      {Value(int64_t{5}), Value(5.0), Value("abc")},
+  };
+  for (const auto& row : rows) EXPECT_TRUE(t.value()->AppendRow(row).ok());
+  return db;
+}
+
+/// Constants of every kind: int64, double (incl. -0.0, NaN, infinities and
+/// a value that 2^53 + 1 rounds to), NULL, pooled strings and a string that
+/// is in no cell (absent from the pool).
+std::vector<Value> EdgeConstants() {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const int64_t k53 = int64_t{1} << 53;
+  return {Value(int64_t{0}),
+          Value(int64_t{-1}),
+          Value(int64_t{5}),
+          Value(k53),
+          Value(k53 + 1),
+          Value(std::numeric_limits<int64_t>::max()),
+          Value(std::numeric_limits<int64_t>::min()),
+          Value(0.0),
+          Value(-0.0),
+          Value(kNaN),
+          Value(2.5),
+          Value(5.0),
+          Value(9007199254740992.0),
+          Value(kInf),
+          Value(-kInf),
+          Value::Null(),
+          Value(""),
+          Value("a"),
+          Value("B"),
+          Value("abc"),
+          Value("5"),
+          Value("absent from the pool")};
+}
+
+/// The Value-semantics answer: every row through BoundPredicate::Matches.
+std::vector<uint32_t> MatchesLoop(const Table& table,
+                                  const std::vector<BoundPredicate>& preds) {
+  std::vector<uint32_t> out;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    bool ok = true;
+    for (const auto& p : preds) ok = ok && p.Matches(r);
+    if (ok) out.push_back(static_cast<uint32_t>(r));
+  }
+  return out;
+}
+
+void ExpectKernelsMatchValues(const Table& table,
+                              const std::vector<Predicate>& preds) {
+  std::vector<BoundPredicate> bound;
+  std::string label;
+  for (const auto& p : preds) {
+    auto b = BindPredicate(table, p);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    bound.push_back(std::move(b).value());
+    label += p.ToString() + "; ";
+  }
+  EXPECT_EQ(FilterRows(table, bound), MatchesLoop(table, bound)) << label;
+}
+
+TEST(ScanKernelTest, CompareMatchesValueSemanticsForEveryOperator) {
+  auto db = MakeEdgeDb();
+  const Table& table = *db->GetTable("e").value();
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  for (const char* col : {"i", "d", "s"}) {
+    for (const Value& c : EdgeConstants()) {
+      for (CompareOp op : ops) {
+        ExpectKernelsMatchValues(table, {Predicate::Compare({"e", col}, op, c)});
+      }
+    }
+  }
+}
+
+TEST(ScanKernelTest, BetweenMatchesValueSemantics) {
+  // Every (lo, hi) pair, so lo > hi, NULL bounds and mixed-type bounds are
+  // all covered.
+  auto db = MakeEdgeDb();
+  const Table& table = *db->GetTable("e").value();
+  const std::vector<Value> consts = EdgeConstants();
+  for (const char* col : {"i", "d", "s"}) {
+    for (const Value& lo : consts) {
+      for (const Value& hi : consts) {
+        ExpectKernelsMatchValues(table, {Predicate::Between({"e", col}, lo, hi)});
+      }
+    }
+  }
+}
+
+TEST(ScanKernelTest, InListMatchesValueSemantics) {
+  auto db = MakeEdgeDb();
+  const Table& table = *db->GetTable("e").value();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const int64_t k53 = int64_t{1} << 53;
+  const std::vector<std::vector<Value>> lists = {
+      {},
+      {Value::Null()},
+      {Value(int64_t{5}), Value(2.5), Value("a"), Value::Null()},
+      {Value(kNaN)},
+      {Value("absent from the pool"), Value("abc"), Value(int64_t{-1})},
+      {Value("b"), Value("zz"), Value("absent from the pool")},
+      {Value(k53 + 1), Value(9007199254740992.0)},
+      {Value(-0.0), Value("5")},
+      {Value("absent from the pool")},
+  };
+  for (const char* col : {"i", "d", "s"}) {
+    for (const auto& list : lists) {
+      ExpectKernelsMatchValues(table, {Predicate::InList({"e", col}, list)});
+    }
+  }
+}
+
+TEST(ScanKernelTest, ConjunctionsRefineAcrossColumns) {
+  // Later predicates refine the survivors of earlier ones, whose column may
+  // be non-null where theirs is NULL.
+  auto db = MakeEdgeDb();
+  const Table& table = *db->GetTable("e").value();
+  const std::vector<Predicate> preds = {
+      Predicate::Compare({"e", "i"}, CompareOp::kGe, Value(int64_t{0})),
+      Predicate::Compare({"e", "d"}, CompareOp::kNe, Value(5.0)),
+      Predicate::Compare({"e", "s"}, CompareOp::kNe, Value("zz")),
+      Predicate::Compare({"e", "s"}, CompareOp::kLt, Value(int64_t{1})),
+      Predicate::Between({"e", "d"}, Value(int64_t{0}), Value(1e300)),
+      Predicate::InList({"e", "s"}, {Value("a"), Value("abc"), Value("")}),
+  };
+  for (const auto& a : preds) {
+    for (const auto& b : preds) {
+      for (const auto& c : preds) ExpectKernelsMatchValues(table, {a, b, c});
+    }
+  }
+}
+
+TEST(ScanKernelTest, RowsVisitedCountsTableRowsOnlyWithPredicates) {
+  auto db = MakeEdgeDb();
+  const Table& table = *db->GetTable("e").value();
+  size_t visited = 0;
+  EXPECT_EQ(FilterRows(table, {}, &visited).size(), table.num_rows());
+  EXPECT_EQ(visited, 0u);  // no predicates: the scan is pruned
+  auto p = BindPredicate(
+      table, Predicate::Compare({"e", "s"}, CompareOp::kEq, Value("absent")));
+  ASSERT_TRUE(p.ok());
+  EXPECT_TRUE(FilterRows(table, {p.value()}, &visited).empty());
+  EXPECT_EQ(visited, table.num_rows());
 }
 
 // ---------- FlatJoinHash / TupleBuffer ----------
