@@ -26,7 +26,7 @@ ThreadPool::~ThreadPool() {
   work_ready_.notify_all();
   for (std::thread& w : workers_) w.join();
   // Tasks still queued when shutdown won the race run inline here so no
-  // Submit future is ever abandoned with a broken promise.
+  // posted task is ever lost.
   for (;;) {
     std::function<void()> task;
     {
@@ -40,74 +40,16 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop() {
-  uint64_t seen_epoch = 0;
   for (;;) {
     std::function<void()> task;
-    bool have_job = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_ready_.wait(lock, [&] {
-        return shutdown_ || !tasks_.empty() ||
-               (job_fn_ != nullptr && job_epoch_ != seen_epoch);
-      });
-      if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-      } else if (job_fn_ != nullptr && job_epoch_ != seen_epoch) {
-        seen_epoch = job_epoch_;
-        have_job = true;
-      } else {  // shutdown, queue drained, no job
-        return;
-      }
+      work_ready_.wait(lock, [&] { return shutdown_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // shutdown and queue drained
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    if (task) {
-      task();
-    } else if (have_job) {
-      RunJob();
-    }
-  }
-}
-
-void ThreadPool::RunJob() {
-  for (;;) {
-    size_t index;
-    const std::function<void(size_t)>* fn;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (job_fn_ == nullptr || job_next_ >= job_size_) return;
-      index = job_next_++;
-      ++job_pending_;
-      fn = job_fn_;
-    }
-    (*fn)(index);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --job_pending_;
-      if (job_next_ >= job_size_ && job_pending_ == 0) work_done_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (num_threads_ == 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_fn_ = &fn;
-    job_size_ = n;
-    job_next_ = 0;
-    job_pending_ = 0;
-    ++job_epoch_;
-  }
-  work_ready_.notify_all();
-  RunJob();  // the calling thread participates
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    work_done_.wait(lock, [&] { return job_next_ >= job_size_ && job_pending_ == 0; });
-    job_fn_ = nullptr;
+    task();
   }
 }
 
@@ -130,7 +72,7 @@ void ThreadPool::Post(std::function<void()> task) {
   work_ready_.notify_one();
 }
 
-void ThreadPool::ParallelForShared(size_t n, const std::function<void(size_t)>& fn) {
+void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   if (num_threads_ == 1 || n == 1) {
     for (size_t i = 0; i < n; ++i) fn(i);

@@ -2,21 +2,12 @@
 #define SQUID_COMMON_THREAD_POOL_H_
 
 /// \file thread_pool.h
-/// \brief Small reusable worker pool. Two submission styles share the same
-/// workers:
-///
-///  - ParallelFor: the offline phase's run-to-completion fan-out (parallel
-///    αDB construction and dataset generation). One job at a time, owned by
-///    the calling thread; callers that need deterministic output write
-///    results into per-task slots and merge them in canonical (task-index)
-///    order after it returns.
-///  - Post / Submit / ParallelForShared: serve mode's task queue. Post
-///    enqueues a fire-and-forget closure, Submit returns a std::future with
-///    the closure's result, and ParallelForShared is a cooperative fan-out
-///    that is safe to call concurrently from many threads AND from inside a
-///    pool task (nested fan-out): the calling thread claims indexes itself,
-///    so it can always finish the whole job alone and never deadlocks
-///    waiting for a queue slot.
+/// \brief Small reusable worker pool: a FIFO task queue (Post) and one
+/// cooperative fan-out built on it (ParallelFor). The offline phase
+/// (parallel αDB construction and dataset generation) and serve mode
+/// (request tasks and their per-candidate fan-out) share the same two
+/// calls. Callers that need deterministic output write results into
+/// per-index slots and merge them in canonical (index) order afterwards.
 ///
 /// `threads == 0` resolves to the hardware concurrency; `threads == 1` runs
 /// every task inline on the calling thread (exact serial semantics, no
@@ -27,17 +18,14 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace squid {
 
-/// \brief Fixed-size worker pool with a run-to-completion ParallelFor and a
-/// task queue for serve-mode request processing.
+/// \brief Fixed-size worker pool with a task queue and a cooperative
+/// ParallelFor over it.
 class ThreadPool {
  public:
   /// Spawns `ResolveThreads(threads) - 1` workers (the calling thread
@@ -51,11 +39,15 @@ class ThreadPool {
   /// Number of threads that execute a ParallelFor (>= 1).
   size_t num_threads() const { return num_threads_; }
 
-  /// Runs fn(0) .. fn(n - 1), returning when all calls finished. Indexes
-  /// are claimed from a shared counter, so assignment to threads is
-  /// nondeterministic — fn must only write state owned by its index. With
-  /// one thread (or n <= 1) the calls run inline in index order. Only one
-  /// ParallelFor may be in flight at a time (offline-phase use).
+  /// Runs fn(0) .. fn(n - 1), enlisting idle workers as helpers, and
+  /// returns when all calls finished. Indexes are claimed from a per-call
+  /// counter, so assignment to threads is nondeterministic — fn must only
+  /// write state owned by its index. With one thread (or n <= 1) the calls
+  /// run inline in index order. Any number of calls may run concurrently,
+  /// and calls may nest inside pool tasks: the calling thread claims
+  /// indexes until none remain, then waits only for indexes a running
+  /// helper already claimed — helpers never block, so progress is always
+  /// possible even with every worker busy.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Enqueues `task` for asynchronous execution on a worker. Safe from any
@@ -64,47 +56,18 @@ class ThreadPool {
   /// at destruction run inline on the destructing thread (none are lost).
   void Post(std::function<void()> task);
 
-  /// Task-with-result submission: runs `fn` on a worker and returns a
-  /// future for its result (or exception). Same execution rules as Post.
-  template <typename Fn>
-  auto Submit(Fn fn) -> std::future<decltype(fn())> {
-    using R = decltype(fn());
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    std::future<R> future = task->get_future();
-    Post([task] { (*task)(); });
-    return future;
-  }
-
-  /// Cooperative fan-out: runs fn(0) .. fn(n - 1), enlisting idle workers
-  /// as helpers, and returns when all calls finished. Unlike ParallelFor,
-  /// any number of ParallelForShared calls may run concurrently (each call
-  /// carries its own claim counter) and calls may nest inside pool tasks:
-  /// the calling thread claims indexes until none remain, then waits only
-  /// for indexes a running helper already claimed — helpers never block, so
-  /// progress is always possible even with every worker busy.
-  void ParallelForShared(size_t n, const std::function<void(size_t)>& fn);
-
   /// 0 -> hardware concurrency (at least 1); anything else passes through.
   static size_t ResolveThreads(size_t requested);
 
  private:
   void WorkerLoop();
-  /// Claims and runs indexes of the current ParallelFor job until they run
-  /// out.
-  void RunJob();
 
   size_t num_threads_ = 1;
   std::vector<std::thread> workers_;
 
   std::mutex mu_;
   std::condition_variable work_ready_;
-  std::condition_variable work_done_;
-  std::deque<std::function<void()>> tasks_;              // Post/Submit queue
-  const std::function<void(size_t)>* job_fn_ = nullptr;  // null = no job
-  size_t job_size_ = 0;
-  size_t job_next_ = 0;     // next index to claim
-  size_t job_pending_ = 0;  // indexes claimed but not finished
-  uint64_t job_epoch_ = 0;  // bumped per ParallelFor so workers wake once
+  std::deque<std::function<void()>> tasks_;
   bool shutdown_ = false;
 };
 

@@ -114,7 +114,7 @@ Result<EntityContextProfile> BuildEntityContextProfile(
     // Per-descriptor point queries are independent; fan them out into
     // canonical slots (bit-identical to the serial loop below).
     std::vector<Status> statuses(descs.size());
-    pool->ParallelForShared(descs.size(), [&](size_t d) {
+    pool->ParallelFor(descs.size(), [&](size_t d) {
       statuses[d] = ObserveDescriptor(adb, *descs[d], profile.row, entity_key,
                                       &profile.observations[d]);
     });

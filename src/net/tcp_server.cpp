@@ -264,13 +264,13 @@ void TcpServer::Impl::HandleFrame(uint64_t conn_id, Conn& conn, Frame frame,
                   EncodeOverloadedFrame(request_id, retry_ms, "rate limited"));
         return;
       }
-      // Count before admitting: with inline workers (threads == 1) the
-      // completion is pushed inside TryDiscover, but only this loop thread
-      // ever decrements, and it does so after HandleFrame returns.
+      // Count before admitting: with threads == 1 the request runs inline
+      // on this loop thread and its completion is pushed inside Submit, but
+      // only this loop thread ever decrements, after HandleFrame returns.
       inflight.fetch_add(1, std::memory_order_relaxed);
       std::shared_ptr<CompletionHub> hub_ref = hub;
       obs::LatencyHistogram* encode_hist_ref = encode_hist;
-      bool admitted = service->TryDiscover(
+      bool admitted = service->Submit(
           std::move(examples),
           [hub_ref, encode_hist_ref, conn_id,
            request_id](Result<AbducedQuery> result) {

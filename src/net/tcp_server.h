@@ -5,20 +5,25 @@
 /// \brief Socket front end for a SquidService: a single-threaded poll()
 /// event loop multiplexing many client connections onto one service.
 ///
-///   clients ==frames==> [event loop] --TryDiscover--> [bounded queue] -> workers
-///                            ^                                             |
-///                            +---- completion hub (wake pipe) <- answers --+
+///   clients ==frames==> [event loop] --Submit--> ThreadPool workers
+///                            ^                          |
+///                            +-- completion hub (wake pipe) <- answers
 ///
-/// The event loop NEVER blocks on request work:
+/// The event loop never waits for room or for an answer:
 ///  - each decoded Discover frame is admitted via the service's
-///    non-blocking TryDiscover; a full queue yields an immediate
-///    `overloaded` frame with a retry-after hint (load shedding on top of
-///    the queue's backpressure),
+///    non-blocking Submit; a shed request (queue_capacity requests already
+///    waiting) yields an immediate `overloaded` frame with a retry-after
+///    hint,
 ///  - per-connection token buckets clip sessions that exceed the configured
 ///    rate, again answering `overloaded` instead of queueing,
 ///  - workers deliver answers through a completion hub that wakes the loop
 ///    via a self-pipe; the loop writes response frames out, handling
 ///    partial writes with POLLOUT interest.
+///
+/// With ServeOptions::threads > 1 the loop never runs request work. With
+/// threads == 1 there are no workers: Submit runs the request inline, so
+/// the loop thread computes each answer before it reads the next frame,
+/// and one slow request stalls every connection for its duration.
 ///
 /// Shutdown drains gracefully: Stop() stops accepting, sheds new requests
 /// with `overloaded (shutting down)`, waits (bounded by drain_timeout_ms)
@@ -69,7 +74,7 @@ struct TcpServerStats {
   uint64_t frames_received = 0;
   uint64_t frames_sent = 0;
   uint64_t requests_admitted = 0;
-  uint64_t rejected_overload = 0;      ///< queue full at admission
+  uint64_t rejected_overload = 0;      ///< shed by SquidService::Submit
   uint64_t rejected_rate_limited = 0;  ///< session token bucket empty
   uint64_t rejected_shutdown = 0;      ///< arrived while draining
   uint64_t protocol_errors = 0;

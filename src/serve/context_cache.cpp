@@ -144,7 +144,7 @@ Result<std::vector<SemanticContext>> ContextCache::Contexts(
       Result<std::shared_ptr<const EntityContextProfile>>(
           Status::Internal("profile slot not filled")));
   // relaxed: workers only increment; the single total is read after the
-  // fan-out joins (ParallelForShared synchronizes completion).
+  // fan-out joins (ParallelFor synchronizes completion).
   std::atomic<size_t> cache_hits{0};
   auto fetch = [&](size_t i) {
     const size_t* row = have_rows ? &entity_rows[i] : nullptr;
@@ -155,7 +155,7 @@ Result<std::vector<SemanticContext>> ContextCache::Contexts(
   if (workers_ != nullptr && entity_keys.size() > 1) {
     // Fan profile fetches out across entities; results land in per-entity
     // slots, so the merge below is identical at any thread count.
-    workers_->ParallelForShared(entity_keys.size(), fetch);
+    workers_->ParallelFor(entity_keys.size(), fetch);
   } else {
     for (size_t i = 0; i < entity_keys.size(); ++i) fetch(i);
   }

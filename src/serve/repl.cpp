@@ -1,6 +1,8 @@
 #include "serve/repl.h"
 
+#include <future>
 #include <istream>
+#include <memory>
 #include <ostream>
 
 #include "common/strings.h"
@@ -43,8 +45,8 @@ void Repl::HandleCommand(const std::string& command) {
     ServeStats s = service_->stats();
     *out_ << "stats threads=" << s.threads << " requests=" << s.requests
           << " completed=" << s.completed << " failed=" << s.failed
-          << " rejected=" << s.rejected << " batches=" << s.batches
-          << " queue_depth=" << s.queue_depth << "\n";
+          << " rejected=" << s.rejected << " queue_depth=" << s.queue_depth
+          << "\n";
     *out_ << "cache hits=" << s.hits << " misses=" << s.misses
           << " evictions=" << s.evictions << " entries=" << s.entries
           << " bytes=" << s.bytes << "/" << s.capacity_bytes << " hit_rate=";
@@ -133,10 +135,24 @@ void Repl::HandleRequests(const std::string& line, RunStats* stats) {
   // exactly as it went in.
   const std::ios_base::fmtflags saved_flags = out_->flags();
   const std::streamsize saved_precision = out_->precision();
-  auto futures = service_->DiscoverBatch(std::move(batch));
-  stats->requests += futures.size();
-  for (auto& future : futures) {
-    Result<AbducedQuery> result = future.get();
+  // One Submit per request, so the batch runs concurrently; answers print
+  // in request order. A request the service sheds is answered in place.
+  std::vector<std::future<Result<AbducedQuery>>> answers;
+  answers.reserve(batch.size());
+  for (std::vector<std::string>& examples : batch) {
+    auto answer = std::make_shared<std::promise<Result<AbducedQuery>>>();
+    answers.push_back(answer->get_future());
+    if (!service_->Submit(std::move(examples),
+                          [answer](Result<AbducedQuery> result) {
+                            answer->set_value(std::move(result));
+                          })) {
+      answer->set_value(
+          Status::NotSupported("SquidService overloaded or shutting down"));
+    }
+  }
+  stats->requests += answers.size();
+  for (auto& answer : answers) {
+    Result<AbducedQuery> result = answer.get();
     if (!result.ok()) {
       ++stats->errors;
       *out_ << "err " << result.status().ToString() << "\n";

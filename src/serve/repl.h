@@ -59,8 +59,8 @@ class Repl {
 
  private:
   void HandleCommand(const std::string& command);
-  /// Dispatches every request of `line` as one batch and prints answers in
-  /// request order.
+  /// Submits every request of `line` at once and prints answers in request
+  /// order; a request the service sheds is answered `err`.
   void HandleRequests(const std::string& line, RunStats* stats);
 
   SquidService* service_;

@@ -29,19 +29,18 @@ struct ServeStats {
   size_t capacity_bytes = 0; ///< configured budget (0 = cache disabled)
 
   // --- service ---
-  uint64_t requests = 0;   ///< Discover/TryDiscover calls received
+  uint64_t requests = 0;   ///< Submit calls received (DiscoverSync included)
   uint64_t completed = 0;  ///< requests a worker actually ran (ok or error)
   uint64_t failed = 0;     ///< completed requests whose status was non-OK
-  uint64_t rejected = 0;   ///< requests shed at admission (queue full on
-                           ///< TryDiscover, or service closed) — never ran,
-                           ///< so disjoint from `completed`. At quiescence
-                           ///< requests == completed + rejected.
-  uint64_t batches = 0;    ///< DiscoverBatch calls
-  size_t queue_depth = 0;  ///< requests currently waiting in the queue
+  uint64_t rejected = 0;   ///< requests shed at admission (queue_capacity
+                           ///< requests waiting, or service closed) — never
+                           ///< ran, so disjoint from `completed`. At
+                           ///< quiescence requests == completed + rejected.
+  size_t queue_depth = 0;  ///< admitted requests not yet started
   size_t threads = 0;      ///< worker threads serving requests
 
   // --- latency distributions (nanoseconds; see obs/metrics.h) ---
-  /// Admission to worker pop, per completed request. Empty when metrics are
+  /// Admission to task start, per completed request. Empty when metrics are
   /// disabled (SQUID_METRICS=0 / SetMetricsEnabled(false)).
   obs::HistogramSnapshot queue_wait_ns;
   /// Admission to completion delivery (end-to-end), per completed request.

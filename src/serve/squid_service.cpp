@@ -1,5 +1,8 @@
 #include "serve/squid_service.h"
 
+#include <algorithm>
+#include <future>
+
 #include "common/stopwatch.h"
 #include "core/entity_lookup.h"
 
@@ -9,13 +12,11 @@ SquidService::SquidService(const AbductionReadyDb* adb, ServeOptions options)
     : adb_(adb),
       options_(options),
       squid_(adb, options.config),
-      queue_(options.queue_capacity),
       serving_threads_(ThreadPool::ResolveThreads(options.threads)),
-      // Post/Submit tasks run only on pool *workers* (ThreadPool(n) spawns
-      // n - 1 of them: ParallelFor callers participate, but Discover clients
-      // block on futures instead). Size the pool so `serving_threads_`
-      // workers actually process requests; 1 keeps exact inline-serial
-      // semantics.
+      // Posted tasks run only on pool *workers* (ThreadPool(n) spawns n - 1
+      // of them: ParallelFor callers participate, but Submit callers do
+      // not). Size the pool so `serving_threads_` workers actually process
+      // requests; 1 keeps exact inline-serial semantics.
       pool_(serving_threads_ == 1 ? 1 : serving_threads_ + 1) {
   if (options_.cache_bytes > 0) {
     ContextCache::Options cache_options;
@@ -29,114 +30,60 @@ SquidService::SquidService(const AbductionReadyDb* adb, ServeOptions options)
                                          : &obs::MetricsRegistry::Global();
   queue_wait_hist_ = metrics_->GetHistogram("squid_serve_queue_wait_ns");
   request_hist_ = metrics_->GetHistogram("squid_serve_request_ns");
-  tracing_.store(options_.trace, std::memory_order_relaxed);
 }
 
 SquidService::~SquidService() {
-  // Refuse new requests; queued ones are answered by their paired drain
-  // tasks, which the pool destructor runs to completion. Close() also
-  // guarantees no admission is mid-flight once it returns, so no drain task
-  // can be posted to the pool after this point.
+  // Shed anything submitted from here on (e.g. by a completion callback);
+  // pool_, the first member destroyed, then runs every admitted request to
+  // completion.
   Close();
 }
 
-void SquidService::Close() {
-  std::lock_guard<std::mutex> lock(admit_mu_);
-  if (closed_) return;
-  closed_ = true;
-  queue_.Close();
-}
+void SquidService::Close() { closed_.store(true); }
 
-bool SquidService::Admit(const std::shared_ptr<Request>& request,
-                         bool may_block) {
-  std::lock_guard<std::mutex> lock(admit_mu_);
-  if (closed_) return false;
-  // A blocking Push here holds admit_mu_ while waiting, which is safe:
-  // DrainOne pops without the mutex, so the queue keeps draining, and
-  // Close() simply waits its turn behind the admission.
-  const bool pushed = may_block ? queue_.Push(request) : queue_.TryPush(request);
-  if (!pushed) return false;
-  // One drain task per accepted request; workers pop in queue order, so the
-  // queue is the single dispatch point for client, batch, and socket
-  // traffic alike. Posting under admit_mu_ makes push+post atomic with
-  // respect to Close() — the pool is always alive here.
-  pool_.Post([this] { DrainOne(); });
-  return true;
-}
-
-std::shared_ptr<SquidService::Request> SquidService::NewRequest(
-    std::vector<std::string> examples) {
+bool SquidService::Submit(std::vector<std::string> examples,
+                          CompletionFn done) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  auto request = std::make_shared<Request>();
-  request->examples = std::move(examples);
+  const size_t capacity = std::max<size_t>(options_.queue_capacity, 1);
+  size_t waiting = waiting_.load();
+  do {
+    if (closed_.load() || waiting >= capacity) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+  } while (!waiting_.compare_exchange_weak(waiting, waiting + 1));
+  Request request;
+  request.examples = std::move(examples);
+  request.done = std::move(done);
   // The admission stamp anchors the queue-wait and end-to-end histograms;
   // skipping it when metrics are off keeps the disabled path clock-free.
-  if (obs::MetricsEnabled()) request->admitted_ns = obs::MonotonicNowNs();
+  if (obs::MetricsEnabled()) request.admitted_ns = obs::MonotonicNowNs();
   if (tracing_.load(std::memory_order_relaxed)) {
-    request->trace = std::make_shared<obs::RequestTrace>();
+    request.trace = std::make_shared<obs::RequestTrace>();
   }
-  return request;
-}
-
-std::future<Result<AbducedQuery>> SquidService::Discover(
-    std::vector<std::string> examples) {
-  std::shared_ptr<Request> request = NewRequest(std::move(examples));
-  std::future<Result<AbducedQuery>> future = request->promise.get_future();
-  if (!Admit(request, /*may_block=*/true)) {  // service closed
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    request->promise.set_value(
-        Status::NotSupported("SquidService is shutting down"));
-  }
-  return future;
-}
-
-bool SquidService::TryDiscover(std::vector<std::string> examples,
-                               std::future<Result<AbducedQuery>>* future) {
-  std::shared_ptr<Request> request = NewRequest(std::move(examples));
-  if (future != nullptr) *future = request->promise.get_future();
-  if (!Admit(request, /*may_block=*/false)) {  // full or closed: shed
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    request->promise.set_value(
-        Status::NotSupported("SquidService overloaded or shutting down"));
-    return false;
-  }
-  return true;
-}
-
-bool SquidService::TryDiscover(std::vector<std::string> examples,
-                               CompletionFn on_complete) {
-  std::shared_ptr<Request> request = NewRequest(std::move(examples));
-  request->on_complete = std::move(on_complete);
-  if (!Admit(request, /*may_block=*/false)) {  // full or closed: shed
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  pool_.Post([this, request = std::move(request)]() mutable { Run(request); });
   return true;
 }
 
 Result<AbducedQuery> SquidService::DiscoverSync(std::vector<std::string> examples) {
-  return Discover(std::move(examples)).get();
+  // Shared with the callback: the worker may still be inside set_value
+  // when get() returns here.
+  auto answer = std::make_shared<std::promise<Result<AbducedQuery>>>();
+  std::future<Result<AbducedQuery>> future = answer->get_future();
+  if (!Submit(std::move(examples), [answer](Result<AbducedQuery> result) {
+        answer->set_value(std::move(result));
+      })) {
+    return Status::NotSupported("SquidService overloaded or shutting down");
+  }
+  return future.get();
 }
 
-std::vector<std::future<Result<AbducedQuery>>> SquidService::DiscoverBatch(
-    std::vector<std::vector<std::string>> batch) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::future<Result<AbducedQuery>>> futures;
-  futures.reserve(batch.size());
-  for (auto& examples : batch) futures.push_back(Discover(std::move(examples)));
-  return futures;
-}
-
-void SquidService::DrainOne() {
-  // TryPop, not Pop: on the shutdown path the pool destructor runs leftover
-  // drain tasks inline after workers already emptied the queue, and those
-  // must be no-ops rather than blocking on a closed, drained queue.
-  std::optional<std::shared_ptr<Request>> request = queue_.TryPop();
-  if (!request.has_value()) return;  // another worker drained faster
-  Request& req = **request;
+void SquidService::Run(Request& req) {
+  waiting_.fetch_sub(1);
   if (req.admitted_ns != 0) {
-    const uint64_t popped = obs::MonotonicNowNs();
-    const uint64_t wait = popped >= req.admitted_ns ? popped - req.admitted_ns : 0;
+    const uint64_t started = obs::MonotonicNowNs();
+    const uint64_t wait =
+        started >= req.admitted_ns ? started - req.admitted_ns : 0;
     queue_wait_hist_->Record(wait);
     if (req.trace != nullptr) req.trace->AddPhase(obs::Phase::kQueueWait, wait);
   }
@@ -151,11 +98,7 @@ void SquidService::DrainOne() {
     std::lock_guard<std::mutex> lock(trace_mu_);
     last_trace_ = req.trace;
   }
-  if (req.on_complete) {
-    req.on_complete(std::move(result));
-  } else {
-    req.promise.set_value(std::move(result));
-  }
+  req.done(std::move(result));
 }
 
 Result<AbducedQuery> SquidService::Process(
@@ -172,7 +115,7 @@ Result<AbducedQuery> SquidService::Process(
   // cells are atomic, so every fan-out worker adds into the same span.
   std::vector<Result<AbducedQuery>> slots(
       matches.size(), Result<AbducedQuery>(Status::Internal("candidate not run")));
-  pool_.ParallelForShared(matches.size(), [&](size_t i) {
+  pool_.ParallelFor(matches.size(), [&](size_t i) {
     slots[i] = squid_.AbduceCandidate(matches[i], trace);
   });
   return Squid::ReduceCandidates(std::move(slots));
@@ -190,8 +133,7 @@ ServeStats SquidService::stats() const {
   out.completed = completed_.load(std::memory_order_relaxed);
   out.failed = failed_.load(std::memory_order_relaxed);
   out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.queue_depth = queue_.size();
+  out.queue_depth = waiting_.load();
   out.threads = serving_threads_;
   out.queue_wait_ns = queue_wait_hist_->Snapshot();
   out.request_ns = request_hist_->Snapshot();

@@ -5,25 +5,25 @@
 /// \brief Serve mode: a long-lived SquidService owning one immutable αDB and
 /// answering many concurrent Discover requests.
 ///
-/// Request path (queue -> fan-out -> cache):
+/// Request path (submit -> fan-out -> cache):
 ///
-///   clients --Discover()--> [bounded MPMC queue] --> ThreadPool workers
-///       one task per request: LookupExamples, then the candidate base
-///       queries fan out in parallel (ParallelForShared), each candidate's
-///       per-entity context work resolving through the shared ContextCache;
-///       the winning abduction is delivered through the request's future.
+///   clients --Submit(examples, done)--> one ThreadPool task per request:
+///       LookupExamples, then the candidate base queries fan out in
+///       parallel (ParallelFor), each candidate's per-entity context work
+///       resolving through the shared ContextCache; the winning abduction
+///       is handed to the request's `done` callback.
 ///
-/// The queue bounds in-flight work (Push blocks when full — backpressure),
-/// the pool bounds concurrency, and the cache turns repeat entities across
-/// sessions into pure merges. Identity contract: for any thread count and
-/// any cache budget (including forced evictions), answers are bit-identical
-/// to a cold serial Squid::Discover — candidate results land in per-match
-/// slots reduced in the same canonical order with the same tie-breaking,
-/// and cached profiles are pure functions of the αDB.
+/// Submit never blocks: it sheds a request (returns false) when the
+/// service is closed or `queue_capacity` admitted requests are still
+/// waiting for a worker. The pool bounds concurrency, and the cache turns
+/// repeat entities across sessions into pure merges. Identity contract:
+/// for any thread count and any cache budget (including forced evictions),
+/// answers are bit-identical to a cold serial Squid::Discover — candidate
+/// results land in per-match slots reduced in the same canonical order with
+/// the same tie-breaking, and cached profiles are pure functions of the αDB.
 
 #include <atomic>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,7 +34,6 @@
 #include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/squid.h"
-#include "serve/bounded_queue.h"
 #include "serve/context_cache.h"
 #include "serve/serve_stats.h"
 
@@ -47,7 +46,8 @@ struct ServeOptions {
   /// requests run inline on the submitting thread, which is the serial
   /// reference the parity tests compare against).
   size_t threads = 0;
-  /// Bounded request-queue capacity; Push blocks when full.
+  /// Admitted requests that may wait for a worker at once; Submit sheds
+  /// beyond it.
   size_t queue_capacity = 64;
   /// Context-cache byte budget (0 disables caching).
   size_t cache_bytes = 8u << 20;
@@ -58,10 +58,6 @@ struct ServeOptions {
   /// nullptr = the process-global registry; tests pass their own for
   /// isolation. Not owned; must outlive the service.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Initial per-request tracing state (see set_tracing): when on, every
-  /// completed request leaves its phase breakdown in last_trace(). Off by
-  /// default — tracing adds clock reads per pipeline phase.
-  bool trace = false;
 };
 
 /// \brief Long-lived serving front end over one immutable αDB. All public
@@ -75,48 +71,29 @@ class SquidService {
   SquidService(const SquidService&) = delete;
   SquidService& operator=(const SquidService&) = delete;
 
-  /// Enqueues one Discover request; the future resolves when a worker has
-  /// abduced (or failed) it. Blocks only when the request queue is full.
-  /// After Close() the future resolves immediately with NotSupported and
-  /// the request counts as `rejected`.
-  std::future<Result<AbducedQuery>> Discover(std::vector<std::string> examples);
-
-  /// Discover + wait, for callers without their own pipeline.
-  Result<AbducedQuery> DiscoverSync(std::vector<std::string> examples);
-
-  /// Enqueues a batch; futures resolve independently, in any order. The
-  /// batch shares the queue, so a batch larger than the queue capacity
-  /// trickles in under backpressure.
-  std::vector<std::future<Result<AbducedQuery>>> DiscoverBatch(
-      std::vector<std::vector<std::string>> batch);
-
-  /// Completion delivery for TryDiscover: invoked exactly once, on the
-  /// worker thread that ran the request.
+  /// Completion delivery for Submit: invoked exactly once per admitted
+  /// request, on the thread that ran it.
   using CompletionFn = std::function<void(Result<AbducedQuery>)>;
 
-  /// Non-blocking admission (the load-shedding entry point used by the TCP
-  /// front end): tries to enqueue without ever blocking the caller. Returns
-  /// true with `*future` populated when admitted; returns false — and bumps
-  /// the `rejected` counter — when the queue is full or the service is
-  /// closed, in which case the caller sheds the request (e.g. answers
-  /// `overloaded` with a retry-after hint). `future` may be null if the
-  /// caller does not need the answer.
-  bool TryDiscover(std::vector<std::string> examples,
-                   std::future<Result<AbducedQuery>>* future);
+  /// The one admission primitive; never blocks. Returns false — bumping
+  /// `rejected`, never calling `done` — when the service is closed or
+  /// `queue_capacity` admitted requests have not yet started. Otherwise
+  /// posts one pool task that owns the request and calls `done` once with
+  /// the answer (or error). With threads == 1 that task runs inline, so
+  /// `done` has run on the calling thread before Submit returns; with more
+  /// threads it runs on a worker.
+  bool Submit(std::vector<std::string> examples, CompletionFn done);
 
-  /// TryDiscover delivering the answer through a callback instead of a
-  /// future, so event-loop callers (net/tcp_server.cpp) never block: the
-  /// callback runs on the worker thread that processed the request. Not
-  /// invoked when admission fails (returns false).
-  bool TryDiscover(std::vector<std::string> examples, CompletionFn on_complete);
+  /// Submit + wait, for callers without their own pipeline. A shed request
+  /// returns the shed status (NotSupported) at once instead of waiting for
+  /// room.
+  Result<AbducedQuery> DiscoverSync(std::vector<std::string> examples);
 
-  /// Stops admission: every later Discover resolves immediately with
-  /// NotSupported (counted as rejected) and TryDiscover returns false.
-  /// Requests already queued are still answered. Idempotent, safe to call
-  /// concurrently with admissions — an admission either fully lands (queue
-  /// push + drain-task post) before the close or is rejected; it can never
-  /// be half-admitted. The destructor calls Close() first, so no drain task
-  /// can be posted to a pool that is tearing down.
+  /// Stops admission: every later Submit sheds. Requests already admitted
+  /// are still answered. Idempotent and safe to call concurrently with
+  /// Submit (a racing Submit is either shed or answered, never lost). The
+  /// destructor calls it first, then the pool runs every admitted request
+  /// to completion before any member it uses is destroyed.
   void Close();
 
   /// Cache + service counter snapshot, including the queue-wait and
@@ -148,27 +125,17 @@ class SquidService {
  private:
   struct Request {
     std::vector<std::string> examples;
-    std::promise<Result<AbducedQuery>> promise;
-    /// When set, the answer goes through the callback (the promise is left
-    /// unused); otherwise through the promise.
-    CompletionFn on_complete;
-    /// Admission timestamp (MonotonicNowNs at Discover/TryDiscover entry;
-    /// 0 when metrics were disabled at admission). Queue wait = worker pop
-    /// minus this; end-to-end = completion minus this.
+    CompletionFn done;
+    /// Admission timestamp (MonotonicNowNs in Submit; 0 when metrics were
+    /// disabled at admission). Queue wait = task start minus this;
+    /// end-to-end = completion minus this.
     uint64_t admitted_ns = 0;
     /// Per-request span, allocated only when tracing is on at admission.
     std::shared_ptr<obs::RequestTrace> trace;
   };
 
-  /// Admission under admit_mu_: pushes (blocking or not) and, only if the
-  /// push succeeded, posts the paired drain task while the service is
-  /// provably not closed. Returns false when the request was rejected.
-  bool Admit(const std::shared_ptr<Request>& request, bool may_block);
-
-  /// Pops and answers one queued request (runs on a pool worker). Tolerates
-  /// an already-drained queue: on the shutdown path the pool destructor may
-  /// run queued drain tasks after their requests were answered.
-  void DrainOne();
+  /// Answers one admitted request (the body of its pool task).
+  void Run(Request& request);
 
   /// The Discover pipeline with the candidate loop fanned out; bit-identical
   /// reduction order to Squid::Discover. `trace` (may be null) accumulates
@@ -176,26 +143,23 @@ class SquidService {
   Result<AbducedQuery> Process(const std::vector<std::string>& examples,
                                obs::RequestTrace* trace);
 
-  /// Stamps a new request with its admission time and (when tracing) span.
-  std::shared_ptr<Request> NewRequest(std::vector<std::string> examples);
-
   const AbductionReadyDb* adb_;
   ServeOptions options_;
   std::unique_ptr<ContextCache> cache_;
   Squid squid_;
-  BoundedQueue<std::shared_ptr<Request>> queue_;
-  /// Makes {closed check, queue push, drain-task post} one atomic admission
-  /// step with respect to Close(): without it a request could pass the
-  /// queue push, lose the CPU, and race ~SquidService into posting on a
-  /// pool that is being torn down. Consumers (DrainOne) never take this
-  /// mutex, so a producer blocked in queue_.Push still drains.
-  std::mutex admit_mu_;
-  bool closed_ = false;  // guarded by admit_mu_
+  /// Set by Close(); Submit sheds once it reads true. A Submit racing
+  /// Close() may read either value; both outcomes (shed, or admitted and
+  /// answered by the still-live pool) keep the one-callback contract.
+  std::atomic<bool> closed_{false};
+  /// Admitted requests whose task has not started yet: the admission bound
+  /// and ServeStats::queue_depth. Submit reserves a slot with a CAS, so
+  /// concurrent Submits cannot overshoot queue_capacity.
+  std::atomic<size_t> waiting_{0};
+  /// relaxed: monotonic service counters, read only as a stats() snapshot.
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> batches_{0};
   /// Observability: registry plus the two service histograms resolved from
   /// it once at construction (stable pointers — see MetricsRegistry).
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -205,11 +169,11 @@ class SquidService {
   mutable std::mutex trace_mu_;
   std::shared_ptr<obs::RequestTrace> last_trace_;  // guarded by trace_mu_
   /// Resolved request-processing parallelism. The pool is sized one larger
-  /// (unless 1 = inline-serial): Post/Submit tasks run only on pool
-  /// workers, of which ThreadPool(n) spawns n - 1.
+  /// (unless 1 = inline-serial): posted tasks run only on pool workers, of
+  /// which ThreadPool(n) spawns n - 1.
   size_t serving_threads_ = 1;
-  /// Declared last: its destructor runs still-queued drain tasks inline,
-  /// which touch the queue, cache, and squid above — so the pool must be
+  /// Declared last: its destructor runs still-queued request tasks, which
+  /// touch the cache, squid, and counters above — so the pool must be
   /// destroyed before any of them.
   ThreadPool pool_;
 };

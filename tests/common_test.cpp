@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
 #include <set>
 #include <thread>
 #include <vector>
@@ -216,18 +215,7 @@ TEST(StopwatchTest, ElapsedIsMonotonic) {
   EXPECT_GE(a, 0.0);
 }
 
-// ---------- ThreadPool task submission (serve mode substrate) ----------
-
-TEST(ThreadPoolTest, SubmitReturnsResultsThroughFutures) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
-  }
-}
+// ---------- ThreadPool: Post and the cooperative ParallelFor ----------
 
 TEST(ThreadPoolTest, PostRunsInlineOnSingleThreadPool) {
   ThreadPool pool(1);
@@ -247,41 +235,42 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForSharedCoversEveryIndexOnce) {
+TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   constexpr size_t kN = 200;
   std::vector<std::atomic<int>> counts(kN);
   for (auto& c : counts) c.store(0);
-  pool.ParallelForShared(kN, [&](size_t i) {
+  pool.ParallelFor(kN, [&](size_t i) {
     counts[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i].load(), 1) << i;
 }
 
-TEST(ThreadPoolTest, ParallelForSharedNestsInsidePoolTasks) {
+TEST(ThreadPoolTest, ParallelForNestsInsidePoolTasks) {
   // A fan-out inside a pool task (serve mode: per-candidate work inside a
   // request task) must complete even when every worker is busy.
   ThreadPool pool(4);
   std::atomic<int> total{0};
-  std::vector<std::future<void>> requests;
+  std::atomic<int> requests_done{0};
   for (int r = 0; r < 8; ++r) {
-    requests.push_back(pool.Submit([&] {
-      pool.ParallelForShared(16, [&](size_t) {
+    pool.Post([&] {
+      pool.ParallelFor(16, [&](size_t) {
         total.fetch_add(1, std::memory_order_relaxed);
       });
-    }));
+      requests_done.fetch_add(1);
+    });
   }
-  for (auto& f : requests) f.get();
+  while (requests_done.load() < 8) std::this_thread::yield();
   EXPECT_EQ(total.load(), 8 * 16);
 }
 
-TEST(ThreadPoolTest, ParallelForSharedSafeFromConcurrentCallers) {
+TEST(ThreadPoolTest, ParallelForSafeFromConcurrentCallers) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
   std::vector<std::thread> callers;
   for (int c = 0; c < 4; ++c) {
     callers.emplace_back([&] {
-      pool.ParallelForShared(50, [&](size_t) {
+      pool.ParallelFor(50, [&](size_t) {
         total.fetch_add(1, std::memory_order_relaxed);
       });
     });
@@ -291,8 +280,8 @@ TEST(ThreadPoolTest, ParallelForSharedSafeFromConcurrentCallers) {
 }
 
 TEST(ThreadPoolTest, ParallelForStillWorksAlongsideTasks) {
-  // The offline-phase ParallelFor and the serve-mode task queue share
-  // workers; interleaving them must not lose work.
+  // ParallelFor and posted tasks share one queue; interleaving them must
+  // not lose work.
   ThreadPool pool(4);
   std::atomic<int> tasks{0};
   for (int i = 0; i < 20; ++i) {

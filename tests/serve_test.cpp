@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,7 +26,6 @@
 #include "core/squid.h"
 #include "eval/experiment.h"
 #include "eval/sampler.h"
-#include "serve/bounded_queue.h"
 #include "serve/context_cache.h"
 #include "serve/repl.h"
 #include "serve/squid_service.h"
@@ -66,6 +70,11 @@ class ServeFixture : public ::testing::Test {
       }
     }
     return sets;
+  }
+
+  /// Workload set `i`, wrapping around.
+  static const std::vector<std::string>& Set(size_t i) {
+    return (*workload_)[i % workload_->size()];
   }
 
   /// Key for comparing two AbducedQuery results bit for bit.
@@ -403,7 +412,9 @@ TEST_F(ServeFixture, EightThreadConcurrentSessionsStayIdentical) {
   const std::vector<std::string> expected = SerialFingerprints();
   ServeOptions options;
   options.threads = 8;
-  options.queue_capacity = 4;  // small queue: exercises Push backpressure
+  // Small bound: with one request in flight per client, the 4 clients
+  // never have more than 4 waiting, so DiscoverSync never sheds.
+  options.queue_capacity = 4;
   options.cache_bytes = 1u << 20;
   options.cache_shards = 8;
   SquidService service(bench_->adb.get(), options);
@@ -433,21 +444,6 @@ TEST_F(ServeFixture, EightThreadConcurrentSessionsStayIdentical) {
   EXPECT_EQ(stats.completed, kClients * kRequestsPerClient);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_GT(stats.hits, 0u);  // repeats across clients must share profiles
-}
-
-TEST_F(ServeFixture, BatchFuturesResolveInAnyOrder) {
-  ServeOptions options;
-  options.threads = 4;
-  SquidService service(bench_->adb.get(), options);
-  std::vector<std::vector<std::string>> batch;
-  for (size_t i = 0; i < 6; ++i) batch.push_back((*workload_)[i % workload_->size()]);
-  auto futures = service.DiscoverBatch(batch);
-  ASSERT_EQ(futures.size(), 6u);
-  const std::vector<std::string> expected = SerialFingerprints();
-  for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(Fingerprint(futures[i].get()), expected[i % workload_->size()]);
-  }
-  EXPECT_EQ(service.stats().batches, 1u);
 }
 
 TEST_F(ServeFixture, UnknownExamplesFailCleanly) {
@@ -531,94 +527,6 @@ TEST_F(ServeFixture, ReplParsingSplitsExamplesAndBatches) {
   EXPECT_EQ(Repl::SplitBatch("solo"), (std::vector<std::string>{"solo"}));
 }
 
-// ---------- bounded queue ----------
-
-TEST(BoundedQueueTest, FifoOrderAndTryPush) {
-  BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));  // full
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.Pop().value(), 1);
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_FALSE(queue.TryPop().has_value());
-}
-
-TEST(BoundedQueueTest, PushBlocksUntilPopMakesRoom) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.Push(2));
-    pushed.store(true);
-  });
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(queue.Pop().value(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(queue.Pop().value(), 2);
-}
-
-TEST(BoundedQueueTest, CloseReleasesProducersAndDrainsConsumers) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(7));
-  std::thread producer([&] { EXPECT_FALSE(queue.Push(8)); });  // blocked -> false
-  queue.Close();
-  producer.join();
-  EXPECT_FALSE(queue.Push(9));
-  EXPECT_EQ(queue.Pop().value(), 7);  // queued items drain after Close
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(BoundedQueueTest, TryOpsRespectCloseButStillDrain) {
-  BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.TryPush(1));
-  ASSERT_TRUE(queue.TryPush(2));
-  queue.Close();
-  EXPECT_TRUE(queue.closed());
-  EXPECT_FALSE(queue.TryPush(3));  // closed beats available capacity
-  // Items queued at close are all still delivered, via either pop flavor.
-  EXPECT_EQ(queue.TryPop().value(), 1);
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_FALSE(queue.TryPop().has_value());
-  EXPECT_FALSE(queue.Pop().has_value());  // closed + drained: no blocking
-}
-
-TEST(BoundedQueueTest, ConcurrentCloseReleasesEveryBlockedWaiter) {
-  // Producers blocked on a full queue and, in a second phase, consumers
-  // blocked on an empty one: Close() must wake them all exactly once —
-  // producers with `false`, consumers with nullopt after the drain.
-  {
-    BoundedQueue<int> queue(1);
-    ASSERT_TRUE(queue.Push(0));
-    std::vector<std::thread> producers;
-    std::atomic<int> refused{0};
-    for (int i = 0; i < 4; ++i) {
-      producers.emplace_back([&] {
-        if (!queue.Push(99)) refused.fetch_add(1);
-      });
-    }
-    queue.Close();
-    for (auto& t : producers) t.join();
-    EXPECT_EQ(refused.load(), 4);
-    EXPECT_EQ(queue.Pop().value(), 0);  // the pre-close item survives
-    EXPECT_FALSE(queue.Pop().has_value());
-  }
-  {
-    BoundedQueue<int> queue(1);
-    std::vector<std::thread> consumers;
-    std::atomic<int> empty_handed{0};
-    for (int i = 0; i < 4; ++i) {
-      consumers.emplace_back([&] {
-        if (!queue.Pop().has_value()) empty_handed.fetch_add(1);
-      });
-    }
-    queue.Close();
-    for (auto& t : consumers) t.join();
-    EXPECT_EQ(empty_handed.load(), 4);
-  }
-}
-
 // ---------- shutdown race + rejection accounting ----------
 
 TEST_F(ServeFixture, StatsPartitionRequestsIntoCompletedAndRejected) {
@@ -634,21 +542,18 @@ TEST_F(ServeFixture, StatsPartitionRequestsIntoCompletedAndRejected) {
     EXPECT_TRUE(service.DiscoverSync((*workload_)[0]).ok());
   }
   EXPECT_FALSE(service.DiscoverSync({"no-such-example-xyzzy"}).ok());
-  // Shed requests: after Close, both admission paths reject.
+  // Shed requests: after Close, Submit and DiscoverSync both reject.
   service.Close();
-  auto late = service.Discover((*workload_)[0]);
-  EXPECT_EQ(late.get().status().code(), StatusCode::kNotSupported);
-  std::future<Result<AbducedQuery>> try_future;
-  EXPECT_FALSE(service.TryDiscover((*workload_)[0], &try_future));
-  EXPECT_EQ(try_future.get().status().code(), StatusCode::kNotSupported);
-  EXPECT_FALSE(service.TryDiscover(
-      (*workload_)[0], [](Result<AbducedQuery>) { FAIL(); }));
+  EXPECT_EQ(service.DiscoverSync((*workload_)[0]).status().code(),
+            StatusCode::kNotSupported);
+  EXPECT_FALSE(service.Submit((*workload_)[0],
+                              [](Result<AbducedQuery>) { ADD_FAILURE(); }));
 
   ServeStats stats = service.stats();
-  EXPECT_EQ(stats.requests, 7u);
+  EXPECT_EQ(stats.requests, 6u);
   EXPECT_EQ(stats.completed, 4u);  // the requests that actually ran
   EXPECT_EQ(stats.failed, 1u);     // ... of which one answered non-OK
-  EXPECT_EQ(stats.rejected, 3u);   // shed, disjoint from completed
+  EXPECT_EQ(stats.rejected, 2u);   // shed, disjoint from completed
   // The invariant the double-counting bug broke: at quiescence every
   // request is either completed or rejected, never both.
   EXPECT_EQ(stats.requests, stats.completed + stats.rejected);
@@ -664,42 +569,94 @@ TEST_F(ServeFixture, StatsPartitionRequestsIntoCompletedAndRejected) {
   }
 }
 
-TEST_F(ServeFixture, TryDiscoverShedsWhenTheQueueIsFullAndCountsOnce) {
-  // threads=2 gives real worker threads; a capacity-1 queue behind slow-ish
-  // requests guarantees some TryDiscover calls land on a full queue.
+/// A gate the test opens once: callbacks that enter it block until Open().
+class Gate {
+ public:
+  /// Records the caller as entered, then blocks until the gate opens.
+  void Enter() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+  }
+  void WaitForEntered(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= n; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t entered_ = 0;
+  bool open_ = false;
+};
+
+TEST_F(ServeFixture, SubmitShedsExactlyWhenQueueCapacityRequestsWait) {
   ServeOptions options;
   options.threads = 2;
-  options.queue_capacity = 1;
+  options.queue_capacity = 2;
   SquidService service(bench_->adb.get(), options);
-  const size_t kAttempts = 64;
-  std::vector<std::future<Result<AbducedQuery>>> admitted;
-  size_t shed = 0;
-  for (size_t i = 0; i < kAttempts; ++i) {
-    std::future<Result<AbducedQuery>> future;
-    if (service.TryDiscover((*workload_)[i % workload_->size()], &future)) {
-      admitted.push_back(std::move(future));
-    } else {
-      ++shed;
-      // A shed future resolves immediately, with the shed status.
-      EXPECT_EQ(future.get().status().code(), StatusCode::kNotSupported);
-    }
-  }
-  for (auto& future : admitted) (void)future.get();  // quiesce
-  EXPECT_GT(shed, 0u) << "a queue of 1 never rejected a 64-deep burst";
+  // Hold both workers inside completion callbacks.
+  Gate gate;
+  auto hold = [&gate](Result<AbducedQuery>) { gate.Enter(); };
+  ASSERT_TRUE(service.Submit(Set(0), hold));
+  ASSERT_TRUE(service.Submit(Set(1), hold));
+  gate.WaitForEntered(2);
+  EXPECT_EQ(service.stats().queue_depth, 0u);  // both started
+
+  // With no worker free, exactly queue_capacity more requests are admitted
+  // to wait; the next one is shed without its callback ever running.
+  std::atomic<int> answered{0};
+  auto count = [&answered](Result<AbducedQuery>) { answered.fetch_add(1); };
+  EXPECT_TRUE(service.Submit(Set(2), count));
+  EXPECT_TRUE(service.Submit(Set(3), count));
+  EXPECT_EQ(service.stats().queue_depth, 2u);
+  EXPECT_FALSE(
+      service.Submit(Set(4), [](Result<AbducedQuery>) { ADD_FAILURE(); }));
+  EXPECT_EQ(service.stats().rejected, 1u);
+
+  gate.Open();
+  while (answered.load() < 2) std::this_thread::yield();
   ServeStats stats = service.stats();
-  EXPECT_EQ(stats.requests, kAttempts);
-  EXPECT_EQ(stats.rejected, shed);
-  EXPECT_EQ(stats.completed, admitted.size());
+  EXPECT_EQ(stats.requests, 5u);
+  EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.requests, stats.completed + stats.rejected);
 }
 
+TEST_F(ServeFixture, SubmitCompletesInlineOnlyOnASingleThreadService) {
+  // TcpServer's in-flight accounting relies on this: at threads == 1 the
+  // callback has run on the submitting thread before Submit returns; with
+  // workers it runs on one of them.
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    ServeOptions options;
+    options.threads = threads;
+    SquidService service(bench_->adb.get(), options);
+    std::promise<std::thread::id> ran_on;
+    std::future<std::thread::id> done = ran_on.get_future();
+    ASSERT_TRUE(service.Submit(Set(0), [&ran_on](Result<AbducedQuery>) {
+      ran_on.set_value(std::this_thread::get_id());
+    }));
+    if (threads == 1) {
+      ASSERT_EQ(done.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      EXPECT_EQ(done.get(), std::this_thread::get_id());
+    } else {
+      EXPECT_NE(done.get(), std::this_thread::get_id());
+    }
+  }
+}
+
 TEST_F(ServeFixture, CloseRacingConcurrentAdmissionsNeverLosesARequest) {
-  // The shutdown race: producers hammer Discover/TryDiscover while another
+  // The shutdown race: producers hammer Submit/DiscoverSync while another
   // thread Close()es the service mid-stream, then the service is destroyed.
-  // Every future must resolve (an admission is atomic: it either fully
-  // lands before the close or is rejected), and nothing crashes or leaks a
-  // drain task into the dying pool. Run several rounds to vary the
-  // interleaving; TSan gives this teeth.
+  // Every Submit either returns false or has its callback run exactly once,
+  // every DiscoverSync returns, and nothing crashes. Run several rounds to
+  // vary the interleaving; TSan gives this teeth.
   for (int round = 0; round < 6; ++round) {
     ServeOptions options;
     options.threads = 2 + (round % 2);
@@ -707,22 +664,29 @@ TEST_F(ServeFixture, CloseRacingConcurrentAdmissionsNeverLosesARequest) {
     auto service = std::make_unique<SquidService>(bench_->adb.get(), options);
     constexpr int kProducers = 4;
     constexpr int kPerProducer = 6;
-    std::atomic<uint64_t> resolved{0};
+    // Callback runs per Submit (odd i); DiscoverSync handles even i.
+    std::vector<std::atomic<int>> calls(kProducers * kPerProducer);
+    for (auto& c : calls) c.store(0);
+    std::vector<char> admitted(calls.size(), 0);
+    std::atomic<int> synced{0};
     std::vector<std::thread> producers;
     producers.reserve(kProducers);
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
         for (int i = 0; i < kPerProducer; ++i) {
           const auto& examples = (*workload_)[(p + i) % workload_->size()];
+          const size_t slot = static_cast<size_t>(p * kPerProducer + i);
           if (i % 2 == 0) {
-            auto future = service->Discover(examples);
-            future.wait();
-            resolved.fetch_add(1);
+            Result<AbducedQuery> result = service->DiscoverSync(examples);
+            if (!result.ok()) {
+              EXPECT_EQ(result.status().code(), StatusCode::kNotSupported);
+            }
+            synced.fetch_add(1);
           } else {
-            std::future<Result<AbducedQuery>> future;
-            service->TryDiscover(examples, &future);
-            future.wait();  // admitted or shed, it must resolve
-            resolved.fetch_add(1);
+            admitted[slot] = service->Submit(
+                examples, [&calls, slot](Result<AbducedQuery>) {
+                  calls[slot].fetch_add(1);
+                });
           }
         }
       });
@@ -733,10 +697,26 @@ TEST_F(ServeFixture, CloseRacingConcurrentAdmissionsNeverLosesARequest) {
     }
     service->Close();
     for (auto& t : producers) t.join();
-    EXPECT_EQ(resolved.load(), uint64_t(kProducers) * kPerProducer);
+    EXPECT_EQ(synced.load(), kProducers * kPerProducer / 2);
+    const size_t admitted_count =
+        static_cast<size_t>(std::count(admitted.begin(), admitted.end(), 1));
+    auto answered = [&calls] {
+      size_t n = 0;
+      for (const auto& c : calls) n += static_cast<size_t>(c.load());
+      return n;
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (answered() < admitted_count &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
     ServeStats stats = service->stats();
     EXPECT_EQ(stats.requests, stats.completed + stats.rejected);
     service.reset();  // ~SquidService after Close: second close is a no-op
+    for (size_t slot = 0; slot < calls.size(); ++slot) {
+      EXPECT_EQ(calls[slot].load(), admitted[slot] ? 1 : 0) << "slot " << slot;
+    }
   }
 }
 
@@ -768,8 +748,8 @@ TEST_F(ServeFixture, AnswersAreByteIdenticalWithTracingAndMetricsOnOrOff) {
         ServeOptions options;
         options.threads = threads;
         options.metrics = &registry;
-        options.trace = trace_on;
         SquidService service(bench_->adb.get(), options);
+        service.set_tracing(trace_on);
         for (size_t i = 0; i < workload_->size(); ++i) {
           EXPECT_EQ(Fingerprint(service.DiscoverSync((*workload_)[i])),
                     expected[i])
@@ -800,8 +780,8 @@ TEST_F(ServeFixture, LastTraceBreaksTheRequestIntoPipelinePhases) {
   ServeOptions options;
   options.threads = 4;
   options.metrics = &registry;
-  options.trace = true;
   SquidService service(bench_->adb.get(), options);
+  service.set_tracing(true);
   EXPECT_EQ(service.last_trace(), nullptr);  // nothing traced yet
   ASSERT_TRUE(service.DiscoverSync((*workload_)[0]).ok());
   std::shared_ptr<const obs::RequestTrace> trace = service.last_trace();
