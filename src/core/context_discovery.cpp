@@ -1,7 +1,6 @@
 #include "core/context_discovery.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/thread_pool.h"
 
@@ -24,6 +23,16 @@ Status ObserveDescriptor(const AbductionReadyDb& adb,
     return Status::OK();
   }
   SQUID_ASSIGN_OR_RETURN(out->values, adb.DerivedValues(desc, key));
+  // Sorted values let readers intersect example sets with forward cursors;
+  // stability keeps the first of equal values first. The αDB's derived
+  // relations already list each entity's values in order, so normally only
+  // the scan runs; the sort keeps the contract independent of that layout.
+  auto by_value = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(out->values.begin(), out->values.end(), by_value)) {
+    std::stable_sort(out->values.begin(), out->values.end(), by_value);
+  }
   out->total = adb.EntityTotal(desc, key);
   return Status::OK();
 }
@@ -128,6 +137,21 @@ Result<EntityContextProfile> BuildEntityContextProfile(
   return profile;
 }
 
+Result<std::shared_ptr<const EntityContextProfile>> FetchEntityContextProfile(
+    const AbductionReadyDb& adb, const ContextProvider* provider,
+    const std::string& entity_relation, const Value& entity_key,
+    const size_t* known_row, bool* from_cache) {
+  if (provider != nullptr) {
+    return provider->Profile(entity_relation, entity_key, known_row,
+                             from_cache);
+  }
+  if (from_cache != nullptr) *from_cache = false;
+  SQUID_ASSIGN_OR_RETURN(
+      EntityContextProfile built,
+      BuildEntityContextProfile(adb, entity_relation, entity_key, known_row));
+  return std::make_shared<const EntityContextProfile>(std::move(built));
+}
+
 Result<std::vector<SemanticContext>> MergeContextProfiles(
     const AbductionReadyDb& adb, const std::string& entity_relation,
     const std::vector<const EntityContextProfile*>& profiles,
@@ -146,6 +170,7 @@ Result<std::vector<SemanticContext>> MergeContextProfiles(
     }
   }
 
+  std::vector<size_t> at;  // ForEachSharedValue cursors
   for (size_t d = 0; d < descs.size(); ++d) {
     const PropertyDescriptor* desc = descs[d];
     if (desc->hops.empty()) {
@@ -153,47 +178,29 @@ Result<std::vector<SemanticContext>> MergeContextProfiles(
           MergeBasicObservations(*desc, profiles, d, support, &contexts));
       continue;
     }
-    // Multi-valued / derived: intersect per-example association sets.
-    // Start with the first example's (value -> θ) map, then narrow.
-    const DescriptorObservation& first_obs = profiles[0]->observations[d];
-    if (first_obs.values.empty()) continue;
-    std::unordered_map<Value, std::pair<double, double>, ValueHash> shared;
-    shared.reserve(first_obs.values.size());
-    double total0 = first_obs.total;
-    for (const auto& [v, count] : first_obs.values) {
-      double norm = total0 > 0 ? count / total0 : 0.0;
-      shared.emplace(v, std::make_pair(count, norm));
-    }
-    for (size_t i = 1; i < profiles.size() && !shared.empty(); ++i) {
-      const DescriptorObservation& obs = profiles[i]->observations[d];
-      double total = obs.total;
-      std::unordered_map<Value, std::pair<double, double>, ValueHash> narrowed;
-      narrowed.reserve(shared.size());
-      for (const auto& [v, count] : obs.values) {
-        auto it = shared.find(v);
-        if (it == shared.end()) continue;
-        double norm = total > 0 ? count / total : 0.0;
-        narrowed.emplace(v, std::make_pair(std::min(it->second.first, count),
-                                           std::min(it->second.second, norm)));
+    // Multi-valued / derived: one context per value every example holds,
+    // with θ the smallest count and θ_norm the smallest count / total.
+    ForEachSharedValue(profiles, d, &at, [&](const std::vector<size_t>& idx) {
+      double theta = 0, theta_norm = 0;
+      for (size_t i = 0; i < profiles.size(); ++i) {
+        const DescriptorObservation& obs = profiles[i]->observations[d];
+        const double count = obs.values[idx[i]].second;
+        const double norm = obs.total > 0 ? count / obs.total : 0.0;
+        theta = i == 0 ? count : std::min(theta, count);
+        theta_norm = i == 0 ? norm : std::min(theta_norm, norm);
       }
-      shared = std::move(narrowed);
-    }
-    // Deterministic output order.
-    std::vector<std::pair<Value, std::pair<double, double>>> ordered(shared.begin(),
-                                                                     shared.end());
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [v, theta] : ordered) {
       SemanticContext ctx;
       ctx.property.descriptor = desc;
-      ctx.property.value = v;
+      // The last example's representation of the shared value.
+      ctx.property.value =
+          profiles.back()->observations[d].values[idx.back()].first;
       if (desc->derived) {
-        ctx.property.theta = theta.first;
-        if (config.normalize_association) ctx.property.theta_norm = theta.second;
+        ctx.property.theta = theta;
+        if (config.normalize_association) ctx.property.theta_norm = theta_norm;
       }
       ctx.support = support;
       contexts.push_back(std::move(ctx));
-    }
+    });
   }
   return contexts;
 }

@@ -11,7 +11,9 @@
 ///  1. BuildEntityContextProfile: everything the αDB knows about ONE entity,
 ///     one observation per descriptor. Depends only on (relation, key) —
 ///     never on the other examples or on SquidConfig — so a profile is a
-///     cacheable, immutable unit.
+///     cacheable, immutable unit. It is the only per-entity profile: entity
+///     disambiguation (disambiguation.h) scores candidates on the same
+///     profiles, fetched through the same ContextProvider.
 ///  2. MergeContextProfiles: folds the profiles of the whole example set
 ///     into shared contexts (value agreement, numeric ranges, association
 ///     intersections). Cheap, pure, and deterministic given the profiles.
@@ -19,6 +21,8 @@
 /// parallel profile builds) is bit-identical to the one-shot call because
 /// observations are merged in canonical descriptor/entity order.
 
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,8 +39,10 @@ class ThreadPool;
 struct DescriptorObservation {
   /// Basic (no-hop) kinds: the entity's value (null when absent).
   Value basic_value;
-  /// Derived / multi-valued kinds: the entity's (value, count) associations
-  /// in αDB point-query order, plus its association-portfolio total.
+  /// Derived / multi-valued kinds: the entity's (value, count) associations,
+  /// stably sorted by value (equal values keep their αDB point-query order,
+  /// and every reader uses the first of them), plus its association-portfolio
+  /// total.
   std::vector<std::pair<Value, double>> values;
   double total = 0;
 };
@@ -63,6 +69,63 @@ Result<EntityContextProfile> BuildEntityContextProfile(
     const AbductionReadyDb& adb, const std::string& entity_relation,
     const Value& entity_key, const size_t* known_row = nullptr,
     ThreadPool* pool = nullptr);
+
+/// \brief Where Squid gets per-entity profiles, so serve mode can interpose
+/// a cache (serve/context_cache.h) without the core knowing about caching.
+/// Both entity disambiguation and context discovery fetch through it.
+/// Contract for every implementation: the returned profile is bit-identical
+/// to BuildEntityContextProfile's for the same entity.
+class ContextProvider {
+ public:
+  virtual ~ContextProvider() = default;
+
+  /// The profile of the entity with key `entity_key` in `entity_relation`.
+  /// `known_row`, when non-null, is trusted as the entity's row (hoisted
+  /// from entity-lookup postings); `from_cache`, when non-null, reports
+  /// whether the profile was served without a build (and so without a
+  /// PK-index resolution).
+  virtual Result<std::shared_ptr<const EntityContextProfile>> Profile(
+      const std::string& entity_relation, const Value& entity_key,
+      const size_t* known_row, bool* from_cache) const = 0;
+};
+
+/// \brief The profile of one entity through `provider`, or — when
+/// `provider` is null — built once, uncached (`from_cache` then reports
+/// false). Arguments as for ContextProvider::Profile.
+Result<std::shared_ptr<const EntityContextProfile>> FetchEntityContextProfile(
+    const AbductionReadyDb& adb, const ContextProvider* provider,
+    const std::string& entity_relation, const Value& entity_key,
+    const size_t* known_row, bool* from_cache);
+
+/// \brief Visits, in ascending value order, each distinct value of
+/// `profiles[0]`'s observation `d` that the observation `d` of every other
+/// profile also holds — one forward cursor per profile over the sorted
+/// `values`. `fn(at)` receives at[i] = the index in `profiles[i]`'s values of
+/// the first entry equal to the shared value. `at` is caller-owned scratch.
+template <typename Fn>
+void ForEachSharedValue(
+    const std::vector<const EntityContextProfile*>& profiles, size_t d,
+    std::vector<size_t>* at, Fn&& fn) {
+  const std::vector<std::pair<Value, double>>& first =
+      profiles[0]->observations[d].values;
+  at->assign(profiles.size(), 0);
+  for (size_t k = 0; k < first.size(); ++k) {
+    const Value& v = first[k].first;
+    if (k > 0 && first[k - 1].first == v) continue;  // first of equal values
+    (*at)[0] = k;
+    bool in_all = true;
+    for (size_t i = 1; i < profiles.size() && in_all; ++i) {
+      const std::vector<std::pair<Value, double>>& values =
+          profiles[i]->observations[d].values;
+      size_t& j = (*at)[i];
+      while (j < values.size() && values[j].first < v) ++j;
+      // Exhausted: every later value of `first` is larger still.
+      if (j == values.size()) return;
+      in_all = values[j].first == v;
+    }
+    if (in_all) fn(*at);
+  }
+}
 
 /// \brief Merges per-entity profiles (one per example, in example order)
 /// into the shared semantic contexts. `profiles[i]` must be the profile of

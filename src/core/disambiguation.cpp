@@ -1,67 +1,53 @@
 #include "core/disambiguation.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_set>
 
 namespace squid {
 
 namespace {
 
-/// Entity primary-key value at `row` of `relation`.
-Result<Value> KeyAt(const AbductionReadyDb& adb, const std::string& relation,
-                    size_t row) {
+/// Primary-key column of `relation` (entity keys are read off it by row).
+Result<const Column*> KeyColumn(const AbductionReadyDb& adb,
+                                const std::string& relation) {
   SQUID_ASSIGN_OR_RETURN(const Table* table, adb.database().GetTable(relation));
   const auto& pk = table->schema().primary_key();
   if (!pk) return Status::InvalidArgument("relation '" + relation + "' has no PK");
-  SQUID_ASSIGN_OR_RETURN(const Column* col, table->ColumnByName(*pk));
-  return col->ValueAt(row);
-}
-
-/// Profile of (item -> weight): weight is 1 for basic items and the
-/// association strength for derived items (so ties favor stronger
-/// associations, per §6.1.1).
-using Profile = std::unordered_map<std::string, double>;
-
-Result<Profile> BuildProfile(const AbductionReadyDb& adb, const std::string& relation,
-                             size_t row) {
-  Profile profile;
-  SQUID_ASSIGN_OR_RETURN(Value key, KeyAt(adb, relation, row));
-  for (const PropertyDescriptor* desc : adb.schema_graph().DescriptorsFor(relation)) {
-    if (desc->hops.empty()) {
-      auto value = adb.BasicValue(*desc, row);
-      if (!value.ok() || value.value().is_null()) continue;
-      profile[desc->id + "\x1f" + value.value().ToString()] = 1.0;
-      continue;
-    }
-    auto values = adb.DerivedValues(*desc, key);
-    if (!values.ok()) continue;
-    for (const auto& [v, count] : values.value()) {
-      profile[desc->id + "\x1f" + v.ToString()] = count;
-    }
-  }
-  return profile;
+  return table->ColumnByName(*pk);
 }
 
 /// Similarity of a combination: (#items shared by all, total shared weight).
-std::pair<double, double> ScoreCombination(const std::vector<const Profile*>& chosen) {
+/// A basic descriptor is an item of weight 1 when every chosen value is
+/// non-null and equal; each derived value of the first profile that every
+/// other profile holds is an item weighted by its smallest count (so ties
+/// favor stronger associations, per §6.1.1). `at` is cursor scratch.
+std::pair<double, double> ScoreProfiles(
+    const std::vector<const EntityContextProfile*>& chosen,
+    std::vector<size_t>* at) {
   if (chosen.empty()) return {0, 0};
   double shared = 0, weight = 0;
-  for (const auto& [item, w] : *chosen[0]) {
-    double min_w = w;
-    bool in_all = true;
-    for (size_t i = 1; i < chosen.size(); ++i) {
-      auto it = chosen[i]->find(item);
-      if (it == chosen[i]->end()) {
-        in_all = false;
-        break;
+  const std::vector<DescriptorObservation>& first = chosen[0]->observations;
+  for (size_t d = 0; d < first.size(); ++d) {
+    const Value& basic = first[d].basic_value;
+    if (!basic.is_null()) {
+      bool in_all = true;
+      for (size_t i = 1; i < chosen.size() && in_all; ++i) {
+        in_all = chosen[i]->observations[d].basic_value == basic;
       }
-      min_w = std::min(min_w, it->second);
+      if (in_all) {
+        shared += 1;
+        weight += 1;
+      }
+      continue;
     }
-    if (in_all) {
+    ForEachSharedValue(chosen, d, at, [&](const std::vector<size_t>& idx) {
+      double min_w = first[d].values[idx[0]].second;
+      for (size_t i = 1; i < chosen.size(); ++i) {
+        min_w = std::min(min_w,
+                         chosen[i]->observations[d].values[idx[i]].second);
+      }
       shared += 1;
       weight += min_w;
-    }
+    });
   }
   return {shared, weight};
 }
@@ -74,17 +60,6 @@ bool BetterScore(const std::pair<double, double>& a,
 
 }  // namespace
 
-std::vector<std::string> EntityProfile(const AbductionReadyDb& adb,
-                                       const std::string& relation, size_t row) {
-  std::vector<std::string> out;
-  auto profile = BuildProfile(adb, relation, row);
-  if (!profile.ok()) return out;
-  out.reserve(profile.value().size());
-  for (const auto& [item, _] : profile.value()) out.push_back(item);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 Result<std::vector<Value>> DisambiguateEntities(const AbductionReadyDb& adb,
                                                 const EntityMatch& match,
                                                 const SquidConfig& config) {
@@ -95,7 +70,8 @@ Result<std::vector<Value>> DisambiguateEntities(const AbductionReadyDb& adb,
 
 Result<ResolvedEntities> ResolveEntities(const AbductionReadyDb& adb,
                                          const EntityMatch& match,
-                                         const SquidConfig& config) {
+                                         const SquidConfig& config,
+                                         const ContextProvider* provider) {
   const size_t n = match.candidate_rows.size();
   ResolvedEntities resolved;
   resolved.keys.resize(n);
@@ -106,35 +82,47 @@ Result<ResolvedEntities> ResolveEntities(const AbductionReadyDb& adb,
     if (rows.empty()) return Status::InvalidArgument("example with no candidates");
     if (rows.size() > 1) ambiguous = true;
   }
+  SQUID_ASSIGN_OR_RETURN(const Column* key_col, KeyColumn(adb, match.relation));
   if (!ambiguous || !config.enable_disambiguation) {
     for (size_t i = 0; i < n; ++i) {
-      SQUID_ASSIGN_OR_RETURN(Value key,
-                             KeyAt(adb, match.relation, match.candidate_rows[i][0]));
-      resolved.keys[i] = key;
       resolved.rows[i] = match.candidate_rows[i][0];
+      resolved.keys[i] = key_col->ValueAt(resolved.rows[i]);
     }
     return resolved;
   }
 
-  // Build profiles for every candidate row.
-  std::vector<std::vector<Profile>> profiles(n);
+  // Fetch every candidate's profile, once per distinct row.
+  using ProfilePtr = std::shared_ptr<const EntityContextProfile>;
+  std::vector<std::vector<ProfilePtr>> profiles(n);
+  std::vector<std::pair<size_t, ProfilePtr>> fetched;
   for (size_t i = 0; i < n; ++i) {
     profiles[i].reserve(match.candidate_rows[i].size());
     for (size_t row : match.candidate_rows[i]) {
-      SQUID_ASSIGN_OR_RETURN(Profile p, BuildProfile(adb, match.relation, row));
-      profiles[i].push_back(std::move(p));
+      auto same = std::find_if(fetched.begin(), fetched.end(),
+                               [row](const auto& f) { return f.first == row; });
+      if (same != fetched.end()) {
+        profiles[i].push_back(same->second);
+        continue;
+      }
+      SQUID_ASSIGN_OR_RETURN(
+          ProfilePtr profile,
+          FetchEntityContextProfile(adb, provider, match.relation,
+                                    key_col->ValueAt(row), &row, nullptr));
+      fetched.emplace_back(row, profile);
+      profiles[i].push_back(std::move(profile));
     }
   }
 
+  std::vector<size_t> at;  // ScoreProfiles cursor scratch
   std::vector<size_t> best(n, 0);
   if (match.NumCombinations() <= static_cast<double>(config.max_disambiguation_combos)) {
     // Exhaustive enumeration (§6.1.1: "the examples are typically few").
     std::vector<size_t> current(n, 0);
+    std::vector<const EntityContextProfile*> chosen(n);
     std::pair<double, double> best_score{-1, -1};
     while (true) {
-      std::vector<const Profile*> chosen(n);
-      for (size_t i = 0; i < n; ++i) chosen[i] = &profiles[i][current[i]];
-      auto score = ScoreCombination(chosen);
+      for (size_t i = 0; i < n; ++i) chosen[i] = profiles[i][current[i]].get();
+      auto score = ScoreProfiles(chosen, &at);
       if (BetterScore(score, best_score)) {
         best_score = score;
         best = current;
@@ -160,16 +148,16 @@ Result<ResolvedEntities> ResolveEntities(const AbductionReadyDb& adb,
     for (size_t seed = 0; seed < profiles[seed_example].size(); ++seed) {
       std::vector<size_t> current(n, 0);
       current[seed_example] = seed;
-      std::vector<const Profile*> chosen;
-      chosen.push_back(&profiles[seed_example][seed]);
+      std::vector<const EntityContextProfile*> chosen;
+      chosen.push_back(profiles[seed_example][seed].get());
       for (size_t oi = 0; oi < n; ++oi) {
         size_t ex = order[oi];
         if (ex == seed_example) continue;
         std::pair<double, double> local_best{-1, -1};
         size_t local_pick = 0;
         for (size_t c = 0; c < profiles[ex].size(); ++c) {
-          chosen.push_back(&profiles[ex][c]);
-          auto score = ScoreCombination(chosen);
+          chosen.push_back(profiles[ex][c].get());
+          auto score = ScoreProfiles(chosen, &at);
           chosen.pop_back();
           if (BetterScore(score, local_best)) {
             local_best = score;
@@ -177,9 +165,9 @@ Result<ResolvedEntities> ResolveEntities(const AbductionReadyDb& adb,
           }
         }
         current[ex] = local_pick;
-        chosen.push_back(&profiles[ex][local_pick]);
+        chosen.push_back(profiles[ex][local_pick].get());
       }
-      auto score = ScoreCombination(chosen);
+      auto score = ScoreProfiles(chosen, &at);
       if (BetterScore(score, best_score)) {
         best_score = score;
         best = current;
@@ -187,11 +175,11 @@ Result<ResolvedEntities> ResolveEntities(const AbductionReadyDb& adb,
     }
   }
 
+  resolved.profiles.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    SQUID_ASSIGN_OR_RETURN(
-        Value key, KeyAt(adb, match.relation, match.candidate_rows[i][best[i]]));
-    resolved.keys[i] = key;
     resolved.rows[i] = match.candidate_rows[i][best[i]];
+    resolved.keys[i] = key_col->ValueAt(resolved.rows[i]);
+    resolved.profiles[i] = profiles[i][best[i]];
   }
   return resolved;
 }

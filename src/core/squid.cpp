@@ -1,7 +1,8 @@
 #include "core/squid.h"
 
-#include "core/context_discovery.h"
-#include "core/disambiguation.h"
+#include <atomic>
+
+#include "common/thread_pool.h"
 #include "core/entity_lookup.h"
 
 namespace squid {
@@ -16,41 +17,72 @@ size_t AbducedQuery::NumIncludedFilters() const {
 
 Result<AbducedQuery> Squid::DiscoverForResolvedEntities(
     const std::string& entity_relation, const std::string& projection_attr,
-    const std::vector<Value>& entity_keys,
-    const std::vector<size_t>& entity_rows,
-    obs::RequestTrace* trace) const {
+    ResolvedEntities resolved, obs::RequestTrace* trace) const {
   AbducedQuery out;
   out.entity_relation = entity_relation;
   out.projection_attr = projection_attr;
-  out.entity_keys = entity_keys;
+  const std::vector<Value>& entity_keys = resolved.keys;
+  const size_t n = entity_keys.size();
 
   std::vector<SemanticContext> contexts;
   {
     obs::ScopedPhaseTimer timer(trace, obs::Phase::kContextDiscovery);
-    if (context_provider_ != nullptr) {
-      SQUID_ASSIGN_OR_RETURN(
-          contexts, context_provider_->Contexts(entity_relation, entity_keys,
-                                                entity_rows, config_, &out.stats));
-    } else {
-      // Rows hoisted from the candidate's postings spare the per-key PK-index
-      // resolution inside the profile builds.
-      const bool have_rows = entity_rows.size() == entity_keys.size();
-      if (have_rows) {
-        out.stats.entity_row_lookups_saved += entity_keys.size();
-      } else {
-        out.stats.entity_row_lookups += entity_keys.size();
-      }
-      SQUID_ASSIGN_OR_RETURN(
-          contexts, DiscoverContexts(*adb_, entity_relation, entity_keys, config_,
-                                     have_rows ? &entity_rows : nullptr));
+    if (n == 0) {
+      return Status::InvalidArgument("no entity keys for context discovery");
     }
+    // Rows hoisted from the candidate's postings spare the PK-index
+    // resolution of every profile build.
+    const bool have_rows = resolved.rows.size() == n;
+    resolved.profiles.resize(n);
+    std::vector<size_t> missing;
+    for (size_t i = 0; i < n; ++i) {
+      if (resolved.profiles[i] == nullptr) missing.push_back(i);
+    }
+    std::vector<Status> statuses(missing.size());
+    // relaxed: workers only increment; the total is read after the fan-out
+    // joins (ParallelFor synchronizes completion).
+    std::atomic<size_t> cache_hits{0};
+    auto fetch = [&](size_t m) {
+      const size_t i = missing[m];
+      bool hit = false;
+      auto profile = FetchEntityContextProfile(
+          *adb_, context_provider_, entity_relation, entity_keys[i],
+          have_rows ? &resolved.rows[i] : nullptr, &hit);
+      if (!profile.ok()) {
+        statuses[m] = profile.status();
+        return;
+      }
+      resolved.profiles[i] = std::move(profile).value();
+      if (hit) cache_hits.fetch_add(1, std::memory_order_relaxed);
+    };
+    if (pool_ != nullptr && missing.size() > 1) {
+      // Per-entity fetches are independent and land in per-example slots,
+      // so the merge below is identical at any thread count.
+      pool_->ParallelFor(missing.size(), fetch);
+    } else {
+      for (size_t m = 0; m < missing.size(); ++m) fetch(m);
+    }
+    for (const Status& st : statuses) SQUID_RETURN_NOT_OK(st);
+    // A cache hit spares the PK-index resolution entirely; hoisted rows
+    // spare it for builds too (and disambiguation always has rows).
+    if (have_rows) {
+      out.stats.entity_row_lookups_saved += n;
+    } else {
+      const size_t hits = cache_hits.load(std::memory_order_relaxed);
+      out.stats.entity_row_lookups_saved += hits;
+      out.stats.entity_row_lookups += n - hits;
+    }
+    std::vector<const EntityContextProfile*> views(n);
+    for (size_t i = 0; i < n; ++i) views[i] = resolved.profiles[i].get();
+    SQUID_ASSIGN_OR_RETURN(
+        contexts, MergeContextProfiles(*adb_, entity_relation, views, config_));
   }
+  out.entity_keys = std::move(resolved.keys);
 
   {
     obs::ScopedPhaseTimer timer(trace, obs::Phase::kAbduction);
     AbductionModel model(adb_, config_);
-    SQUID_ASSIGN_OR_RETURN(out.filters,
-                           model.AbduceFilters(contexts, entity_keys.size()));
+    SQUID_ASSIGN_OR_RETURN(out.filters, model.AbduceFilters(contexts, n));
     out.log_posterior = AbductionModel::LogPosterior(out.filters);
   }
 
@@ -68,22 +100,25 @@ Result<AbducedQuery> Squid::DiscoverForResolvedEntities(
 Result<AbducedQuery> Squid::DiscoverForEntities(
     const std::string& entity_relation, const std::string& projection_attr,
     const std::vector<Value>& entity_keys, obs::RequestTrace* trace) const {
+  ResolvedEntities resolved;
+  resolved.keys = entity_keys;
   return DiscoverForResolvedEntities(entity_relation, projection_attr,
-                                     entity_keys, {}, trace);
+                                     std::move(resolved), trace);
 }
 
 Result<AbducedQuery> Squid::AbduceCandidate(const EntityMatch& match,
                                             obs::RequestTrace* trace) const {
-  // The row resolution is shared work: the postings already name each
-  // chosen entity's row, so context discovery never re-probes the PK index
-  // for this candidate.
+  // The row resolution and the chosen profiles are shared work: the
+  // postings already name each chosen entity's row, and the profiles
+  // disambiguation scored are the ones context discovery merges.
   ResolvedEntities resolved;
   {
     obs::ScopedPhaseTimer timer(trace, obs::Phase::kDisambiguation);
-    SQUID_ASSIGN_OR_RETURN(resolved, ResolveEntities(*adb_, match, config_));
+    SQUID_ASSIGN_OR_RETURN(resolved, ResolveEntities(*adb_, match, config_,
+                                                     context_provider_));
   }
   return DiscoverForResolvedEntities(match.relation, match.attribute,
-                                     resolved.keys, resolved.rows, trace);
+                                     std::move(resolved), trace);
 }
 
 Result<AbducedQuery> Squid::ReduceCandidates(

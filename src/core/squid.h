@@ -21,6 +21,8 @@
 #include "common/status.h"
 #include "core/abduction_model.h"
 #include "core/config.h"
+#include "core/context_discovery.h"
+#include "core/disambiguation.h"
 #include "core/filter.h"
 #include "core/query_builder.h"
 #include "core/semantic_property.h"
@@ -29,7 +31,7 @@
 
 namespace squid {
 
-struct EntityMatch;
+class ThreadPool;
 
 /// \brief Work counters for one Discover call (candidate fan-out width and
 /// the entity-row point queries the hoisted lookup resolution saved).
@@ -75,24 +77,6 @@ struct AbducedQuery {
   size_t NumIncludedFilters() const;
 };
 
-/// \brief Seam between abduction and semantic-context discovery: Squid asks
-/// a provider for the example set's contexts, so serve mode can interpose a
-/// per-entity cache (serve/context_cache.h) without the core knowing about
-/// caching. `entity_rows` carries rows hoisted from entity-lookup postings
-/// (one per key, or empty when unresolved); implementations may use them to
-/// skip EntityRowByKey and must report lookup work in `stats` (optional,
-/// may be null). The contract for every implementation: answers are
-/// bit-identical to DiscoverContexts on the same example set.
-class ContextProvider {
- public:
-  virtual ~ContextProvider() = default;
-
-  virtual Result<std::vector<SemanticContext>> Contexts(
-      const std::string& entity_relation, const std::vector<Value>& entity_keys,
-      const std::vector<size_t>& entity_rows, const SquidConfig& config,
-      DiscoverStats* stats) const = 0;
-};
-
 /// \brief SQuID's online module.
 class Squid {
  public:
@@ -102,11 +86,15 @@ class Squid {
   const SquidConfig& config() const { return config_; }
   void set_config(SquidConfig config) { config_ = std::move(config); }
 
-  /// Interposes `provider` on semantic-context discovery (not owned; must
-  /// outlive this Squid). nullptr restores the default uncached
-  /// DiscoverContexts path.
-  void set_context_provider(const ContextProvider* provider) {
+  /// Interposes `provider` on every per-entity profile fetch — entity
+  /// disambiguation's and context discovery's (not owned; must outlive this
+  /// Squid). nullptr restores uncached profile builds. `pool`, when
+  /// non-null, fans out the profile fetches of one example set that
+  /// disambiguation did not already make.
+  void set_context_provider(const ContextProvider* provider,
+                            ThreadPool* pool = nullptr) {
     context_provider_ = provider;
+    pool_ = pool;
   }
   const ContextProvider* context_provider() const { return context_provider_; }
 
@@ -130,15 +118,6 @@ class Squid {
       const std::vector<Value>& entity_keys,
       obs::RequestTrace* trace = nullptr) const;
 
-  /// DiscoverForEntities with entity rows already resolved (hoisted from the
-  /// candidate's postings); `entity_rows` must parallel `entity_keys` or be
-  /// empty. Serve mode calls this directly from its candidate fan-out.
-  Result<AbducedQuery> DiscoverForResolvedEntities(
-      const std::string& entity_relation, const std::string& projection_attr,
-      const std::vector<Value>& entity_keys,
-      const std::vector<size_t>& entity_rows,
-      obs::RequestTrace* trace = nullptr) const;
-
   /// One candidate base query end to end: disambiguates `match` (keeping
   /// the postings-resolved rows) and abduces. Discover runs this per match
   /// serially; serve mode fans it out and reduces with ReduceCandidates.
@@ -156,9 +135,18 @@ class Squid {
       std::vector<Result<AbducedQuery>> candidates);
 
  private:
+  /// DiscoverForEntities for a ResolveEntities result: `resolved.rows`
+  /// (hoisted from the candidate's postings) must parallel `resolved.keys`
+  /// or be empty, and profiles disambiguation already fetched are merged
+  /// as they are; only the missing ones are fetched.
+  Result<AbducedQuery> DiscoverForResolvedEntities(
+      const std::string& entity_relation, const std::string& projection_attr,
+      ResolvedEntities resolved, obs::RequestTrace* trace) const;
+
   const AbductionReadyDb* adb_;
   SquidConfig config_;
   const ContextProvider* context_provider_ = nullptr;
+  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace squid

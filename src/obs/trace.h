@@ -28,8 +28,9 @@ namespace obs {
 enum class Phase : int {
   kQueueWait = 0,        ///< admission to drain (serve queue)
   kEntityLookup,         ///< example rows -> inverted-index entity matches
-  kDisambiguation,       ///< ResolveEntities: pick entity per example row
-  kContextDiscovery,     ///< context derivation or cache probe
+  kDisambiguation,       ///< ResolveEntities: fetch candidate profiles
+                         ///< (cache probes in serve mode), score, pick
+  kContextDiscovery,     ///< fetch profiles disambiguation did not, merge
   kAbduction,            ///< AbduceFilters + LogPosterior scoring
   kQueryBuild,           ///< abduced filters -> SQL text
   kExecutorRun,          ///< running the abduced query

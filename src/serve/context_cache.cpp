@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/thread_pool.h"
-
 namespace squid {
 
 namespace {
@@ -69,7 +67,7 @@ bool ContextCache::MakeKey(const std::string& entity_relation,
   return false;
 }
 
-Result<std::shared_ptr<const EntityContextProfile>> ContextCache::ProfileFor(
+Result<std::shared_ptr<const EntityContextProfile>> ContextCache::Profile(
     const std::string& entity_relation, const Value& entity_key,
     const size_t* known_row, bool* from_cache) const {
   if (from_cache != nullptr) *from_cache = false;
@@ -128,55 +126,6 @@ Result<std::shared_ptr<const EntityContextProfile>> ContextCache::ProfileFor(
     ++shard.evictions;
   }
   return profile;
-}
-
-Result<std::vector<SemanticContext>> ContextCache::Contexts(
-    const std::string& entity_relation, const std::vector<Value>& entity_keys,
-    const std::vector<size_t>& entity_rows, const SquidConfig& config,
-    DiscoverStats* stats) const {
-  if (entity_keys.empty()) {
-    return Status::InvalidArgument("no entity keys for context discovery");
-  }
-  const bool have_rows = entity_rows.size() == entity_keys.size();
-
-  std::vector<Result<std::shared_ptr<const EntityContextProfile>>> slots(
-      entity_keys.size(),
-      Result<std::shared_ptr<const EntityContextProfile>>(
-          Status::Internal("profile slot not filled")));
-  // relaxed: workers only increment; the single total is read after the
-  // fan-out joins (ParallelFor synchronizes completion).
-  std::atomic<size_t> cache_hits{0};
-  auto fetch = [&](size_t i) {
-    const size_t* row = have_rows ? &entity_rows[i] : nullptr;
-    bool hit = false;
-    slots[i] = ProfileFor(entity_relation, entity_keys[i], row, &hit);
-    if (hit) cache_hits.fetch_add(1, std::memory_order_relaxed);
-  };
-  if (workers_ != nullptr && entity_keys.size() > 1) {
-    // Fan profile fetches out across entities; results land in per-entity
-    // slots, so the merge below is identical at any thread count.
-    workers_->ParallelFor(entity_keys.size(), fetch);
-  } else {
-    for (size_t i = 0; i < entity_keys.size(); ++i) fetch(i);
-  }
-
-  std::vector<const EntityContextProfile*> profiles(entity_keys.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (!slots[i].ok()) return slots[i].status();
-    profiles[i] = slots[i].value().get();
-  }
-  if (stats != nullptr) {
-    // A hit spares the PK-index resolution entirely; hoisted rows spare it
-    // for misses too.
-    const size_t hits = cache_hits.load(std::memory_order_relaxed);
-    if (have_rows) {
-      stats->entity_row_lookups_saved += entity_keys.size();
-    } else {
-      stats->entity_row_lookups_saved += hits;
-      stats->entity_row_lookups += entity_keys.size() - hits;
-    }
-  }
-  return MergeContextProfiles(*adb_, entity_relation, profiles, config);
 }
 
 bool ContextCache::Contains(const std::string& entity_relation,

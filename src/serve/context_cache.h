@@ -8,7 +8,10 @@
 /// — αDB point queries, the expensive part) and a cheap per-example-set
 /// merge. The per-entity half depends only on (relation, entity key), both of
 /// which resolve to interned StringPool symbols, so the cache keys on
-/// integers and never hashes strings on the hit path.
+/// integers and never hashes strings on the hit path. Entity disambiguation
+/// scores its candidates on the same profiles, so an ambiguous example's
+/// alternatives are cached too, and the chosen ones are handed on to
+/// context discovery without a second probe.
 ///
 /// Concurrency follows the sharded-interner shape of storage/string_pool.h:
 /// entries are spread over N shards by key hash, each shard owns a mutex, an
@@ -20,9 +23,11 @@
 /// profiles and the insert dedupes.
 ///
 /// Identity contract: profiles are a pure function of the immutable αDB, so
-/// serving from the cache — before or after any evictions, at any thread
-/// count — yields answers bit-identical to the uncached DiscoverContexts
-/// path. serve_test asserts this down to posteriors.
+/// serving from the cache — to disambiguation and context discovery alike,
+/// before or after any evictions, at any thread count — yields the same
+/// disambiguation picks and answers bit-identical to a Squid without a
+/// provider (uncached profile builds). serve_test asserts this down to
+/// posteriors.
 
 #include <atomic>
 #include <cstdint>
@@ -36,7 +41,6 @@
 #include "adb/abduction_ready_db.h"
 #include "common/status.h"
 #include "core/context_discovery.h"
-#include "core/squid.h"
 #include "serve/serve_stats.h"
 #include "storage/string_pool.h"
 
@@ -54,9 +58,9 @@ class ContextCache : public ContextProvider {
     size_t max_bytes = 8u << 20;
     /// Shard count (rounded up to a power of two, at least 1).
     size_t shards = 8;
-    /// Optional worker pool: profile builds for a multi-entity request fan
-    /// out across entities (and, for single-entity requests, across
-    /// descriptors). May be null for serial builds.
+    /// Optional worker pool: each profile build fans its per-descriptor
+    /// point queries out on it. May be null for serial builds. (Fetches of
+    /// several entities fan out in Squid; see Squid::set_context_provider.)
     ThreadPool* pool = nullptr;
   };
 
@@ -67,20 +71,13 @@ class ContextCache : public ContextProvider {
   ContextCache(const ContextCache&) = delete;
   ContextCache& operator=(const ContextCache&) = delete;
 
-  /// ContextProvider seam: profiles each entity (cached) and merges. Rows
-  /// in `entity_rows` (when provided, hoisted from candidate postings) spare
-  /// cache misses their PK-index resolution.
-  Result<std::vector<SemanticContext>> Contexts(
-      const std::string& entity_relation, const std::vector<Value>& entity_keys,
-      const std::vector<size_t>& entity_rows, const SquidConfig& config,
-      DiscoverStats* stats) const override;
-
-  /// The cached profile of one entity (built and inserted on miss).
-  /// `known_row`, when non-null, is trusted as the entity's row;
-  /// `from_cache`, when non-null, reports whether the profile was a hit.
-  Result<std::shared_ptr<const EntityContextProfile>> ProfileFor(
+  /// ContextProvider seam: the cached profile of one entity (built and
+  /// inserted on miss). `known_row`, when non-null, is trusted as the
+  /// entity's row (sparing a miss its PK-index resolution); `from_cache`,
+  /// when non-null, reports whether the profile was a hit.
+  Result<std::shared_ptr<const EntityContextProfile>> Profile(
       const std::string& entity_relation, const Value& entity_key,
-      const size_t* known_row = nullptr, bool* from_cache = nullptr) const;
+      const size_t* known_row, bool* from_cache) const override;
 
   /// True when the entity's profile is currently cached. Does not touch LRU
   /// order or counters (test/inspection hook).

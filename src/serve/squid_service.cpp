@@ -24,7 +24,7 @@ SquidService::SquidService(const AbductionReadyDb* adb, ServeOptions options)
     cache_options.shards = options_.cache_shards;
     cache_options.pool = &pool_;
     cache_ = std::make_unique<ContextCache>(adb_, cache_options);
-    squid_.set_context_provider(cache_.get());
+    squid_.set_context_provider(cache_.get(), &pool_);
   }
   metrics_ = options_.metrics != nullptr ? options_.metrics
                                          : &obs::MetricsRegistry::Global();

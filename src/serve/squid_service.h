@@ -9,8 +9,9 @@
 ///
 ///   clients --Submit(examples, done)--> one ThreadPool task per request:
 ///       LookupExamples, then the candidate base queries fan out in
-///       parallel (ParallelFor), each candidate's per-entity context work
-///       resolving through the shared ContextCache; the winning abduction
+///       parallel (ParallelFor), each candidate's per-entity profiles (for
+///       disambiguation and context discovery alike) resolving through the
+///       shared ContextCache; the winning abduction
 ///       is handed to the request's `done` callback.
 ///
 /// Submit never blocks: it sheds a request (returns false) when the

@@ -1,16 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <unordered_map>
 
 #include "adb/abduction_ready_db.h"
+#include "bench/bench_util.h"
+#include "common/rng.h"
 #include "core/abduction_model.h"
 #include "core/context_discovery.h"
 #include "core/disambiguation.h"
 #include "core/entity_lookup.h"
 #include "core/squid.h"
+#include "eval/sampler.h"
 #include "exec/executor.h"
 #include "sql/printer.h"
 #include "tests/test_util.h"
+#include "workloads/benchmark_query.h"
 
 namespace squid {
 namespace {
@@ -117,6 +124,225 @@ TEST(DisambiguationTest, PicksMostSimilarCandidates) {
   ASSERT_TRUE(keys2.ok());
 }
 
+// The string-keyed scorer disambiguation used before it scored
+// EntityContextProfiles, kept as the oracle of the differential tests below:
+// every (descriptor, value) item is keyed "descriptor id \x1f
+// Value::ToString()", so doubles compare by their 6-digit %g rendering.
+namespace string_scorer {
+
+using Profile = std::unordered_map<std::string, double>;
+
+Value KeyAt(const AbductionReadyDb& adb, const std::string& relation,
+            size_t row) {
+  const Table* table = adb.database().GetTable(relation).value();
+  return table->ColumnByName(*table->schema().primary_key())
+      .value()
+      ->ValueAt(row);
+}
+
+Profile BuildProfile(const AbductionReadyDb& adb, const std::string& relation,
+                     size_t row) {
+  Profile profile;
+  Value key = KeyAt(adb, relation, row);
+  for (const PropertyDescriptor* desc :
+       adb.schema_graph().DescriptorsFor(relation)) {
+    if (desc->hops.empty()) {
+      auto value = adb.BasicValue(*desc, row);
+      if (!value.ok() || value.value().is_null()) continue;
+      profile[desc->id + "\x1f" + value.value().ToString()] = 1.0;
+      continue;
+    }
+    auto values = adb.DerivedValues(*desc, key);
+    if (!values.ok()) continue;
+    for (const auto& [v, count] : values.value()) {
+      profile[desc->id + "\x1f" + v.ToString()] = count;
+    }
+  }
+  return profile;
+}
+
+std::pair<double, double> Score(const std::vector<const Profile*>& chosen) {
+  double shared = 0, weight = 0;
+  for (const auto& [item, w] : *chosen[0]) {
+    double min_w = w;
+    bool in_all = true;
+    for (size_t i = 1; i < chosen.size() && in_all; ++i) {
+      auto it = chosen[i]->find(item);
+      in_all = it != chosen[i]->end();
+      if (in_all) min_w = std::min(min_w, it->second);
+    }
+    if (in_all) {
+      shared += 1;
+      weight += min_w;
+    }
+  }
+  return {shared, weight};
+}
+
+bool Better(const std::pair<double, double>& a,
+            const std::pair<double, double>& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return a.second > b.second;
+}
+
+/// The rows the string scorer picks for an ambiguous `match`, with the same
+/// exhaustive / greedy enumeration and tie-breaking as ResolveEntities.
+std::vector<size_t> PickRows(const AbductionReadyDb& adb,
+                             const EntityMatch& match,
+                             const SquidConfig& config) {
+  const size_t n = match.candidate_rows.size();
+  std::vector<std::vector<Profile>> profiles(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t row : match.candidate_rows[i]) {
+      profiles[i].push_back(BuildProfile(adb, match.relation, row));
+    }
+  }
+  std::vector<size_t> best(n, 0);
+  std::pair<double, double> best_score{-1, -1};
+  if (match.NumCombinations() <=
+      static_cast<double>(config.max_disambiguation_combos)) {
+    std::vector<size_t> current(n, 0);
+    while (true) {
+      std::vector<const Profile*> chosen(n);
+      for (size_t i = 0; i < n; ++i) chosen[i] = &profiles[i][current[i]];
+      auto score = Score(chosen);
+      if (Better(score, best_score)) {
+        best_score = score;
+        best = current;
+      }
+      size_t d = 0;
+      while (d < n && ++current[d] == match.candidate_rows[d].size()) {
+        current[d] = 0;
+        ++d;
+      }
+      if (d == n) break;
+    }
+  } else {
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return match.candidate_rows[a].size() < match.candidate_rows[b].size();
+    });
+    const size_t seed_example = order[0];
+    for (size_t seed = 0; seed < profiles[seed_example].size(); ++seed) {
+      std::vector<size_t> current(n, 0);
+      current[seed_example] = seed;
+      std::vector<const Profile*> chosen = {&profiles[seed_example][seed]};
+      for (size_t ex : order) {
+        if (ex == seed_example) continue;
+        std::pair<double, double> local_best{-1, -1};
+        size_t local_pick = 0;
+        for (size_t c = 0; c < profiles[ex].size(); ++c) {
+          chosen.push_back(&profiles[ex][c]);
+          auto score = Score(chosen);
+          chosen.pop_back();
+          if (Better(score, local_best)) {
+            local_best = score;
+            local_pick = c;
+          }
+        }
+        current[ex] = local_pick;
+        chosen.push_back(&profiles[ex][local_pick]);
+      }
+      auto score = Score(chosen);
+      if (Better(score, best_score)) {
+        best_score = score;
+        best = current;
+      }
+    }
+  }
+  std::vector<size_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = match.candidate_rows[i][best[i]];
+  return rows;
+}
+
+}  // namespace string_scorer
+
+TEST(DisambiguationTest, DoublesPastTheSixthDigitAreDistinctItems) {
+  // The twins differ only in budget, past the 6th significant digit: %g
+  // renders both as 1.23457e+06, so the string scorer sees a tie and keeps
+  // the first twin. Exact equality shares the budget with the second twin.
+  auto db = std::make_unique<Database>("d");
+  {
+    Schema s("movie", {{"id", ValueType::kInt64},
+                       {"title", ValueType::kString},
+                       {"budget", ValueType::kDouble}});
+    s.set_primary_key("id");
+    s.set_entity(true);
+    s.AddPropertyAttribute("budget");
+    s.AddTextSearchAttribute("title");
+    auto t = db->CreateTable(std::move(s));
+    ASSERT_TRUE(t.ok());
+    auto I = [](int64_t v) { return Value(v); };
+    ASSERT_TRUE(
+        t.value()->AppendRow({I(1), Value("Alpha"), Value(1234567.0)}).ok());
+    ASSERT_TRUE(
+        t.value()->AppendRow({I(2), Value("Beta"), Value(1234567.0)}).ok());
+    ASSERT_TRUE(
+        t.value()->AppendRow({I(3), Value("Twin"), Value(1234568.0)}).ok());
+    ASSERT_TRUE(
+        t.value()->AppendRow({I(4), Value("Twin"), Value(1234567.0)}).ok());
+  }
+  auto adb = AbductionReadyDb::Build(*db);
+  ASSERT_TRUE(adb.ok());
+  auto matches = LookupExamples(*adb.value(), {"Alpha", "Beta", "Twin"});
+  ASSERT_TRUE(matches.ok());
+  const EntityMatch& match = matches.value()[0];
+  ASSERT_EQ(match.candidate_rows[2].size(), 2u);
+
+  SquidConfig config;
+  auto resolved = ResolveEntities(*adb.value(), match, config);
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(resolved.value().keys[2].AsInt64(), 4);
+  const std::vector<size_t> by_string =
+      string_scorer::PickRows(*adb.value(), match, config);
+  EXPECT_EQ(string_scorer::KeyAt(*adb.value(), "movie", by_string[2]).AsInt64(),
+            3);
+}
+
+/// Ambiguous matches of example sets drawn from every benchmark query's
+/// ground truth: ResolveEntities must pick the string scorer's rows, on
+/// both the exhaustive and the greedy branch.
+template <typename Bench>
+void ExpectPicksMatchStringScorer(const Bench& bench, size_t* ambiguous) {
+  for (const BenchmarkQuery& query : bench.queries) {
+    auto truth = GroundTruth(*bench.data.db, query);
+    ASSERT_TRUE(truth.ok()) << query.id;
+    for (size_t k : {3u, 6u, 12u, 24u}) {
+      for (uint64_t seed : {7u, 19u, 33u, 51u, 77u}) {
+        Rng rng(seed);
+        std::vector<std::string> examples =
+            SampleExamples(truth.value(), k, &rng);
+        auto matches = LookupExamples(*bench.adb, examples);
+        if (!matches.ok()) continue;
+        for (const EntityMatch& match : matches.value()) {
+          if (match.NumCombinations() <= 1.0) continue;
+          ++*ambiguous;
+          for (size_t combos : {SquidConfig{}.max_disambiguation_combos,
+                                size_t{1}}) {
+            SquidConfig config;
+            config.max_disambiguation_combos = combos;
+            auto resolved = ResolveEntities(*bench.adb, match, config);
+            ASSERT_TRUE(resolved.ok()) << query.id;
+            EXPECT_EQ(resolved.value().rows,
+                      string_scorer::PickRows(*bench.adb, match, config))
+                << query.id << " k=" << k << " seed=" << seed
+                << " combos=" << combos << " " << match.relation << "."
+                << match.attribute;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DisambiguationTest, ProfileScorerPicksTheStringScorersRows) {
+  size_t ambiguous = 0;
+  ExpectPicksMatchStringScorer(bench::BuildImdbBench(0.2), &ambiguous);
+  ExpectPicksMatchStringScorer(bench::BuildDblpBench(0.2), &ambiguous);
+  EXPECT_GT(ambiguous, 50u) << "too few ambiguous matches to compare";
+}
+
 TEST_F(MoviesFixture, UnambiguousExamplesPassThrough) {
   auto matches = LookupExamples(*adb_, {"Jim Carris", "Ewan McGregg"});
   ASSERT_TRUE(matches.ok());
@@ -206,6 +432,166 @@ TEST_F(AcademicsFixture, MultiValuedContextIntersection) {
   ASSERT_EQ(contexts.value().size(), 1u);
   EXPECT_EQ(contexts.value()[0].property.value.AsString(), "data management");
   EXPECT_FALSE(contexts.value()[0].property.has_theta());  // multi-valued basic
+}
+
+// Hash-map merge MergeContextProfiles used before it intersected sorted
+// values, kept as the oracle of the differential test below. Input values
+// need not be sorted; the first of equal values counts.
+std::vector<SemanticContext> HashMapMerge(
+    const std::vector<const PropertyDescriptor*>& descs,
+    const std::vector<const EntityContextProfile*>& profiles,
+    const SquidConfig& config) {
+  std::vector<SemanticContext> contexts;
+  const size_t support = profiles.size();
+  for (size_t d = 0; d < descs.size(); ++d) {
+    const PropertyDescriptor* desc = descs[d];
+    if (desc->hops.empty()) {
+      // Basic: all values non-null; numeric kinds range, others agree.
+      SemanticContext ctx;
+      ctx.property.descriptor = desc;
+      ctx.support = support;
+      bool shared = true;
+      for (size_t i = 0; i < profiles.size() && shared; ++i) {
+        const Value& v = profiles[i]->observations[d].basic_value;
+        shared = !v.is_null();
+        if (!shared) break;
+        if (desc->kind == PropertyKind::kInlineNumeric) {
+          double num = v.ToNumeric().value();
+          ctx.property.lo = i == 0 ? num : std::min(ctx.property.lo, num);
+          ctx.property.hi = i == 0 ? num : std::max(ctx.property.hi, num);
+        } else if (i == 0) {
+          ctx.property.value = v;
+        } else {
+          shared = ctx.property.value == v;
+        }
+      }
+      if (shared) contexts.push_back(std::move(ctx));
+      continue;
+    }
+    const DescriptorObservation& first_obs = profiles[0]->observations[d];
+    std::unordered_map<Value, std::pair<double, double>, ValueHash> shared;
+    for (const auto& [v, count] : first_obs.values) {
+      double norm = first_obs.total > 0 ? count / first_obs.total : 0.0;
+      shared.emplace(v, std::make_pair(count, norm));
+    }
+    for (size_t i = 1; i < profiles.size() && !shared.empty(); ++i) {
+      const DescriptorObservation& obs = profiles[i]->observations[d];
+      std::unordered_map<Value, std::pair<double, double>, ValueHash> narrowed;
+      for (const auto& [v, count] : obs.values) {
+        auto it = shared.find(v);
+        if (it == shared.end()) continue;
+        double norm = obs.total > 0 ? count / obs.total : 0.0;
+        narrowed.emplace(v, std::make_pair(std::min(it->second.first, count),
+                                           std::min(it->second.second, norm)));
+      }
+      shared = std::move(narrowed);
+    }
+    std::vector<std::pair<Value, std::pair<double, double>>> ordered(
+        shared.begin(), shared.end());
+    std::sort(ordered.begin(), ordered.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [v, theta] : ordered) {
+      SemanticContext ctx;
+      ctx.property.descriptor = desc;
+      ctx.property.value = v;
+      if (desc->derived) {
+        ctx.property.theta = theta.first;
+        if (config.normalize_association) {
+          ctx.property.theta_norm = theta.second;
+        }
+      }
+      ctx.support = support;
+      contexts.push_back(std::move(ctx));
+    }
+  }
+  return contexts;
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+TEST_F(MoviesFixture, SortedMergeMatchesHashMapMergeOnRandomProfiles) {
+  const std::vector<const PropertyDescriptor*> descs =
+      adb_->schema_graph().DescriptorsFor("person");
+  size_t derived = 0;
+  for (const PropertyDescriptor* desc : descs) derived += !desc->hops.empty();
+  ASSERT_GT(derived, 0u);
+  ASSERT_LT(derived, descs.size());
+
+  Rng rng(2024);
+  // Small value pools force duplicates and overlaps; 2 and 2.0 are equal
+  // values of different types, so the output's representation is checked.
+  auto random_value = [&](bool numeric) {
+    const int64_t k = rng.UniformInt(0, 5);
+    if (!numeric) return Value("v" + std::to_string(k));
+    return rng.Bernoulli(0.3) ? Value(static_cast<double>(k)) : Value(k);
+  };
+  size_t contexts_seen = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(1, 4));
+    const bool numeric = rng.Bernoulli(0.5);
+    std::vector<EntityContextProfile> unsorted(n);
+    for (EntityContextProfile& profile : unsorted) {
+      profile.observations.resize(descs.size());
+      for (size_t d = 0; d < descs.size(); ++d) {
+        DescriptorObservation& obs = profile.observations[d];
+        if (descs[d]->hops.empty()) {
+          if (rng.Bernoulli(0.8)) {
+            obs.basic_value = descs[d]->kind == PropertyKind::kInlineNumeric
+                                  ? Value(rng.UniformInt(20, 22))
+                                  : Value(rng.Bernoulli(0.7) ? "M" : "F");
+          }
+          continue;
+        }
+        const int64_t size = rng.Bernoulli(0.15) ? 0 : rng.UniformInt(1, 8);
+        for (int64_t j = 0; j < size; ++j) {
+          obs.values.emplace_back(random_value(numeric),
+                                  static_cast<double>(rng.UniformInt(1, 9)));
+        }
+        obs.total = rng.Bernoulli(0.2) ? 0.0 : rng.UniformInt(1, 40);
+      }
+    }
+    // Profiles as BuildEntityContextProfile leaves them: stably sorted.
+    std::vector<EntityContextProfile> sorted = unsorted;
+    for (EntityContextProfile& profile : sorted) {
+      for (DescriptorObservation& obs : profile.observations) {
+        std::stable_sort(
+            obs.values.begin(), obs.values.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+      }
+    }
+    std::vector<const EntityContextProfile*> sorted_views, unsorted_views;
+    for (size_t i = 0; i < n; ++i) {
+      sorted_views.push_back(&sorted[i]);
+      unsorted_views.push_back(&unsorted[i]);
+    }
+    for (bool normalize : {false, true}) {
+      SquidConfig config;
+      config.normalize_association = normalize;
+      auto merged = MergeContextProfiles(*adb_, "person", sorted_views, config);
+      ASSERT_TRUE(merged.ok());
+      const std::vector<SemanticContext> expected =
+          HashMapMerge(descs, unsorted_views, config);
+      ASSERT_EQ(merged.value().size(), expected.size()) << "trial " << trial;
+      contexts_seen += expected.size();
+      for (size_t c = 0; c < expected.size(); ++c) {
+        const SemanticProperty& got = merged.value()[c].property;
+        const SemanticProperty& want = expected[c].property;
+        EXPECT_EQ(got.descriptor, want.descriptor);
+        EXPECT_EQ(got.value, want.value);
+        EXPECT_EQ(got.value.type(), want.value.type());
+        EXPECT_EQ(Bits(got.lo), Bits(want.lo));
+        EXPECT_EQ(Bits(got.hi), Bits(want.hi));
+        EXPECT_EQ(Bits(got.theta), Bits(want.theta));
+        EXPECT_EQ(Bits(got.theta_norm), Bits(want.theta_norm));
+        EXPECT_EQ(merged.value()[c].support, expected[c].support);
+      }
+    }
+  }
+  EXPECT_GT(contexts_seen, 400u);
 }
 
 // ---------- Abduction model ----------

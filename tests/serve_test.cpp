@@ -23,6 +23,7 @@
 #include "common/rng.h"
 
 #include "bench/bench_util.h"
+#include "core/entity_lookup.h"
 #include "core/squid.h"
 #include "eval/experiment.h"
 #include "eval/sampler.h"
@@ -101,6 +102,25 @@ class ServeFixture : public ::testing::Test {
       out.push_back(Fingerprint(squid.Discover(examples)));
     }
     return out;
+  }
+
+  /// An example set drawn from a ground truth whose lookup yields exactly
+  /// one base query, with ambiguous examples; empty when none is found.
+  static std::vector<std::string> AmbiguousSet(EntityMatch* match) {
+    for (const BenchmarkQuery& query : bench_->queries) {
+      auto truth = GroundTruth(*bench_->data.db, query);
+      if (!truth.ok()) continue;
+      for (uint64_t seed : {7u, 19u, 33u, 51u}) {
+        Rng rng(seed);
+        auto examples = SampleExamples(truth.value(), 6, &rng);
+        auto matches = LookupExamples(*bench_->adb, examples);
+        if (!matches.ok() || matches.value().size() != 1) continue;
+        if (matches.value()[0].NumCombinations() <= 1.0) continue;
+        *match = matches.value()[0];
+        return examples;
+      }
+    }
+    return {};
   }
 
   /// Entity keys of the first `n` person rows (for direct cache tests).
@@ -299,7 +319,7 @@ TEST_F(ServeFixture, CacheHitsAndCountersTrackProbes) {
 
   for (const Value& key : keys) {
     bool hit = true;
-    auto profile = cache.ProfileFor("person", key, nullptr, &hit);
+    auto profile = cache.Profile("person", key, nullptr, &hit);
     ASSERT_TRUE(profile.ok());
     EXPECT_FALSE(hit);
   }
@@ -311,7 +331,7 @@ TEST_F(ServeFixture, CacheHitsAndCountersTrackProbes) {
 
   for (const Value& key : keys) {
     bool hit = false;
-    auto profile = cache.ProfileFor("person", key, nullptr, &hit);
+    auto profile = cache.Profile("person", key, nullptr, &hit);
     ASSERT_TRUE(profile.ok());
     EXPECT_TRUE(hit);
   }
@@ -331,7 +351,7 @@ TEST_F(ServeFixture, CachedProfileMatchesDirectBuild) {
   ASSERT_GE(keys.size(), 1u);
   auto direct = BuildEntityContextProfile(*bench_->adb, "person", keys[0]);
   ASSERT_TRUE(direct.ok());
-  auto cached = cache.ProfileFor("person", keys[0]);
+  auto cached = cache.Profile("person", keys[0], nullptr, nullptr);
   ASSERT_TRUE(cached.ok());
   const EntityContextProfile& a = direct.value();
   const EntityContextProfile& b = *cached.value();
@@ -362,7 +382,7 @@ TEST_F(ServeFixture, LruEvictsLeastRecentlyUsedFirst) {
     ContextCache probe(bench_->adb.get(), options);
     size_t previous = 0;
     for (size_t i = 0; i < 3; ++i) {
-      ASSERT_TRUE(probe.ProfileFor("person", keys[i]).ok());
+      ASSERT_TRUE(probe.Profile("person", keys[i], nullptr, nullptr).ok());
       size_t now = probe.ApproxBytes();
       bytes[i] = now - previous;
       previous = now;
@@ -374,12 +394,14 @@ TEST_F(ServeFixture, LruEvictsLeastRecentlyUsedFirst) {
   options.shards = 1;
   options.max_bytes = bytes[0] + bytes[1] + bytes[2] - 1;  // any two fit
   ContextCache cache(bench_->adb.get(), options);
-  ASSERT_TRUE(cache.ProfileFor("person", keys[0]).ok());  // LRU: [0]
-  ASSERT_TRUE(cache.ProfileFor("person", keys[1]).ok());  // LRU: [1, 0]
+  // LRU: [0], then [1, 0].
+  ASSERT_TRUE(cache.Profile("person", keys[0], nullptr, nullptr).ok());
+  ASSERT_TRUE(cache.Profile("person", keys[1], nullptr, nullptr).ok());
   bool hit = false;
-  ASSERT_TRUE(cache.ProfileFor("person", keys[0], nullptr, &hit).ok());
-  EXPECT_TRUE(hit);                                       // LRU: [0, 1]
-  ASSERT_TRUE(cache.ProfileFor("person", keys[2]).ok());  // evicts 1
+  ASSERT_TRUE(cache.Profile("person", keys[0], nullptr, &hit).ok());
+  EXPECT_TRUE(hit);  // LRU: [0, 1]
+  // Evicts 1.
+  ASSERT_TRUE(cache.Profile("person", keys[2], nullptr, nullptr).ok());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_TRUE(cache.Contains("person", keys[0]));
   EXPECT_FALSE(cache.Contains("person", keys[1]));
@@ -388,7 +410,7 @@ TEST_F(ServeFixture, LruEvictsLeastRecentlyUsedFirst) {
   // The evicted entity rebuilds on demand — as a miss — and re-enters,
   // evicting the now-least-recent key 0.
   hit = true;
-  ASSERT_TRUE(cache.ProfileFor("person", keys[1], nullptr, &hit).ok());
+  ASSERT_TRUE(cache.Profile("person", keys[1], nullptr, &hit).ok());
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.stats().evictions, 2u);
   EXPECT_FALSE(cache.Contains("person", keys[0]));
@@ -400,10 +422,79 @@ TEST_F(ServeFixture, ForeignKeysAreUncacheableButServed) {
   ContextCache cache(bench_->adb.get());
   // A key string that was never interned cannot be symbol-keyed; the lookup
   // itself must still work (uncached) or fail cleanly.
-  auto missing = cache.ProfileFor("person", Value("no-such-entity-xyzzy"));
+  auto missing =
+      cache.Profile("person", Value("no-such-entity-xyzzy"), nullptr, nullptr);
   EXPECT_FALSE(missing.ok());  // no such person row
   EXPECT_GE(cache.stats().uncacheable, 1u);
   EXPECT_EQ(cache.num_entries(), 0u);
+}
+
+TEST_F(ServeFixture, DisambiguationProbesEachCandidateOnceAndHandsOnTheChosen) {
+  EntityMatch match;
+  const std::vector<std::string> examples = AmbiguousSet(&match);
+  ASSERT_FALSE(examples.empty()) << "no ambiguous single-match example set";
+  std::vector<size_t> candidates;
+  for (const std::vector<size_t>& rows : match.candidate_rows) {
+    candidates.insert(candidates.end(), rows.begin(), rows.end());
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  ASSERT_GT(candidates.size(), examples.size());
+
+  ContextCache cache(bench_->adb.get());
+  Squid cached(bench_->adb.get());
+  cached.set_context_provider(&cache);
+  const std::string expected =
+      Fingerprint(Squid(bench_->adb.get()).Discover(examples));
+  // Cold: disambiguation misses once per distinct candidate entity; context
+  // discovery merges the chosen profiles without probing again.
+  EXPECT_EQ(Fingerprint(cached.Discover(examples)), expected);
+  ServeStats cold = cache.stats();
+  EXPECT_EQ(cold.misses, candidates.size());
+  EXPECT_EQ(cold.hits, 0u);
+  // Warm: every candidate probe hits, and still only one probe each.
+  EXPECT_EQ(Fingerprint(cached.Discover(examples)), expected);
+  ServeStats warm = cache.stats();
+  EXPECT_EQ(warm.misses, candidates.size());
+  EXPECT_EQ(warm.hits, candidates.size());
+}
+
+TEST_F(ServeFixture, OneProfileCacheAnswersMatchUncachedAtAnyThreadCount) {
+  // Budget for a single profile, so nearly every insert evicts — during
+  // disambiguation as well as context discovery.
+  std::vector<Value> keys = PersonKeys(1);
+  ASSERT_EQ(keys.size(), 1u);
+  size_t one_profile = 0;
+  {
+    ContextCache probe(bench_->adb.get());
+    ASSERT_TRUE(probe.Profile("person", keys[0], nullptr, nullptr).ok());
+    one_profile = probe.ApproxBytes();
+  }
+  std::vector<std::vector<std::string>> sets = *workload_;
+  EntityMatch match;
+  std::vector<std::string> ambiguous = AmbiguousSet(&match);
+  ASSERT_FALSE(ambiguous.empty());
+  sets.push_back(std::move(ambiguous));
+  Squid uncached(bench_->adb.get());
+  std::vector<std::string> expected;
+  for (const auto& examples : sets) {
+    expected.push_back(Fingerprint(uncached.Discover(examples)));
+  }
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    ServeOptions options;
+    options.threads = threads;
+    options.cache_bytes = one_profile;
+    options.cache_shards = 1;
+    SquidService service(bench_->adb.get(), options);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < sets.size(); ++i) {
+        EXPECT_EQ(Fingerprint(service.DiscoverSync(sets[i])), expected[i])
+            << "threads=" << threads << " pass=" << pass << " set=" << i;
+      }
+    }
+    EXPECT_GT(service.stats().evictions, 0u);
+  }
 }
 
 // ---------- concurrent sessions ----------
