@@ -57,6 +57,23 @@ int main(int argc, char** argv) {
   DatasetRow(&datasets, "Adult", *adult.db, adult.adb->report());
   datasets.Print();
 
+  Banner("aDB build stages", "seconds per offline stage (default threads)");
+  {
+    TablePrinter stages({"dataset", "schema graph (s)", "pk index (s)",
+                         "adjacency (s)", "descriptors (s)", "inverted index (s)"});
+    auto add_row = [&](const char* name, const AdbReport& report) {
+      stages.AddRow({name, TablePrinter::Num(report.schema_graph_s, 3),
+                     TablePrinter::Num(report.pk_index_s, 3),
+                     TablePrinter::Num(report.adjacency_s, 3),
+                     TablePrinter::Num(report.descriptors_s, 3),
+                     TablePrinter::Num(report.inverted_index_s, 3)});
+    };
+    add_row("IMDb", imdb.adb->report());
+    add_row("DBLP", dblp.adb->report());
+    add_row("Adult", adult.adb->report());
+    stages.Print();
+  }
+
   Banner("aDB build speedup", "serial vs parallel precomputation");
   {
     const size_t resolved = ThreadPool::ResolveThreads(threads);

@@ -115,6 +115,11 @@ int RunBuild(int argc, char** argv) {
               dataset.c_str(), scale, build_seconds, file.c_str(),
               bytes.ok() ? bytes.value().size() / (1024.0 * 1024.0) : 0.0,
               save_watch.ElapsedSeconds());
+  const squid::AdbReport& report = adb.value()->report();
+  std::printf("build stages: schema_graph %.3fs, pk_index %.3fs, adjacency %.3fs, "
+              "descriptors %.3fs, inverted_index %.3fs\n",
+              report.schema_graph_s, report.pk_index_s, report.adjacency_s,
+              report.descriptors_s, report.inverted_index_s);
   return 0;
 }
 

@@ -20,17 +20,19 @@ namespace {
 struct DescriptorWork {
   Status status = Status::OK();
   std::optional<PropertyStats> stats;
-  std::shared_ptr<Table> derived;  // null for basic descriptors
+  std::shared_ptr<Table> derived;  // null for basic and oversized descriptors
   bool oversized = false;          // derived skipped by max_derived_rows
   std::optional<HashColumnIndex> entity_index;
   std::unordered_map<Value, double, ValueHash> totals;
 };
 
 /// Materializes + computes statistics for one descriptor against the base
-/// database. Read-only on `base`; every string it interns (derived values,
-/// statistics keys) already exists in the base pool, so the shared interner
-/// sees no inserts and symbol assignment stays canonical.
-DescriptorWork BuildDescriptor(const Database& base, const PropertyDescriptor& desc,
+/// database, walking the shared read-only `adjacencies`. Read-only on
+/// `base`; every string it interns (derived values, statistics keys)
+/// already exists in the base pool, so the shared interner sees no inserts
+/// and symbol assignment stays canonical.
+DescriptorWork BuildDescriptor(const Database& base, const HopAdjacencies& adjacencies,
+                               const PropertyDescriptor& desc,
                                const AdbOptions& options) {
   DescriptorWork work;
   auto fail = [&](Status status) {
@@ -45,22 +47,22 @@ DescriptorWork BuildDescriptor(const Database& base, const PropertyDescriptor& d
     work.stats.emplace(std::move(stats).value());
     return work;
   }
-  auto derived = MaterializeDerivedRelation(base, desc);
+  auto derived = MaterializeDerivedRelation(base, adjacencies, desc,
+                                            options.max_derived_rows);
   if (!derived.ok()) return fail(derived.status());
-  if (options.max_derived_rows > 0 &&
-      derived.value()->num_rows() > options.max_derived_rows) {
+  if (derived.value().oversized) {
     work.oversized = true;
-    work.derived = std::move(derived).value();
     return work;
   }
+  const Table& table = *derived.value().table;
   auto stats = StatisticsBuilder::BuildFromDerived(
-      *derived.value(), etable.value()->num_rows(), &work.totals);
+      table, etable.value()->num_rows(), &work.totals);
   if (!stats.ok()) return fail(stats.status());
-  auto entity_idx = HashColumnIndex::Build(*derived.value(), "entity_id");
+  auto entity_idx = HashColumnIndex::Build(table, "entity_id");
   if (!entity_idx.ok()) return fail(entity_idx.status());
   work.stats.emplace(std::move(stats).value());
   work.entity_index.emplace(std::move(entity_idx).value());
-  work.derived = std::move(derived).value();
+  work.derived = std::move(derived.value().table);
   return work;
 }
 
@@ -81,10 +83,12 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
   adb->report_.base_bytes = base.ApproxBytes();
 
   // Schema-graph analysis and descriptor discovery.
+  Stopwatch stage;
   SQUID_ASSIGN_OR_RETURN(SchemaGraph graph,
                          SchemaGraph::Analyze(base, options.schema_graph));
   adb->graph_ = std::move(graph);
   adb->report_.num_descriptors = adb->graph_.descriptors().size();
+  adb->report_.schema_graph_s = stage.ElapsedSeconds();
 
   // Primary-key indexes for every keyed relation (entities for context
   // discovery, dimensions for display resolution and IQ7-style base queries
@@ -103,6 +107,7 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
       {keyed_names.size(), adb->graph_.descriptors().size(), 1});
   ThreadPool pool(std::min(adb->report_.threads_used, max_tasks));
 
+  stage.Reset();
   std::vector<std::optional<Result<HashColumnIndex>>> pk_results(keyed_names.size());
   pool.ParallelFor(keyed_names.size(), [&](size_t i) {
     const Table* table = base.GetTable(keyed_names[i]).value();
@@ -112,6 +117,7 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
     if (!pk_results[i]->ok()) return pk_results[i]->status();
     adb->entity_pk_index_.emplace(keyed_names[i], std::move(*pk_results[i]).value());
   }
+  adb->report_.pk_index_s = stage.ElapsedSeconds();
 
   // Materialize derived relations and compute statistics — embarrassingly
   // parallel per descriptor. Workers fill per-descriptor slots; the serial
@@ -127,9 +133,17 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
       }
     }
   }
+  // Every hop the descriptors walk is resolved to row-id adjacencies once,
+  // before the fan-out; descriptors only read them.
+  stage.Reset();
+  SQUID_ASSIGN_OR_RETURN(HopAdjacencies adjacencies,
+                         HopAdjacencies::Build(base, descriptors, pool));
+  adb->report_.adjacency_s = stage.ElapsedSeconds();
+
+  stage.Reset();
   std::vector<DescriptorWork> work(descriptors.size());
   pool.ParallelFor(descriptors.size(), [&](size_t i) {
-    work[i] = BuildDescriptor(base, descriptors[i], options);
+    work[i] = BuildDescriptor(base, adjacencies, descriptors[i], options);
   });
   for (size_t i = 0; i < descriptors.size(); ++i) {
     const PropertyDescriptor& desc = descriptors[i];
@@ -137,7 +151,7 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
     SQUID_RETURN_NOT_OK(w.status);
     if (w.oversized) {
       SQUID_LOG(Warn) << "skipping oversized derived relation " << desc.derived_table
-                      << " (" << w.derived->num_rows() << " rows)";
+                      << " (more than " << options.max_derived_rows << " rows)";
       continue;
     }
     if (w.derived == nullptr) {  // basic descriptor: stats only
@@ -153,10 +167,14 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
     adb->entity_totals_.emplace(desc.id, std::move(w.totals));
   }
 
+  adb->report_.descriptors_s = stage.ElapsedSeconds();
+
   // Inverted column index over the base database.
+  stage.Reset();
   SQUID_ASSIGN_OR_RETURN(InvertedColumnIndex inv, InvertedColumnIndex::Build(base));
   adb->inverted_index_ = std::move(inv);
   adb->report_.index_bytes = adb->inverted_index_.ApproxBytes();
+  adb->report_.inverted_index_s = stage.ElapsedSeconds();
 
   adb->report_.build_seconds = timer.ElapsedSeconds();
   return adb;

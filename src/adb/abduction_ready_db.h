@@ -31,11 +31,12 @@ struct AdbOptions {
   /// Skip materializing derived relations larger than this many rows
   /// (0 = no limit). A safety valve for adversarial schemas.
   size_t max_derived_rows = 0;
-  /// Worker threads for the offline build (PK indexing and per-descriptor
-  /// materialization + statistics). 0 = hardware concurrency, 1 = serial.
-  /// The result is bit-identical for every thread count: workers only write
-  /// per-descriptor slots (merged in canonical descriptor order) and never
-  /// intern new strings, so symbol assignment cannot race.
+  /// Worker threads for the offline build (PK indexing, hop adjacencies,
+  /// and per-descriptor materialization + statistics). 0 = hardware
+  /// concurrency, 1 = serial. The result is bit-identical for every thread
+  /// count: workers only write their own slots (merged in canonical order),
+  /// share the hop adjacencies read-only, and never intern new strings, so
+  /// symbol assignment cannot race.
   size_t threads = 0;
 };
 
@@ -49,6 +50,15 @@ struct AdbSnapshotOptions {
 /// Build-time and size report (feeds the dataset description tables).
 struct AdbReport {
   double build_seconds = 0;
+  /// Wall seconds of each offline stage, in build order: schema-graph
+  /// analysis, primary-key indexes, hop adjacencies, per-descriptor
+  /// materialization + statistics, inverted index. Disjoint parts of
+  /// build_seconds; volatile like it (0 after a snapshot load).
+  double schema_graph_s = 0;
+  double pk_index_s = 0;
+  double adjacency_s = 0;
+  double descriptors_s = 0;
+  double inverted_index_s = 0;
   /// Configured build parallelism (after resolving threads == 0 to the
   /// hardware concurrency; the worker pool itself is additionally capped at
   /// the widest per-phase fan-out).
@@ -68,9 +78,9 @@ struct AdbReport {
 /// \brief The αDB. Owns derived tables; aliases the base tables.
 class AbductionReadyDb {
  public:
-  /// Runs the full offline module of Fig. 4: schema-graph analysis, derived
-  /// relation materialization, selectivity precomputation, inverted-index
-  /// construction.
+  /// Runs the full offline module of Fig. 4: schema-graph analysis, hop
+  /// adjacencies, derived relation materialization, selectivity
+  /// precomputation, inverted-index construction.
   static Result<std::unique_ptr<AbductionReadyDb>> Build(
       const Database& base, const AdbOptions& options = {});
 
@@ -89,7 +99,8 @@ class AbductionReadyDb {
   /// in-memory (cheap and deterministic). Malformed input of any kind —
   /// truncation, bit flips, hostile lengths — yields a Status error, never
   /// UB. The volatile report fields are not part of a snapshot:
-  /// build_seconds / threads_used read 0 / 1 after a load, and base_bytes
+  /// build_seconds and the stage seconds read 0 and threads_used 1 after a
+  /// load, and base_bytes
   /// (allocation-history dependent at build time) is recomputed from the
   /// restored pool and base tables. Defined in adb/adb_snapshot.cpp.
   static Result<std::unique_ptr<AbductionReadyDb>> LoadSnapshot(

@@ -502,7 +502,7 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
   }
 
   // ... and, per derived relation, the entity->rows index plus the exact
-  // per-entity totals recomputation of StatisticsBuilder::BuildFromDerived.
+  // per-entity totals (CollectEntityTotals, shared with Build).
   for (const AdbSnapshotTableInfo& meta : manifest.tables) {
     if (!meta.derived) continue;
     const PropertyDescriptor* desc = nullptr;
@@ -517,14 +517,6 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
                                 "' is not named by any descriptor");
     }
     SQUID_ASSIGN_OR_RETURN(const Table* derived, adb->db_.GetTable(meta.name));
-    SQUID_ASSIGN_OR_RETURN(const Column* entity_col, derived->ColumnByName("entity_id"));
-    SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived->ColumnByName("count"));
-    SQUID_ASSIGN_OR_RETURN(const Column* frac_col, derived->ColumnByName("frac"));
-    if (count_col->type() != ValueType::kInt64 ||
-        frac_col->type() != ValueType::kDouble) {
-      return Status::Corruption("snapshot: derived table '" + meta.name +
-                                "' has unexpected count/frac column types");
-    }
     SQUID_ASSIGN_OR_RETURN(HashColumnIndex index,
                            HashColumnIndex::Build(*derived, "entity_id"));
     if (adb->derived_entity_index_.count(desc->id) > 0) {
@@ -532,16 +524,9 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
                                 desc->id + "'");
     }
     adb->derived_entity_index_.emplace(desc->id, std::move(index));
-    std::unordered_map<Value, double, ValueHash>& totals =
-        adb->entity_totals_[desc->id];
-    totals.reserve(derived->num_rows());
-    for (size_t r = 0; r < derived->num_rows(); ++r) {
-      const double count = static_cast<double>(count_col->Int64At(r));
-      const double frac = frac_col->DoubleAt(r);
-      if (count > 0 && frac > 0) {
-        totals[entity_col->ValueAt(r)] = count / frac;
-      }
-    }
+    Status totals = CollectEntityTotals(*derived, derived->num_rows(),
+                                        &adb->entity_totals_[desc->id]);
+    if (!totals.ok()) return Status::Corruption("snapshot: " + totals.message());
   }
 
   return adb;

@@ -1,6 +1,7 @@
 #include "adb/statistics.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "storage/column_index.h"
 
@@ -169,25 +170,16 @@ Result<PropertyStats> StatisticsBuilder::BuildFromDerived(
   stats.total_entities_ = total_entities;
   stats.pool_ = derived.pool();
 
-  SQUID_ASSIGN_OR_RETURN(const Column* entity_col, derived.ColumnByName("entity_id"));
   SQUID_ASSIGN_OR_RETURN(const Column* value_col, derived.ColumnByName("value"));
   SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived.ColumnByName("count"));
   SQUID_ASSIGN_OR_RETURN(const Column* frac_col, derived.ColumnByName("frac"));
+  SQUID_RETURN_NOT_OK(CollectEntityTotals(derived, total_entities, entity_totals));
 
-  entity_totals->clear();
-  entity_totals->reserve(total_entities);
   StringPool* pool = derived.pool().get();
   for (size_t r = 0; r < derived.num_rows(); ++r) {
     ValueKey key = stats.InternKey(value_col->ValueAt(r), pool);
-    double count = static_cast<double>(count_col->Int64At(r));
-    double frac = frac_col->DoubleAt(r);
-    stats.theta_by_value_[key].push_back(count);
-    stats.theta_norm_by_value_[key].push_back(frac);
-    // Recover the portfolio total from (count, frac); rows of one entity all
-    // agree on it.
-    if (count > 0 && frac > 0) {
-      (*entity_totals)[entity_col->ValueAt(r)] = count / frac;
-    }
+    stats.theta_by_value_[key].push_back(static_cast<double>(count_col->Int64At(r)));
+    stats.theta_norm_by_value_[key].push_back(frac_col->DoubleAt(r));
   }
   for (auto& [_, thetas] : stats.theta_by_value_) {
     std::sort(thetas.begin(), thetas.end());
@@ -196,6 +188,30 @@ Result<PropertyStats> StatisticsBuilder::BuildFromDerived(
     std::sort(thetas.begin(), thetas.end());
   }
   return stats;
+}
+
+Status CollectEntityTotals(const Table& derived, size_t reserve,
+                           std::unordered_map<Value, double, ValueHash>* totals) {
+  SQUID_ASSIGN_OR_RETURN(const Column* entity_col, derived.ColumnByName("entity_id"));
+  SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived.ColumnByName("count"));
+  SQUID_ASSIGN_OR_RETURN(const Column* frac_col, derived.ColumnByName("frac"));
+  if (count_col->type() != ValueType::kInt64 || frac_col->type() != ValueType::kDouble) {
+    return Status::InvalidArgument("derived table '" + derived.name() +
+                                   "' has unexpected count/frac column types");
+  }
+  constexpr double kMaxExactTotal = 9007199254740992.0;  // 2^53
+  totals->clear();
+  totals->reserve(reserve);
+  for (size_t r = 0; r < derived.num_rows(); ++r) {
+    const double count = static_cast<double>(count_col->Int64At(r));
+    const double frac = frac_col->DoubleAt(r);
+    if (!(count > 0 && frac > 0)) continue;
+    const double total = count / frac;
+    if (!(total <= kMaxExactTotal)) continue;
+    // Rows of one entity all agree on its total.
+    (*totals)[entity_col->ValueAt(r)] = static_cast<double>(std::llround(total));
+  }
+  return Status::OK();
 }
 
 }  // namespace squid

@@ -522,7 +522,7 @@ Status SnapshotLoadTableData(ExtentReader* in, Table* table) {
     SQUID_RETURN_NOT_OK(col->SnapshotRestore(std::move(valid), std::move(ints),
                                              std::move(doubles), std::move(syms)));
   }
-  return table->FinishSnapshotRestore(static_cast<size_t>(num_rows));
+  return table->FinishColumnFill(static_cast<size_t>(num_rows));
 }
 
 // ---------------------------------------------------------------------------

@@ -74,6 +74,31 @@ void Column::AppendNull() {
   valid_.push_back(0);
 }
 
+void Column::AppendFrom(const Column& src, size_t row) {
+  if (src.IsNull(row)) {
+    AppendNull();
+    return;
+  }
+  switch (type_) {
+    case ValueType::kInt64:
+      AppendInt64(src.Int64At(row));
+      break;
+    case ValueType::kDouble:
+      AppendDouble(src.NumericAt(row));
+      break;
+    case ValueType::kString:
+      if (src.pool_ == pool_) {
+        syms_.push_back(src.syms_[row]);
+        valid_.push_back(1);
+      } else {
+        AppendString(src.StringAt(row));
+      }
+      break;
+    case ValueType::kNull:
+      break;
+  }
+}
+
 Value Column::ValueAt(size_t row) const {
   if (!valid_[row]) return Value::Null();
   switch (type_) {
@@ -189,14 +214,14 @@ void Table::Reserve(size_t n) {
   for (auto& col : columns_) col->Reserve(n);
 }
 
-Status Table::FinishSnapshotRestore(size_t num_rows) {
+Status Table::FinishColumnFill(size_t num_rows) {
   if (num_rows_ != 0) {
-    return Status::Internal("FinishSnapshotRestore on a non-empty table");
+    return Status::Internal("FinishColumnFill on a non-empty table");
   }
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i]->size() != num_rows) {
       return Status::Corruption(
-          "snapshot table '" + name() + "': column " + std::to_string(i) +
+          "table '" + name() + "': column " + std::to_string(i) +
           " holds " + std::to_string(columns_[i]->size()) + " cells, expected " +
           std::to_string(num_rows));
     }

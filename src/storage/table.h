@@ -41,6 +41,10 @@ class Column {
   void AppendString(std::string_view v);
   void AppendNull();
 
+  /// Appends `src`'s cell at `row`. `src` must have this column's type
+  /// (int64 widens to double); strings of the same pool copy the symbol.
+  void AppendFrom(const Column& src, size_t row);
+
   bool IsNull(size_t row) const { return !valid_[row]; }
   int64_t Int64At(size_t row) const { return ints_[row]; }
   double DoubleAt(size_t row) const { return doubles_[row]; }
@@ -130,10 +134,11 @@ class Table {
   /// pool — Database::ApproxBytes adds the pool once.
   size_t ApproxBytes() const;
 
-  /// Seals a snapshot load: after every column was filled via
-  /// Column::SnapshotRestore, checks they all carry exactly `num_rows`
-  /// cells and publishes the row count. The table must have been empty.
-  Status FinishSnapshotRestore(size_t num_rows);
+  /// Seals a column-wise fill (a snapshot load through
+  /// Column::SnapshotRestore, or a bulk builder appending cells column by
+  /// column): checks every column carries exactly `num_rows` cells and
+  /// publishes the row count. The table must have been empty.
+  Status FinishColumnFill(size_t num_rows);
 
  private:
   Schema schema_;

@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <map>
+
 #include "adb/abduction_ready_db.h"
 #include "adb/derived_relation.h"
 #include "adb/schema_graph.h"
 #include "adb/statistics.h"
+#include "common/stopwatch.h"
+#include "common/thread_pool.h"
+#include "datagen/dblp_generator.h"
 #include "datagen/imdb_generator.h"
+#include "storage/column_index.h"
 #include "tests/test_util.h"
 
 namespace squid {
@@ -12,6 +21,17 @@ namespace {
 
 using testing::MakeAcademicsDb;
 using testing::MakeMoviesDb;
+
+/// Materializes `desc` alone, over adjacencies resolved for it only.
+Result<std::shared_ptr<Table>> MaterializeOne(const Database& db,
+                                              const PropertyDescriptor& desc) {
+  ThreadPool pool(1);
+  SQUID_ASSIGN_OR_RETURN(HopAdjacencies adjacencies,
+                         HopAdjacencies::Build(db, {desc}, pool));
+  SQUID_ASSIGN_OR_RETURN(DerivedRelation derived,
+                         MaterializeDerivedRelation(db, adjacencies, desc));
+  return std::move(derived.table);
+}
 
 // ---------- Schema graph classification ----------
 
@@ -147,7 +167,7 @@ TEST(DerivedRelationTest, PersonToGenreCountsMatchFig5) {
     }
   }
   ASSERT_NE(ptg, nullptr);
-  auto table = MaterializeDerivedRelation(*db, *ptg);
+  auto table = MaterializeOne(*db, *ptg);
   ASSERT_TRUE(table.ok());
 
   // Collect Jim Carris' (person 1) genre counts: Comedy 3, Fantasy 1, Drama 1.
@@ -175,7 +195,7 @@ TEST(DerivedRelationTest, FracColumnIsPortfolioFraction) {
     }
   }
   ASSERT_NE(ptg, nullptr);
-  auto table = MaterializeDerivedRelation(*db, *ptg);
+  auto table = MaterializeOne(*db, *ptg);
   ASSERT_TRUE(table.ok());
   const Column* entity = table.value()->ColumnByName("entity_id").value();
   const Column* value = table.value()->ColumnByName("value").value();
@@ -203,7 +223,7 @@ TEST(DerivedRelationTest, CoActorPathSkipsSelf) {
     }
   }
   ASSERT_NE(co, nullptr);
-  auto table = MaterializeDerivedRelation(*db, *co);
+  auto table = MaterializeOne(*db, *co);
   ASSERT_TRUE(table.ok());
   const Column* entity = table.value()->ColumnByName("entity_id").value();
   const Column* value = table.value()->ColumnByName("value").value();
@@ -233,7 +253,7 @@ TEST(DerivedRelationTest, BasicDescriptorRejected) {
   ASSERT_TRUE(graph.ok());
   auto desc = graph.value().FindDescriptor("person.gender");
   ASSERT_TRUE(desc.ok());
-  EXPECT_FALSE(MaterializeDerivedRelation(*db, *desc.value()).ok());
+  EXPECT_FALSE(MaterializeOne(*db, *desc.value()).ok());
 }
 
 // ---------- Statistics ----------
@@ -280,7 +300,7 @@ TEST(StatisticsTest, DerivedSuffixSelectivity) {
     }
   }
   ASSERT_NE(ptg, nullptr);
-  auto table = MaterializeDerivedRelation(*db, *ptg);
+  auto table = MaterializeOne(*db, *ptg);
   ASSERT_TRUE(table.ok());
   std::unordered_map<Value, double, ValueHash> totals;
   auto stats = StatisticsBuilder::BuildFromDerived(*table.value(), 6, &totals);
@@ -377,6 +397,169 @@ TEST(AdbTest, MaxDerivedRowsSkipsOversized) {
   EXPECT_EQ(adb.value()->report().num_derived_relations, 0u);
 }
 
+TEST(AdbTest, CappedCoStarWalkStopsEarly) {
+  ImdbOptions imdb;
+  imdb.scale = 0.1;
+  auto data = GenerateImdb(imdb);
+  ASSERT_TRUE(data.ok());
+  const Database& db = *data.value().db;
+  auto graph = SchemaGraph::Analyze(db);
+  ASSERT_TRUE(graph.ok());
+  const PropertyDescriptor* costar = nullptr;
+  for (const auto* d : graph.value().DescriptorsFor("person")) {
+    if (d->hops.size() == 2 && d->hops[1].next_relation == "person") costar = d;
+  }
+  ASSERT_NE(costar, nullptr);
+  ThreadPool pool(1);
+  auto adjacencies = HopAdjacencies::Build(db, graph.value().descriptors(), pool);
+  ASSERT_TRUE(adjacencies.ok());
+
+  // Best of five walks, full and capped at a tenth of the rows.
+  auto best_seconds = [&](size_t max_rows, Result<DerivedRelation>* out) {
+    double best = 1e9;
+    for (int i = 0; i < 5; ++i) {
+      Stopwatch watch;
+      *out = MaterializeDerivedRelation(db, adjacencies.value(), *costar, max_rows);
+      best = std::min(best, watch.ElapsedSeconds());
+    }
+    return best;
+  };
+  Result<DerivedRelation> full = Status::Internal("not run");
+  const double full_s = best_seconds(0, &full);
+  ASSERT_TRUE(full.ok());
+  ASSERT_NE(full.value().table, nullptr);
+  EXPECT_FALSE(full.value().oversized);
+  const size_t rows = full.value().table->num_rows();
+  ASSERT_GT(rows, 100u);
+
+  // The capped walk stops about a tenth of the way in, before the full
+  // table exists, so it takes well under half the full walk's time.
+  Result<DerivedRelation> capped = Status::Internal("not run");
+  const double capped_s = best_seconds(rows / 10, &capped);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_TRUE(capped.value().oversized);
+  EXPECT_EQ(capped.value().table, nullptr);
+  EXPECT_LT(capped_s, full_s / 2)
+      << "capped " << capped_s << " s, full " << full_s << " s";
+
+  // Exactly at the cap is not oversized.
+  auto at_cap = MaterializeDerivedRelation(db, adjacencies.value(), *costar, rows);
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_FALSE(at_cap.value().oversized);
+  ASSERT_NE(at_cap.value().table, nullptr);
+  EXPECT_EQ(at_cap.value().table->num_rows(), rows);
+}
+
+TEST(AdbTest, BuildReportsStageSeconds) {
+  auto db = MakeMoviesDb();
+  auto adb = AbductionReadyDb::Build(*db);
+  ASSERT_TRUE(adb.ok());
+  const AdbReport& r = adb.value()->report();
+  for (double stage : {r.schema_graph_s, r.pk_index_s, r.adjacency_s,
+                       r.descriptors_s, r.inverted_index_s}) {
+    EXPECT_GE(stage, 0.0);
+  }
+  EXPECT_LE(r.schema_graph_s + r.pk_index_s + r.adjacency_s + r.descriptors_s +
+                r.inverted_index_s,
+            r.build_seconds);
+}
+
+/// person 1 appears in 14 movies, 5 comedies and 9 dramas. Drama's
+/// (count, total) = (9, 14) does not round-trip through count / frac, and
+/// as the entity's last row it is the one a last-write-wins total keeps.
+std::unique_ptr<Database> MakeNineOfFourteenDb() {
+  auto db = std::make_unique<Database>("nine_of_fourteen");
+  auto must = [](const Status& s) { ASSERT_TRUE(s.ok()) << s.ToString(); };
+  auto i = [](int64_t v) { return Value(v); };
+  {
+    Schema s("person", {{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+    s.set_primary_key("id");
+    s.set_entity(true);
+    s.AddTextSearchAttribute("name");
+    Table* t = db->CreateTable(std::move(s)).value();
+    must(t->AppendRow({i(1), Value("Pat")}));
+  }
+  {
+    Schema s("movie", {{"id", ValueType::kInt64}, {"title", ValueType::kString}});
+    s.set_primary_key("id");
+    s.set_entity(true);
+    s.AddTextSearchAttribute("title");
+    Table* t = db->CreateTable(std::move(s)).value();
+    for (int64_t m = 0; m < 14; ++m) {
+      must(t->AppendRow({i(100 + m), Value("m" + std::to_string(m))}));
+    }
+  }
+  {
+    Schema s("genre", {{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+    s.set_primary_key("id");
+    s.AddPropertyAttribute("name");
+    Table* t = db->CreateTable(std::move(s)).value();
+    must(t->AppendRow({i(1), Value("Comedy")}));
+    must(t->AppendRow({i(2), Value("Drama")}));
+  }
+  {
+    Schema s("castinfo", {{"id", ValueType::kInt64},
+                          {"person_id", ValueType::kInt64},
+                          {"movie_id", ValueType::kInt64}});
+    s.set_primary_key("id");
+    s.AddForeignKey({"person_id", "person", "id"});
+    s.AddForeignKey({"movie_id", "movie", "id"});
+    Table* t = db->CreateTable(std::move(s)).value();
+    for (int64_t m = 0; m < 14; ++m) must(t->AppendRow({i(m), i(1), i(100 + m)}));
+  }
+  {
+    Schema s("movietogenre", {{"id", ValueType::kInt64},
+                              {"movie_id", ValueType::kInt64},
+                              {"genre_id", ValueType::kInt64}});
+    s.set_primary_key("id");
+    s.AddForeignKey({"movie_id", "movie", "id"});
+    s.AddForeignKey({"genre_id", "genre", "id"});
+    Table* t = db->CreateTable(std::move(s)).value();
+    for (int64_t m = 0; m < 14; ++m) {
+      must(t->AppendRow({i(m), i(100 + m), i(m < 5 ? 1 : 2)}));
+    }
+  }
+  return db;
+}
+
+TEST(AdbTest, EntityTotalsAreExactAfterBuildAndReload) {
+  ASSERT_NE(9.0 / (9.0 / 14.0), 14.0);  // the round trip this guards against
+  auto db = MakeNineOfFourteenDb();
+  auto built = AbductionReadyDb::Build(*db);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string path = ::testing::TempDir() + "squid_adb_nine_of_fourteen.sqsnap";
+  ASSERT_TRUE(built.value()->SaveSnapshot(path).ok());
+  auto loaded = AbductionReadyDb::LoadSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  const Value pat(static_cast<int64_t>(1));
+  for (const AbductionReadyDb* adb : {built.value().get(), loaded.value().get()}) {
+    const PropertyDescriptor* ptg = nullptr;
+    for (const auto* d : adb->schema_graph().DescriptorsFor("person")) {
+      if (d->terminal_relation == "genre" && d->hops.size() == 2) ptg = d;
+    }
+    ASSERT_NE(ptg, nullptr);
+    EXPECT_EQ(adb->EntityTotal(*ptg, pat), 14.0);
+
+    // θ_norm as context discovery computes it reproduces the stored frac.
+    const Table* derived = adb->database().GetTable(ptg->derived_table).value();
+    const Column* value = derived->ColumnByName("value").value();
+    const Column* count = derived->ColumnByName("count").value();
+    const Column* frac = derived->ColumnByName("frac").value();
+    bool saw_drama = false;
+    for (size_t r = 0; r < derived->num_rows(); ++r) {
+      if (value->StringAt(r) != "Drama") continue;
+      saw_drama = true;
+      EXPECT_EQ(count->Int64At(r), 9);
+      const double theta_norm =
+          static_cast<double>(count->Int64At(r)) / adb->EntityTotal(*ptg, pat);
+      EXPECT_EQ(std::memcmp(&theta_norm, &frac->doubles_raw()[r], sizeof(double)), 0);
+    }
+    EXPECT_TRUE(saw_drama);
+  }
+}
+
 // ---------- Serial-vs-parallel determinism ----------
 
 /// Builds the αDB over `db` at each thread count and asserts the parallel
@@ -458,6 +641,347 @@ TEST(AdbDeterminismTest, GeneratedImdbBuildIsThreadCountInvariant) {
   auto data = GenerateImdb(options);
   ASSERT_TRUE(data.ok());
   ExpectBuildIsThreadCountInvariant(*data.value().db);
+}
+
+// ---------- Differential materializer suite ----------
+
+/// The Value-keyed materializer the row-id walk replaced, kept as the
+/// reference: a frontier of (entity key, row) arrivals expanded through
+/// per-hop HashColumnIndexes, aggregated in std::map<Value, ...>.
+Result<std::shared_ptr<Table>> ReferenceMaterialize(const Database& db,
+                                                    const PropertyDescriptor& desc) {
+  struct Arrival {
+    Value entity_key;
+    size_t row;
+  };
+  SQUID_ASSIGN_OR_RETURN(const Table* entity, db.GetTable(desc.entity_relation));
+  SQUID_ASSIGN_OR_RETURN(const Column* entity_pk,
+                         entity->ColumnByName(desc.entity_key));
+  const Table* current = entity;
+  std::string current_key_attr = desc.entity_key;
+  std::vector<Arrival> frontier;
+  for (size_t r = 0; r < entity->num_rows(); ++r) {
+    if (entity_pk->IsNull(r)) continue;
+    frontier.push_back(Arrival{entity_pk->ValueAt(r), r});
+  }
+  for (const FactHop& hop : desc.hops) {
+    SQUID_ASSIGN_OR_RETURN(const Table* fact, db.GetTable(hop.fact_table));
+    SQUID_ASSIGN_OR_RETURN(HashColumnIndex fact_in,
+                           HashColumnIndex::Build(*fact, hop.in_attr));
+    SQUID_ASSIGN_OR_RETURN(const Column* fact_out, fact->ColumnByName(hop.out_attr));
+    SQUID_ASSIGN_OR_RETURN(const Table* next, db.GetTable(hop.next_relation));
+    SQUID_ASSIGN_OR_RETURN(HashColumnIndex next_pk,
+                           HashColumnIndex::Build(*next, hop.next_key));
+    SQUID_ASSIGN_OR_RETURN(const Column* current_key,
+                           current->ColumnByName(current_key_attr));
+    const bool arrives_at_origin = hop.next_relation == desc.entity_relation;
+    std::vector<Arrival> next_frontier;
+    for (const Arrival& a : frontier) {
+      Value key = current_key->ValueAt(a.row);
+      if (key.is_null()) continue;
+      const std::vector<size_t>* fact_rows = fact_in.Lookup(key);
+      if (fact_rows == nullptr) continue;
+      for (size_t fr : *fact_rows) {
+        if (fact_out->IsNull(fr)) continue;
+        Value out_key = fact_out->ValueAt(fr);
+        if (arrives_at_origin && out_key == a.entity_key) continue;
+        const std::vector<size_t>* next_rows = next_pk.Lookup(out_key);
+        if (next_rows == nullptr) continue;
+        for (size_t nr : *next_rows) next_frontier.push_back(Arrival{a.entity_key, nr});
+      }
+    }
+    frontier = std::move(next_frontier);
+    current = next;
+    current_key_attr = hop.next_key;
+  }
+  for (const DimHop& dim : desc.dims) {
+    SQUID_ASSIGN_OR_RETURN(const Column* from, current->ColumnByName(dim.from_attr));
+    SQUID_ASSIGN_OR_RETURN(const Table* next, db.GetTable(dim.dim_relation));
+    SQUID_ASSIGN_OR_RETURN(HashColumnIndex next_pk,
+                           HashColumnIndex::Build(*next, dim.dim_key));
+    std::vector<Arrival> next_frontier;
+    for (const Arrival& a : frontier) {
+      if (from->IsNull(a.row)) continue;
+      const std::vector<size_t>* next_rows = next_pk.Lookup(from->ValueAt(a.row));
+      if (next_rows == nullptr) continue;
+      for (size_t nr : *next_rows) next_frontier.push_back(Arrival{a.entity_key, nr});
+    }
+    frontier = std::move(next_frontier);
+    current = next;
+  }
+  SQUID_ASSIGN_OR_RETURN(const Column* terminal,
+                         current->ColumnByName(desc.terminal_attr));
+  std::map<Value, std::map<Value, int64_t>> counts;
+  std::map<Value, int64_t> totals;
+  for (const Arrival& a : frontier) {
+    if (terminal->IsNull(a.row)) continue;
+    ++totals[a.entity_key];
+    auto& per_entity = counts[a.entity_key];
+    if (desc.kind == PropertyKind::kDerivedNumericBucket) {
+      double v = terminal->NumericAt(a.row);
+      for (size_t i = 0; i < desc.bucket_thresholds.size(); ++i) {
+        if (v >= desc.bucket_thresholds[i]) {
+          ++per_entity[Value(static_cast<int64_t>(i))];
+        }
+      }
+    } else {
+      ++per_entity[terminal->ValueAt(a.row)];
+    }
+  }
+  ValueType value_type = desc.kind == PropertyKind::kDerivedNumericBucket
+                             ? ValueType::kInt64
+                             : terminal->type();
+  Schema schema(desc.derived_table, {{"entity_id", entity_pk->type()},
+                                     {"value", value_type},
+                                     {"count", ValueType::kInt64},
+                                     {"frac", ValueType::kDouble}});
+  auto table = std::make_shared<Table>(std::move(schema), db.pool());
+  for (const auto& [entity_key, per_entity] : counts) {
+    double total = static_cast<double>(totals[entity_key]);
+    for (const auto& [value, count] : per_entity) {
+      double frac = total > 0 ? static_cast<double>(count) / total : 0.0;
+      SQUID_RETURN_NOT_OK(
+          table->AppendRow({entity_key, value, Value(count), Value(frac)}));
+    }
+  }
+  return table;
+}
+
+/// Cell-for-cell equality: types, nulls, int64s, double bit patterns (so
+/// -0.0 vs 0.0 counts as a difference), and string symbols.
+void ExpectSameCells(const Table& expected, const Table& actual, const std::string& id) {
+  ASSERT_EQ(expected.num_columns(), actual.num_columns()) << id;
+  ASSERT_EQ(expected.num_rows(), actual.num_rows()) << id;
+  for (size_t c = 0; c < expected.num_columns(); ++c) {
+    const Column& e = expected.column(c);
+    const Column& a = actual.column(c);
+    ASSERT_EQ(e.type(), a.type()) << id << " column " << c;
+    for (size_t r = 0; r < expected.num_rows(); ++r) {
+      ASSERT_EQ(e.IsNull(r), a.IsNull(r)) << id << " column " << c << " row " << r;
+      if (e.IsNull(r)) continue;
+      switch (e.type()) {
+        case ValueType::kInt64:
+          ASSERT_EQ(e.Int64At(r), a.Int64At(r)) << id << " column " << c << " row " << r;
+          break;
+        case ValueType::kDouble:
+          ASSERT_EQ(std::memcmp(&e.doubles_raw()[r], &a.doubles_raw()[r], sizeof(double)),
+                    0)
+              << id << " column " << c << " row " << r << ": " << e.DoubleAt(r)
+              << " vs " << a.DoubleAt(r);
+          break;
+        case ValueType::kString:
+          ASSERT_EQ(e.SymbolAt(r), a.SymbolAt(r)) << id << " column " << c << " row " << r;
+          break;
+        case ValueType::kNull:
+          break;
+      }
+    }
+  }
+}
+
+/// Materializes every descriptor with fact hops through the row-id walk
+/// (adjacencies built on a 4-thread pool) and through the reference, and
+/// compares them. Returns the descriptors compared.
+std::vector<PropertyDescriptor> ExpectMaterializersAgree(const Database& db) {
+  std::vector<PropertyDescriptor> compared;
+  auto graph = SchemaGraph::Analyze(db);
+  EXPECT_TRUE(graph.ok());
+  if (!graph.ok()) return compared;
+  ThreadPool pool(4);
+  auto adjacencies = HopAdjacencies::Build(db, graph.value().descriptors(), pool);
+  EXPECT_TRUE(adjacencies.ok()) << adjacencies.status().ToString();
+  if (!adjacencies.ok()) return compared;
+  for (const PropertyDescriptor& desc : graph.value().descriptors()) {
+    if (desc.hops.empty()) continue;
+    auto expected = ReferenceMaterialize(db, desc);
+    EXPECT_TRUE(expected.ok()) << desc.id;
+    auto actual = MaterializeDerivedRelation(db, adjacencies.value(), desc);
+    EXPECT_TRUE(actual.ok()) << desc.id;
+    if (!expected.ok() || !actual.ok()) continue;
+    EXPECT_NE(actual.value().table, nullptr) << desc.id;
+    if (actual.value().table == nullptr) continue;
+    ExpectSameCells(*expected.value(), *actual.value().table, desc.id);
+    compared.push_back(desc);
+  }
+  return compared;
+}
+
+TEST(DerivedDifferentialTest, Movies) {
+  auto db = MakeMoviesDb();
+  EXPECT_FALSE(ExpectMaterializersAgree(*db).empty());
+}
+
+TEST(DerivedDifferentialTest, Academics) {
+  auto db = MakeAcademicsDb();
+  EXPECT_FALSE(ExpectMaterializersAgree(*db).empty());
+}
+
+TEST(DerivedDifferentialTest, GeneratedImdb) {
+  ImdbOptions options;
+  options.scale = 0.1;
+  auto data = GenerateImdb(options);
+  ASSERT_TRUE(data.ok());
+  EXPECT_GE(ExpectMaterializersAgree(*data.value().db).size(), 30u);
+}
+
+TEST(DerivedDifferentialTest, GeneratedDblp) {
+  DblpOptions options;
+  options.scale = 0.15;
+  auto data = GenerateDblp(options);
+  ASSERT_TRUE(data.ok());
+  EXPECT_FALSE(ExpectMaterializersAgree(*data.value().db).empty());
+}
+
+/// A schema built to break row-id shortcuts: double-typed actor keys with
+/// -0.0 / 0.0 and duplicate keys, a null key, an actor with no
+/// associations; int64 fact cells joining double keys (1 == 1.0), null and
+/// dangling FK cells in both facts, the dims and the property link; a
+/// duplicate dimension key; null terminals under categorical and bucket
+/// descriptors; and co-paths looping back to the origin through both facts.
+std::unique_ptr<Database> MakeHostileDb() {
+  auto db = std::make_unique<Database>("hostile");
+  auto must = [](const Status& s) { ASSERT_TRUE(s.ok()) << s.ToString(); };
+  const Value null = Value::Null();
+  auto i = [](int64_t v) { return Value(v); };
+  auto d = [](double v) { return Value(v); };
+  {
+    Schema s("actor", {{"id", ValueType::kDouble},
+                       {"name", ValueType::kString},
+                       {"gender", ValueType::kString},
+                       {"age", ValueType::kDouble},
+                       {"country", ValueType::kString}});
+    s.set_primary_key("id");
+    s.set_entity(true);
+    s.AddPropertyAttribute("gender");
+    s.AddPropertyAttribute("age");
+    s.AddTextSearchAttribute("name");
+    s.AddForeignKey({"country", "country", "code"});
+    Table* t = db->CreateTable(std::move(s)).value();
+    must(t->AppendRow({d(1.0), Value("Ann"), Value("F"), d(30), Value("us")}));
+    must(t->AppendRow({d(-0.0), Value("Bob"), Value("M"), null, Value("fr")}));
+    must(t->AppendRow({d(0.0), Value("Bea"), null, d(41.5), Value("xx")}));
+    must(t->AppendRow({d(2.0), Value("Cal"), Value("M"), d(50), null}));
+    must(t->AppendRow({d(2.0), Value("Cid"), Value("F"), d(20), Value("us")}));
+    must(t->AppendRow({d(3.0), Value("Dee"), Value("F"), d(25), Value("fr")}));
+    must(t->AppendRow({null, Value("Nil"), Value("M"), d(33), Value("us")}));
+    must(t->AppendRow({d(4.5), Value("Eve"), Value("F"), d(60), Value("de")}));
+    must(t->AppendRow({d(-1.0), Value("Fay"), Value("M"), d(35), Value("us")}));
+  }
+  {
+    Schema s("film", {{"id", ValueType::kInt64},
+                      {"title", ValueType::kString},
+                      {"year", ValueType::kInt64}});
+    s.set_primary_key("id");
+    s.set_entity(true);
+    s.AddPropertyAttribute("year");
+    s.AddTextSearchAttribute("title");
+    Table* t = db->CreateTable(std::move(s)).value();
+    must(t->AppendRow({i(10), Value("Ten"), i(2001)}));
+    must(t->AppendRow({i(11), Value("Eleven"), null}));
+    must(t->AppendRow({i(12), Value("Twelve"), i(1999)}));
+    must(t->AppendRow({i(12), Value("Twelve again"), i(2005)}));
+    must(t->AppendRow({i(13), Value("Unseen"), i(2010)}));
+    must(t->AppendRow({i(-5), Value("Minus five"), i(2003)}));
+  }
+  {
+    Schema s("country", {{"code", ValueType::kString}, {"name", ValueType::kString}});
+    s.set_primary_key("code");
+    s.AddPropertyAttribute("name");
+    Table* t = db->CreateTable(std::move(s)).value();
+    must(t->AppendRow({Value("us"), Value("United States")}));
+    must(t->AppendRow({Value("fr"), Value("France")}));
+    must(t->AppendRow({Value("fr"), Value("Francia")}));
+    must(t->AppendRow({Value("de"), null}));
+  }
+  {
+    Schema s("genre", {{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+    s.set_primary_key("id");
+    s.AddPropertyAttribute("name");
+    Table* t = db->CreateTable(std::move(s)).value();
+    must(t->AppendRow({i(1), Value("Comedy")}));
+    must(t->AppendRow({i(2), Value("Drama")}));
+    must(t->AppendRow({i(3), null}));
+  }
+  // cast.actor_id is int64 against the double actor key.
+  {
+    Schema s("cast", {{"id", ValueType::kInt64},
+                      {"actor_id", ValueType::kInt64},
+                      {"film_id", ValueType::kInt64}});
+    s.set_primary_key("id");
+    s.AddForeignKey({"actor_id", "actor", "id"});
+    s.AddForeignKey({"film_id", "film", "id"});
+    Table* t = db->CreateTable(std::move(s)).value();
+    const std::vector<std::pair<Value, Value>> rows = {
+        {i(1), i(10)},  {i(0), i(10)},  {i(2), i(10)},  {i(2), i(11)},
+        {null, i(11)},  {i(99), i(11)}, {i(1), i(999)}, {i(1), i(11)},
+        {i(1), i(10)},  {i(0), i(12)},  {i(2), null},   {i(-1), i(-5)},
+        {i(-1), i(12)}, {i(1), i(-5)}};
+    for (size_t r = 0; r < rows.size(); ++r) {
+      must(t->AppendRow({i(static_cast<int64_t>(r)), rows[r].first, rows[r].second}));
+    }
+  }
+  // crew.person_id is double like the actor key, including -0.0.
+  {
+    Schema s("crew", {{"id", ValueType::kInt64},
+                      {"person_id", ValueType::kDouble},
+                      {"film_id", ValueType::kInt64}});
+    s.set_primary_key("id");
+    s.AddForeignKey({"person_id", "actor", "id"});
+    s.AddForeignKey({"film_id", "film", "id"});
+    Table* t = db->CreateTable(std::move(s)).value();
+    const std::vector<std::pair<Value, Value>> rows = {
+        {d(-0.0), i(10)}, {d(0.0), i(11)}, {d(4.5), i(12)}, {d(1.0), i(12)},
+        {null, i(10)},    {d(7.25), i(10)}, {d(2.0), i(-5)}, {d(1.0), i(10)},
+        {d(-0.0), i(12)}};
+    for (size_t r = 0; r < rows.size(); ++r) {
+      must(t->AppendRow({i(static_cast<int64_t>(r)), rows[r].first, rows[r].second}));
+    }
+  }
+  {
+    Schema s("filmgenre", {{"id", ValueType::kInt64},
+                           {"film_id", ValueType::kInt64},
+                           {"genre_id", ValueType::kInt64}});
+    s.set_primary_key("id");
+    s.AddForeignKey({"film_id", "film", "id"});
+    s.AddForeignKey({"genre_id", "genre", "id"});
+    Table* t = db->CreateTable(std::move(s)).value();
+    const std::vector<std::pair<Value, Value>> rows = {
+        {i(10), i(1)}, {i(10), i(2)}, {i(11), i(1)}, {i(12), i(3)}, {i(12), null},
+        {null, i(1)},  {i(13), i(42)}, {i(-5), i(2)}, {i(10), i(1)}};
+    for (size_t r = 0; r < rows.size(); ++r) {
+      must(t->AppendRow({i(static_cast<int64_t>(r)), rows[r].first, rows[r].second}));
+    }
+  }
+  return db;
+}
+
+TEST(DerivedDifferentialTest, HostileSchema) {
+  auto db = MakeHostileDb();
+  const auto compared = ExpectMaterializersAgree(*db);
+  // The schema must reach every shape it was built for.
+  bool bucket = false, identity = false, multi_valued = false, dims = false;
+  bool co_path_int64 = false, co_path_double = false;
+  for (const PropertyDescriptor& desc : compared) {
+    bucket |= desc.kind == PropertyKind::kDerivedNumericBucket;
+    identity |= desc.kind == PropertyKind::kDerivedEntity;
+    multi_valued |= desc.kind == PropertyKind::kMultiValued;
+    dims |= !desc.dims.empty();
+    if (desc.hops.size() == 2 && desc.hops[1].next_relation == desc.entity_relation) {
+      co_path_int64 |= desc.hops[1].fact_table == "cast";
+      co_path_double |= desc.hops[1].fact_table == "crew";
+    }
+  }
+  EXPECT_TRUE(bucket);
+  EXPECT_TRUE(identity);
+  EXPECT_TRUE(multi_valued);
+  EXPECT_TRUE(dims);
+  EXPECT_TRUE(co_path_int64);
+  EXPECT_TRUE(co_path_double);
+}
+
+TEST(AdbDeterminismTest, HostileBuildIsThreadCountInvariant) {
+  auto db = MakeHostileDb();
+  ExpectBuildIsThreadCountInvariant(*db);
 }
 
 }  // namespace

@@ -253,6 +253,11 @@ TEST_P(SnapshotRoundTripTest, SaveLoadIsIdenticalDownToSymbols) {
   // so only sanity-check it.
   EXPECT_GT(restored.base_bytes, 0u);
   EXPECT_EQ(restored.build_seconds, 0.0);
+  EXPECT_EQ(restored.schema_graph_s, 0.0);
+  EXPECT_EQ(restored.pk_index_s, 0.0);
+  EXPECT_EQ(restored.adjacency_s, 0.0);
+  EXPECT_EQ(restored.descriptors_s, 0.0);
+  EXPECT_EQ(restored.inverted_index_s, 0.0);
   EXPECT_EQ(restored.threads_used, 1u);
 
   // save(load(save(x))) == save(x): re-serializing the loaded αDB
