@@ -14,9 +14,9 @@ namespace squid {
 namespace {
 
 /// Per-descriptor build output, filled by one worker and merged serially in
-/// descriptor order. Everything a descriptor needs (stats maps, the derived
+/// descriptor order. Everything a descriptor needs (stats, the derived
 /// table, its entity index, per-entity totals) is local to this slot, so
-/// workers hold no locks on the αDB's maps.
+/// workers hold no locks on the αDB's records.
 struct DescriptorWork {
   Status status = Status::OK();
   std::optional<PropertyStats> stats;
@@ -122,7 +122,7 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
   // Materialize derived relations and compute statistics — embarrassingly
   // parallel per descriptor. Workers fill per-descriptor slots; the serial
   // merge walks descriptors in their canonical order, so report counters,
-  // table registration, and every stats map are identical for any thread
+  // table registration, and every record are identical for any thread
   // count (the determinism tests in tests/adb_test.cpp pin this down).
   const auto& descriptors = adb->graph_.descriptors();
   {
@@ -145,27 +145,27 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
   pool.ParallelFor(descriptors.size(), [&](size_t i) {
     work[i] = BuildDescriptor(base, adjacencies, descriptors[i], options);
   });
+  adb->records_.resize(descriptors.size());
   for (size_t i = 0; i < descriptors.size(); ++i) {
     const PropertyDescriptor& desc = descriptors[i];
     DescriptorWork& w = work[i];
     SQUID_RETURN_NOT_OK(w.status);
-    if (w.oversized) {
+    if (w.oversized) {  // the record stays empty
       SQUID_LOG(Warn) << "skipping oversized derived relation " << desc.derived_table
                       << " (more than " << options.max_derived_rows << " rows)";
       continue;
     }
-    if (w.derived == nullptr) {  // basic descriptor: stats only
-      adb->stats_.emplace(desc.id, std::move(*w.stats));
-      continue;
-    }
-    adb->report_.derived_rows += w.derived->num_rows();
-    adb->report_.derived_bytes += w.derived->ApproxBytes();
+    adb->records_[i].stats = std::move(w.stats);
+    if (w.derived == nullptr) continue;  // basic descriptor: stats only
+    const Table& derived = *w.derived;
+    adb->report_.derived_rows += derived.num_rows();
+    adb->report_.derived_bytes += derived.ApproxBytes();
     ++adb->report_.num_derived_relations;
     SQUID_RETURN_NOT_OK(adb->db_.AddTable(std::move(w.derived)));
-    adb->stats_.emplace(desc.id, std::move(*w.stats));
-    adb->derived_entity_index_.emplace(desc.id, std::move(*w.entity_index));
-    adb->entity_totals_.emplace(desc.id, std::move(w.totals));
+    SQUID_RETURN_NOT_OK(adb->AttachDerived(i, derived, std::move(*w.entity_index),
+                                           std::move(w.totals)));
   }
+  SQUID_RETURN_NOT_OK(adb->ResolveRecords());
 
   adb->report_.descriptors_s = stage.ElapsedSeconds();
 
@@ -180,13 +180,83 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
   return adb;
 }
 
+namespace {
+
+Status ForeignDescriptor(const PropertyDescriptor& desc) {
+  return Status::InvalidArgument("descriptor '" + desc.id +
+                                 "' is not in this αDB's schema graph");
+}
+
+}  // namespace
+
+Status AbductionReadyDb::AttachDerived(size_t ordinal, const Table& derived,
+                                       HashColumnIndex entity_index,
+                                       std::unordered_map<Value, double, ValueHash> totals) {
+  DescriptorRecord& rec = records_[ordinal];
+  SQUID_ASSIGN_OR_RETURN(rec.value_col, derived.ColumnByName("value"));
+  SQUID_ASSIGN_OR_RETURN(rec.count_col, derived.ColumnByName("count"));
+  if (rec.count_col->type() != ValueType::kInt64) {
+    return Status::InvalidArgument("derived table '" + derived.name() +
+                                   "' has a non-int64 count column");
+  }
+  rec.entity_index = std::move(entity_index);
+  rec.totals = std::move(totals);
+  return Status::OK();
+}
+
+Status AbductionReadyDb::ResolveRecords() {
+  for (const PropertyDescriptor& desc : graph_.descriptors()) {
+    DescriptorRecord& rec = records_[desc.ordinal];
+    if (!desc.hops.empty()) {
+      if (rec.stats.has_value() != (rec.value_col != nullptr)) {
+        return Status::InvalidArgument(
+            "descriptor '" + desc.id + "' has " +
+            (rec.stats.has_value() ? "stats but no derived relation"
+                                   : "a derived relation but no stats"));
+      }
+      continue;
+    }
+    if (!rec.stats.has_value()) continue;
+    SQUID_ASSIGN_OR_RETURN(rec.entity_table, db_.GetTable(desc.entity_relation));
+    const Table* current = rec.entity_table;
+    for (const DimHop& dim : desc.dims) {
+      DescriptorRecord::DimStep step;
+      SQUID_ASSIGN_OR_RETURN(step.from, current->ColumnByName(dim.from_attr));
+      auto pk = entity_pk_index_.find(dim.dim_relation);
+      if (pk == entity_pk_index_.end()) {
+        return Status::InvalidArgument("descriptor '" + desc.id +
+                                       "' dereferences unkeyed relation '" +
+                                       dim.dim_relation + "'");
+      }
+      step.dim_pk = &pk->second;
+      rec.dims.push_back(step);
+      SQUID_ASSIGN_OR_RETURN(current, db_.GetTable(dim.dim_relation));
+    }
+    SQUID_ASSIGN_OR_RETURN(rec.terminal, current->ColumnByName(desc.terminal_attr));
+  }
+  return Status::OK();
+}
+
+Result<const PropertyStats*> AbductionReadyDb::StatsFor(
+    const PropertyDescriptor& desc) const {
+  const DescriptorRecord* rec = RecordOf(desc);
+  if (rec == nullptr) return ForeignDescriptor(desc);
+  if (!rec->stats.has_value()) {
+    return Status::NotFound("no stats for descriptor '" + desc.id + "'");
+  }
+  return &*rec->stats;
+}
+
 Result<const PropertyStats*> AbductionReadyDb::StatsFor(
     const std::string& descriptor_id) const {
-  auto it = stats_.find(descriptor_id);
-  if (it == stats_.end()) {
-    return Status::NotFound("no stats for descriptor '" + descriptor_id + "'");
-  }
-  return &it->second;
+  SQUID_ASSIGN_OR_RETURN(const PropertyDescriptor* desc,
+                         graph_.FindDescriptor(descriptor_id));
+  return StatsFor(*desc);
+}
+
+bool AbductionReadyDb::Covers(const PropertyDescriptor& desc) const {
+  const DescriptorRecord* rec = RecordOf(desc);
+  return rec != nullptr && rec->stats.has_value();
 }
 
 Result<size_t> AbductionReadyDb::EntityRowByKey(const std::string& relation,
@@ -204,53 +274,57 @@ Result<size_t> AbductionReadyDb::EntityRowByKey(const std::string& relation,
 
 Result<Value> AbductionReadyDb::BasicValue(const PropertyDescriptor& desc,
                                            size_t row) const {
+  const DescriptorRecord* rec = RecordOf(desc);
+  if (rec == nullptr) return ForeignDescriptor(desc);
   if (!desc.hops.empty()) {
     return Status::InvalidArgument("BasicValue on non-basic descriptor " + desc.id);
   }
-  SQUID_ASSIGN_OR_RETURN(const Table* table, db_.GetTable(desc.entity_relation));
-  const Table* current = table;
-  size_t current_row = row;
-  for (const DimHop& dim : desc.dims) {
-    SQUID_ASSIGN_OR_RETURN(const Column* from, current->ColumnByName(dim.from_attr));
-    if (from->IsNull(current_row)) return Value::Null();
-    SQUID_ASSIGN_OR_RETURN(size_t next_row,
-                           EntityRowByKeyOrDim(dim.dim_relation, dim.dim_key,
-                                               from->ValueAt(current_row)));
-    SQUID_ASSIGN_OR_RETURN(const Table* next, db_.GetTable(dim.dim_relation));
-    current = next;
-    current_row = next_row;
+  if (rec->terminal == nullptr) {
+    return Status::NotFound("no stats for descriptor '" + desc.id + "'");
   }
-  SQUID_ASSIGN_OR_RETURN(const Column* terminal,
-                         current->ColumnByName(desc.terminal_attr));
-  return terminal->ValueAt(current_row);
+  if (row >= rec->entity_table->num_rows()) {
+    return Status::OutOfRange("row " + std::to_string(row) + " is past the end of " +
+                              desc.entity_relation);
+  }
+  size_t current_row = row;
+  for (size_t i = 0; i < rec->dims.size(); ++i) {
+    const DescriptorRecord::DimStep& step = rec->dims[i];
+    if (step.from->IsNull(current_row)) return Value::Null();
+    const Value key = step.from->ValueAt(current_row);
+    const std::vector<size_t>* rows = step.dim_pk->Lookup(key);
+    if (rows == nullptr || rows->empty()) {
+      return Status::NotFound("no " + desc.dims[i].dim_relation + " row with key " +
+                              key.ToString());
+    }
+    current_row = (*rows)[0];
+  }
+  return rec->terminal->ValueAt(current_row);
 }
 
 Result<std::vector<std::pair<Value, double>>> AbductionReadyDb::DerivedValues(
     const PropertyDescriptor& desc, const Value& key) const {
-  auto it = derived_entity_index_.find(desc.id);
-  if (it == derived_entity_index_.end()) {
+  const DescriptorRecord* rec = RecordOf(desc);
+  if (rec == nullptr) return ForeignDescriptor(desc);
+  if (rec->value_col == nullptr) {
     return Status::NotFound("no derived relation for descriptor '" + desc.id + "'");
   }
   std::vector<std::pair<Value, double>> out;
-  const std::vector<size_t>* rows = it->second.Lookup(key);
+  const std::vector<size_t>* rows = rec->entity_index.Lookup(key);
   if (rows == nullptr) return out;
-  SQUID_ASSIGN_OR_RETURN(const Table* derived, db_.GetTable(desc.derived_table));
-  SQUID_ASSIGN_OR_RETURN(const Column* value_col, derived->ColumnByName("value"));
-  SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived->ColumnByName("count"));
   out.reserve(rows->size());
   for (size_t r : *rows) {
-    out.emplace_back(value_col->ValueAt(r),
-                     static_cast<double>(count_col->Int64At(r)));
+    out.emplace_back(rec->value_col->ValueAt(r),
+                     static_cast<double>(rec->count_col->Int64At(r)));
   }
   return out;
 }
 
 double AbductionReadyDb::EntityTotal(const PropertyDescriptor& desc,
                                      const Value& key) const {
-  auto it = entity_totals_.find(desc.id);
-  if (it == entity_totals_.end()) return 0.0;
-  auto vit = it->second.find(key);
-  return vit == it->second.end() ? 0.0 : vit->second;
+  const DescriptorRecord* rec = RecordOf(desc);
+  if (rec == nullptr) return 0.0;
+  auto it = rec->totals.find(key);
+  return it == rec->totals.end() ? 0.0 : it->second;
 }
 
 std::string AbductionReadyDb::DisplayValue(const PropertyDescriptor& desc,
@@ -294,26 +368,6 @@ std::string AbductionReadyDb::DisplayValue(const PropertyDescriptor& desc,
     }
   }
   return v.ToString();
-}
-
-Result<size_t> AbductionReadyDb::EntityRowByKeyOrDim(const std::string& relation,
-                                                     const std::string& key_attr,
-                                                     const Value& key) const {
-  // Entity relations have a prebuilt index; dimensions are probed directly.
-  auto it = entity_pk_index_.find(relation);
-  if (it != entity_pk_index_.end()) {
-    const std::vector<size_t>* rows = it->second.Lookup(key);
-    if (rows == nullptr || rows->empty()) {
-      return Status::NotFound("no " + relation + " row with key " + key.ToString());
-    }
-    return (*rows)[0];
-  }
-  SQUID_ASSIGN_OR_RETURN(const Table* table, db_.GetTable(relation));
-  SQUID_ASSIGN_OR_RETURN(const Column* col, table->ColumnByName(key_attr));
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    if (!col->IsNull(r) && col->ValueAt(r) == key) return r;
-  }
-  return Status::NotFound("no " + relation + " row with key " + key.ToString());
 }
 
 }  // namespace squid

@@ -6,9 +6,16 @@
 /// materialized derived relations, precomputed semantic-property statistics,
 /// an inverted column index for entity lookup, and entity-keyed indexes that
 /// make per-example context discovery a sequence of point queries.
+///
+/// Per-descriptor state lives in one record per descriptor, in a vector
+/// indexed by PropertyDescriptor::ordinal. Build and LoadSnapshot resolve
+/// every record once (stats, derived columns and indexes, dim-hop PK
+/// indexes), so the serve path (profile builds, merges, abduction) indexes
+/// by ordinal and never looks a descriptor up by its id string.
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -96,7 +103,10 @@ class AbductionReadyDb {
   /// tables, pool, inverted index, schema graph, and statistics are
   /// restored from the extents; PK / derived-entity hash indexes, the
   /// inverted index's probe table, and per-entity totals are rebuilt
-  /// in-memory (cheap and deterministic). Malformed input of any kind —
+  /// in-memory (cheap and deterministic), and every descriptor record is
+  /// resolved as Build resolves it, so a derived relation without a `value`
+  /// column or an int64 `count` column fails here, as Corruption, instead
+  /// of at request time. Malformed input of any kind —
   /// truncation, bit flips, hostile lengths — yields a Status error, never
   /// UB. The volatile report fields are not part of a snapshot:
   /// build_seconds and the stage seconds read 0 and threads_used 1 after a
@@ -120,13 +130,28 @@ class AbductionReadyDb {
   const InvertedColumnIndex& inverted_index() const { return inverted_index_; }
   const AdbReport& report() const { return report_; }
 
-  /// Stats for a descriptor (error when the descriptor is unknown).
+  /// Stats for a descriptor of this αDB's graph: one vector index by
+  /// `desc.ordinal`. Errors when `desc` is not this graph's descriptor
+  /// (ordinal out of range or a different address) or has no stats (skipped
+  /// by max_derived_rows).
+  Result<const PropertyStats*> StatsFor(const PropertyDescriptor& desc) const;
+
+  /// Stats by descriptor id (tools and tests): SchemaGraph::FindDescriptor,
+  /// then the ordinal lookup above.
   Result<const PropertyStats*> StatsFor(const std::string& descriptor_id) const;
+
+  /// True when this αDB holds `desc`'s record: its stats and, for hop
+  /// descriptors, its derived relation. False for a descriptor whose derived
+  /// relation max_derived_rows skipped (its record is empty, and profile
+  /// builds, merges and abduction skip its slot) and for a descriptor of
+  /// another graph.
+  bool Covers(const PropertyDescriptor& desc) const;
 
   /// Row id of the entity with primary key `key` in `relation`.
   Result<size_t> EntityRowByKey(const std::string& relation, const Value& key) const;
 
-  /// Value of an inline / dim-chain descriptor for the entity row `row`.
+  /// Value of an inline / dim-chain descriptor for the entity row `row`:
+  /// the record's terminal column, reached through each dim hop's PK index.
   Result<Value> BasicValue(const PropertyDescriptor& desc, size_t row) const;
 
   /// All (value, count) associations of the entity with key `key` under a
@@ -135,7 +160,8 @@ class AbductionReadyDb {
       const PropertyDescriptor& desc, const Value& key) const;
 
   /// Total association count of the entity under the descriptor (for
-  /// normalized association strengths); 0 when the entity has none.
+  /// normalized association strengths); 0 when the entity has none or the
+  /// αDB has no derived relation for `desc` (DerivedValues says why).
   double EntityTotal(const PropertyDescriptor& desc, const Value& key) const;
 
   /// Renders a derived value for display: resolves kDerivedEntity keys to
@@ -143,26 +169,63 @@ class AbductionReadyDb {
   std::string DisplayValue(const PropertyDescriptor& desc, const Value& v) const;
 
  private:
+  /// Everything the serve path reads for one descriptor, resolved once by
+  /// Build / LoadSnapshot. Empty (no stats, null columns) for a descriptor
+  /// whose derived relation max_derived_rows skipped.
+  struct DescriptorRecord {
+    std::optional<PropertyStats> stats;
+
+    // Hop descriptors: the derived relation's value and count columns, its
+    // entity -> rows index and the per-entity association totals.
+    const Column* value_col = nullptr;
+    const Column* count_col = nullptr;
+    HashColumnIndex entity_index;
+    std::unordered_map<Value, double, ValueHash> totals;
+
+    // Basic descriptors: the entity table, each dim hop's FK column (in the
+    // relation the hop leaves) with the PK index of the dim it enters, and
+    // the terminal column.
+    struct DimStep {
+      const Column* from = nullptr;
+      const HashColumnIndex* dim_pk = nullptr;
+    };
+    const Table* entity_table = nullptr;
+    std::vector<DimStep> dims;
+    const Column* terminal = nullptr;
+  };
+
   AbductionReadyDb() : db_("adb") {}
 
-  /// Row lookup by key in an entity relation (indexed) or a dimension
-  /// relation (scanned; dimensions are small).
-  Result<size_t> EntityRowByKeyOrDim(const std::string& relation,
-                                     const std::string& key_attr,
-                                     const Value& key) const;
+  /// The record of `desc` when it is this graph's descriptor, else null.
+  const DescriptorRecord* RecordOf(const PropertyDescriptor& desc) const {
+    const std::vector<PropertyDescriptor>& all = graph_.descriptors();
+    return desc.ordinal < records_.size() && &all[desc.ordinal] == &desc
+               ? &records_[desc.ordinal]
+               : nullptr;
+  }
+
+  /// Attaches `derived` (a descriptor's materialized relation, already in
+  /// db_) to record `ordinal`: its value / count columns (checked), entity
+  /// index and per-entity totals.
+  Status AttachDerived(size_t ordinal, const Table& derived,
+                       HashColumnIndex entity_index,
+                       std::unordered_map<Value, double, ValueHash> totals);
+
+  /// Resolves every record's basic-descriptor columns and PK indexes and
+  /// checks each record is whole: stats present exactly when a hop
+  /// descriptor has its derived relation. Last step of Build and
+  /// LoadSnapshot.
+  Status ResolveRecords();
 
   Database db_;
   SchemaGraph graph_;
   InvertedColumnIndex inverted_index_;
   AdbReport report_;
 
-  // Per entity relation: PK hash index.
+  // Per keyed relation: PK hash index.
   std::map<std::string, HashColumnIndex> entity_pk_index_;
-  // Per descriptor id: stats, entity->rows index on the derived relation,
-  // per-entity totals.
-  std::map<std::string, PropertyStats> stats_;
-  std::map<std::string, HashColumnIndex> derived_entity_index_;
-  std::map<std::string, std::unordered_map<Value, double, ValueHash>> entity_totals_;
+  // Per descriptor, indexed by PropertyDescriptor::ordinal.
+  std::vector<DescriptorRecord> records_;
 };
 
 }  // namespace squid

@@ -1,6 +1,7 @@
 #include "adb/adb_snapshot.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -125,7 +126,7 @@ Result<SchemaGraph> SchemaGraph::SnapshotLoad(ExtentReader* in) {
     SQUID_ASSIGN_OR_RETURN(d.display_name, LoadStr(in));
     graph.descriptors_.push_back(std::move(d));
   }
-  // Descriptor ids must be unique — the αDB's stats maps key on them.
+  // Descriptor ids must be unique: the stats extent names descriptors by id.
   std::set<std::string> ids;
   for (const PropertyDescriptor& d : graph.descriptors_) {
     if (!ids.insert(d.id).second) {
@@ -133,6 +134,7 @@ Result<SchemaGraph> SchemaGraph::SnapshotLoad(ExtentReader* in) {
                                 d.id + "'");
     }
   }
+  graph.IndexDescriptors();
   return graph;
 }
 
@@ -339,12 +341,19 @@ Status AbductionReadyDb::SaveSnapshot(const std::string& path) const {
   }
 
   // Tables materialized from descriptors are the derived roster; everything
-  // else is a base relation.
+  // else is a base relation. Stats serialize in sorted descriptor-id order,
+  // so the bytes do not depend on the descriptor order.
   std::set<std::string> derived_names;
-  for (const auto& [id, index] : derived_entity_index_) {
-    SQUID_ASSIGN_OR_RETURN(const PropertyDescriptor* desc, graph_.FindDescriptor(id));
-    derived_names.insert(desc->derived_table);
+  std::vector<const PropertyDescriptor*> with_stats;
+  for (const PropertyDescriptor& desc : graph_.descriptors()) {
+    const DescriptorRecord& rec = records_[desc.ordinal];
+    if (rec.value_col != nullptr) derived_names.insert(desc.derived_table);
+    if (rec.stats.has_value()) with_stats.push_back(&desc);
   }
+  std::sort(with_stats.begin(), with_stats.end(),
+            [](const PropertyDescriptor* a, const PropertyDescriptor* b) {
+              return a->id < b->id;
+            });
 
   SnapshotWriter writer;
 
@@ -391,10 +400,10 @@ Status AbductionReadyDb::SaveSnapshot(const std::string& path) const {
   graph_.SnapshotSave(writer.AddExtent(ExtentType::kSchemaGraph));
 
   ExtentWriter* stats = writer.AddExtent(ExtentType::kPropertyStats);
-  stats->U32(static_cast<uint32_t>(stats_.size()));
-  for (const auto& [id, s] : stats_) {  // std::map: sorted, deterministic
-    stats->Str(id);
-    s.SnapshotSave(stats);
+  stats->U32(static_cast<uint32_t>(with_stats.size()));
+  for (const PropertyDescriptor* desc : with_stats) {
+    stats->Str(desc->id);
+    records_[desc->ordinal].stats->SnapshotSave(stats);
   }
 
   return writer.WriteToFile(path);
@@ -463,15 +472,19 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
   SQUID_RETURN_NOT_OK(ExpectDrained(index_in, "inverted index"));
 
   SQUID_ASSIGN_OR_RETURN(ExtentReader stats_in, file.Extent(ExtentType::kPropertyStats));
+  adb->records_.resize(adb->graph_.descriptors().size());
   SQUID_ASSIGN_OR_RETURN(uint32_t num_stats, stats_in.U32());
   for (uint32_t i = 0; i < num_stats; ++i) {
     SQUID_ASSIGN_OR_RETURN(std::string id, LoadStr(&stats_in));
-    SQUID_RETURN_NOT_OK(adb->graph_.FindDescriptor(id).status());
+    SQUID_ASSIGN_OR_RETURN(const PropertyDescriptor* desc,
+                           adb->graph_.FindDescriptor(id));
     SQUID_ASSIGN_OR_RETURN(PropertyStats stats,
                            PropertyStats::SnapshotLoad(&stats_in, pool));
-    if (!adb->stats_.emplace(std::move(id), std::move(stats)).second) {
+    std::optional<PropertyStats>& slot = adb->records_[desc->ordinal].stats;
+    if (slot.has_value()) {
       return Status::Corruption("snapshot: duplicate stats descriptor id");
     }
+    slot.emplace(std::move(stats));
   }
   SQUID_RETURN_NOT_OK(ExpectDrained(stats_in, "property stats"));
 
@@ -502,7 +515,8 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
   }
 
   // ... and, per derived relation, the entity->rows index plus the exact
-  // per-entity totals (CollectEntityTotals, shared with Build).
+  // per-entity totals (CollectEntityTotals, shared with Build). Then every
+  // record is resolved as Build resolves it.
   for (const AdbSnapshotTableInfo& meta : manifest.tables) {
     if (!meta.derived) continue;
     const PropertyDescriptor* desc = nullptr;
@@ -512,22 +526,27 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
         break;
       }
     }
-    if (desc == nullptr) {
+    if (desc == nullptr || desc->hops.empty()) {
       return Status::Corruption("snapshot: derived table '" + meta.name +
-                                "' is not named by any descriptor");
+                                "' is not named by any derived descriptor");
+    }
+    if (adb->records_[desc->ordinal].value_col != nullptr) {
+      return Status::Corruption("snapshot: two derived tables map to descriptor '" +
+                                desc->id + "'");
     }
     SQUID_ASSIGN_OR_RETURN(const Table* derived, adb->db_.GetTable(meta.name));
     SQUID_ASSIGN_OR_RETURN(HashColumnIndex index,
                            HashColumnIndex::Build(*derived, "entity_id"));
-    if (adb->derived_entity_index_.count(desc->id) > 0) {
-      return Status::Corruption("snapshot: two derived tables map to descriptor '" +
-                                desc->id + "'");
+    std::unordered_map<Value, double, ValueHash> totals;
+    Status status = CollectEntityTotals(*derived, derived->num_rows(), &totals);
+    if (status.ok()) {
+      status = adb->AttachDerived(desc->ordinal, *derived, std::move(index),
+                                  std::move(totals));
     }
-    adb->derived_entity_index_.emplace(desc->id, std::move(index));
-    Status totals = CollectEntityTotals(*derived, derived->num_rows(),
-                                        &adb->entity_totals_[desc->id]);
-    if (!totals.ok()) return Status::Corruption("snapshot: " + totals.message());
+    if (!status.ok()) return Status::Corruption("snapshot: " + status.message());
   }
+  Status resolved = adb->ResolveRecords();
+  if (!resolved.ok()) return Status::Corruption("snapshot: " + resolved.message());
 
   return adb;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -85,10 +86,31 @@ RelationKind SchemaGraph::KindOf(const std::string& relation) const {
 std::vector<const PropertyDescriptor*> SchemaGraph::DescriptorsFor(
     const std::string& entity) const {
   std::vector<const PropertyDescriptor*> out;
-  for (const auto& d : descriptors_) {
-    if (d.entity_relation == entity) out.push_back(&d);
-  }
+  for (size_t ordinal : OrdinalsFor(entity)) out.push_back(&descriptors_[ordinal]);
   return out;
+}
+
+const std::vector<size_t>& SchemaGraph::OrdinalsFor(const std::string& entity) const {
+  static const std::vector<size_t> kNone;
+  for (const auto& [relation, ordinals] : ordinals_by_entity_) {
+    if (relation == entity) return ordinals;
+  }
+  return kNone;
+}
+
+void SchemaGraph::IndexDescriptors() {
+  ordinals_by_entity_.clear();
+  for (size_t i = 0; i < descriptors_.size(); ++i) {
+    PropertyDescriptor& d = descriptors_[i];
+    d.ordinal = i;
+    auto it = std::find_if(ordinals_by_entity_.begin(), ordinals_by_entity_.end(),
+                           [&](const auto& e) { return e.first == d.entity_relation; });
+    if (it == ordinals_by_entity_.end()) {
+      ordinals_by_entity_.emplace_back(d.entity_relation, std::vector<size_t>{});
+      it = std::prev(ordinals_by_entity_.end());
+    }
+    it->second.push_back(i);
+  }
 }
 
 Result<const PropertyDescriptor*> SchemaGraph::FindDescriptor(
@@ -435,8 +457,8 @@ Result<SchemaGraph> SchemaGraph::Analyze(const Database& db,
 
   // --- Pass 3: uniquify descriptor ids. Two descriptors can build the same
   // path string when a self-association fact is traversed in both directions
-  // (citation: pub_id->cited_pub_id vs cited_pub_id->pub_id); the αDB keys
-  // its statistics and indexes by id, so ids must be unique.
+  // (citation: pub_id->cited_pub_id vs cited_pub_id->pub_id); snapshots
+  // and FindDescriptor name descriptors by id, so ids must be unique.
   std::map<std::string, size_t> id_counter;
   for (PropertyDescriptor& d : graph.descriptors_) {
     size_t n = ++id_counter[d.id];
@@ -445,6 +467,7 @@ Result<SchemaGraph> SchemaGraph::Analyze(const Database& db,
       d.display_name += " (rev)";
     }
   }
+  graph.IndexDescriptors();
   return graph;
 }
 

@@ -107,6 +107,12 @@ struct PropertyDescriptor {
   /// Human-readable attribute label, e.g. "genre" or "birth_year".
   std::string display_name;
 
+  /// Dense ordinal: this descriptor's index in SchemaGraph::descriptors()
+  /// (set by SchemaGraph::Analyze and SchemaGraph::SnapshotLoad; implied by
+  /// the descriptor order, so never serialized). The αDB keeps its
+  /// per-descriptor state in a vector indexed by it.
+  size_t ordinal = 0;
+
   size_t NumFactHops() const { return hops.size(); }
 };
 
@@ -138,6 +144,11 @@ class SchemaGraph {
   /// Descriptors whose entity_relation == `entity`.
   std::vector<const PropertyDescriptor*> DescriptorsFor(const std::string& entity) const;
 
+  /// Ordinals of the descriptors whose entity_relation == `entity`, in
+  /// descriptor order (computed once per graph; empty for an unknown
+  /// relation). The serve path's per-entity loops walk this list.
+  const std::vector<size_t>& OrdinalsFor(const std::string& entity) const;
+
   /// Descriptor by id (error when unknown).
   Result<const PropertyDescriptor*> FindDescriptor(const std::string& id) const;
 
@@ -153,9 +164,15 @@ class SchemaGraph {
   static Result<SchemaGraph> SnapshotLoad(ExtentReader* in);
 
  private:
+  /// Sets each descriptor's ordinal and groups the ordinals by entity
+  /// relation (the last step of Analyze and SnapshotLoad).
+  void IndexDescriptors();
+
   std::vector<std::pair<std::string, RelationKind>> kinds_;
   std::vector<PropertyDescriptor> descriptors_;
   std::vector<std::string> entities_;
+  // Per entity relation (first-appearance order): its descriptor ordinals.
+  std::vector<std::pair<std::string, std::vector<size_t>>> ordinals_by_entity_;
 };
 
 }  // namespace squid

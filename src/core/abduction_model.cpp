@@ -2,46 +2,86 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace squid {
 
+namespace {
+
+/// Sample mean, standard deviation s and skewness of Θ (Appendix B), each
+/// computed once per family; n >= 3. Skewness is 0 when s = 0.
+struct Moments {
+  double mean = 0;
+  double s = 0;
+  double skewness = 0;
+};
+
+Moments MomentsOf(const std::vector<double>& thetas) {
+  const size_t n = thetas.size();
+  Moments m;
+  for (double t : thetas) m.mean += t;
+  m.mean /= static_cast<double>(n);
+  double m2 = 0, m3 = 0;
+  for (double t : thetas) {
+    double d = t - m.mean;
+    m2 += d * d;
+    m3 += d * d * d;
+  }
+  m.s = std::sqrt(m2 / static_cast<double>(n - 1));
+  if (m.s > 0) {
+    m.skewness = static_cast<double>(n) * m3 /
+                 (m.s * m.s * m.s * static_cast<double>(n - 1) *
+                  static_cast<double>(n - 2));
+  }
+  return m;
+}
+
+}  // namespace
+
 Result<double> AbductionModel::Selectivity(const SemanticProperty& p) const {
-  const PropertyDescriptor* desc = p.descriptor;
-  if (desc == nullptr) return Status::InvalidArgument("property without descriptor");
-  SQUID_ASSIGN_OR_RETURN(const PropertyStats* stats, adb_->StatsFor(desc->id));
-  switch (desc->kind) {
+  if (p.descriptor == nullptr) return Status::InvalidArgument("property without descriptor");
+  SQUID_ASSIGN_OR_RETURN(const PropertyStats* stats, adb_->StatsFor(*p.descriptor));
+  return SelectivityOf(*stats, p);
+}
+
+Result<double> AbductionModel::DomainCoverage(const SemanticProperty& p) const {
+  if (p.descriptor == nullptr) return Status::InvalidArgument("property without descriptor");
+  SQUID_ASSIGN_OR_RETURN(const PropertyStats* stats, adb_->StatsFor(*p.descriptor));
+  return DomainCoverageOf(*stats, p);
+}
+
+double AbductionModel::SelectivityOf(const PropertyStats& stats,
+                                     const SemanticProperty& p) const {
+  switch (p.descriptor->kind) {
     case PropertyKind::kInlineCategorical:
     case PropertyKind::kDimCategorical:
-      return stats->SelectivityEquals(p.value);
+      return stats.SelectivityEquals(p.value);
     case PropertyKind::kInlineNumeric:
-      return stats->SelectivityRange(p.lo, p.hi);
+      return stats.SelectivityRange(p.lo, p.hi);
     case PropertyKind::kMultiValued: {
-      if (stats->total_entities() == 0) return 0.0;
-      return static_cast<double>(stats->EntitiesWithValue(p.value)) /
-             static_cast<double>(stats->total_entities());
+      if (stats.total_entities() == 0) return 0.0;
+      return static_cast<double>(stats.EntitiesWithValue(p.value)) /
+             static_cast<double>(stats.total_entities());
     }
     case PropertyKind::kDerivedCategorical:
     case PropertyKind::kDerivedNumericBucket:
     case PropertyKind::kDerivedEntity:
-      if (config_.normalize_association && p.theta_norm >= 0) {
-        return stats->SelectivityDerivedNormalized(p.value, p.theta_norm);
-      }
-      return stats->SelectivityDerived(p.value, p.theta);
+      break;
   }
-  return Status::Internal("unreachable");
+  if (config_.normalize_association && p.theta_norm >= 0) {
+    return stats.SelectivityDerivedNormalized(p.value, p.theta_norm);
+  }
+  return stats.SelectivityDerived(p.value, p.theta);
 }
 
-Result<double> AbductionModel::DomainCoverage(const SemanticProperty& p) const {
-  const PropertyDescriptor* desc = p.descriptor;
-  SQUID_ASSIGN_OR_RETURN(const PropertyStats* stats, adb_->StatsFor(desc->id));
-  if (desc->kind == PropertyKind::kInlineNumeric) {
-    double extent = stats->domain_max() - stats->domain_min();
+double AbductionModel::DomainCoverageOf(const PropertyStats& stats,
+                                        const SemanticProperty& p) {
+  if (p.descriptor->kind == PropertyKind::kInlineNumeric) {
+    double extent = stats.domain_max() - stats.domain_min();
     if (extent <= 0) return 1.0;
     return std::clamp((p.hi - p.lo) / extent, 0.0, 1.0);
   }
   // Single categorical/derived value: covers 1/|domain|.
-  size_t domain = stats->domain_size();
+  size_t domain = stats.domain_size();
   if (domain == 0) return 1.0;
   return 1.0 / static_cast<double>(domain);
 }
@@ -68,64 +108,65 @@ double AbductionModel::AlphaOf(const SemanticProperty& p) const {
 }
 
 double AbductionModel::Skewness(const std::vector<double>& thetas) {
-  const size_t n = thetas.size();
-  if (n < 3) return 0.0;
-  double mean = 0;
-  for (double t : thetas) mean += t;
-  mean /= static_cast<double>(n);
-  double m2 = 0, m3 = 0;
-  for (double t : thetas) {
-    double d = t - mean;
-    m2 += d * d;
-    m3 += d * d * d;
-  }
-  double s = std::sqrt(m2 / static_cast<double>(n - 1));
-  if (s <= 0) return 0.0;
-  return static_cast<double>(n) * m3 /
-         (s * s * s * static_cast<double>(n - 1) * static_cast<double>(n - 2));
+  return thetas.size() < 3 ? 0.0 : MomentsOf(thetas).skewness;
 }
 
 bool AbductionModel::IsOutlier(double theta, const std::vector<double>& thetas,
                                double k) {
-  const size_t n = thetas.size();
-  if (n < 3) return true;  // Appendix B: all elements are outliers when n < 3
-  double mean = 0;
-  for (double t : thetas) mean += t;
-  mean /= static_cast<double>(n);
-  double var = 0;
-  for (double t : thetas) var += (t - mean) * (t - mean);
-  double s = std::sqrt(var / static_cast<double>(n - 1));
-  return (theta - mean) > k * s;
+  if (thetas.size() < 3) return true;  // Appendix B: all are outliers when n < 3
+  const Moments m = MomentsOf(thetas);
+  return (theta - m.mean) > k * m.s;
 }
 
 void AbductionModel::ApplyOutlierImpact(std::vector<Filter>* filters) const {
   if (!config_.use_outlier_impact) return;
-  // Group derived filters by family (same descriptor).
-  std::map<std::string, std::vector<double>> family_thetas;
-  for (const Filter& f : *filters) {
-    if (!f.property.has_theta()) continue;
-    if (f.property.descriptor->kind == PropertyKind::kDerivedEntity) continue;
-    double t = config_.normalize_association && f.property.theta_norm >= 0
-                   ? f.property.theta_norm
-                   : f.property.theta;
-    family_thetas[f.property.descriptor->id].push_back(t);
-  }
-  for (Filter& f : *filters) {
+  // A family is the derived filters over one descriptor (identity filters
+  // excluded). Families are few, so a linear scan by ordinal groups them;
+  // thetas keep filter order, and each family's moments are computed once.
+  struct Family {
+    size_t ordinal = 0;
+    std::vector<double> thetas;
+    Moments moments;
+  };
+  constexpr size_t kNoFamily = static_cast<size_t>(-1);
+  auto theta_of = [&](const Filter& f) {
+    return config_.normalize_association && f.property.theta_norm >= 0
+               ? f.property.theta_norm
+               : f.property.theta;
+  };
+  std::vector<Family> families;
+  std::vector<size_t> family_of(filters->size(), kNoFamily);
+  for (size_t i = 0; i < filters->size(); ++i) {
+    const Filter& f = (*filters)[i];
     if (!f.property.has_theta() ||
         f.property.descriptor->kind == PropertyKind::kDerivedEntity) {
+      continue;
+    }
+    const size_t ordinal = f.property.descriptor->ordinal;
+    size_t fam = 0;
+    while (fam < families.size() && families[fam].ordinal != ordinal) ++fam;
+    if (fam == families.size()) families.push_back(Family{ordinal, {}, {}});
+    families[fam].thetas.push_back(theta_of(f));
+    family_of[i] = fam;
+  }
+  for (Family& fam : families) {
+    if (fam.thetas.size() >= 3) fam.moments = MomentsOf(fam.thetas);
+  }
+  for (size_t i = 0; i < filters->size(); ++i) {
+    Filter& f = (*filters)[i];
+    if (family_of[i] == kNoFamily) {
       f.lambda = 1.0;  // basic and identity filters
       continue;
     }
-    const std::vector<double>& thetas = family_thetas[f.property.descriptor->id];
-    double t = config_.normalize_association && f.property.theta_norm >= 0
-                   ? f.property.theta_norm
-                   : f.property.theta;
-    if (thetas.size() < 3) {
+    const Family& fam = families[family_of[i]];
+    if (fam.thetas.size() < 3) {
       f.lambda = 1.0;  // skewness undefined; all elements treated as outliers
       continue;
     }
-    bool skewed = Skewness(thetas) > config_.tau_s;
-    f.lambda = (skewed && IsOutlier(t, thetas, config_.outlier_k)) ? 1.0 : 0.0;
+    const bool skewed = fam.moments.skewness > config_.tau_s;
+    const bool outlier =
+        (theta_of(f) - fam.moments.mean) > config_.outlier_k * fam.moments.s;
+    f.lambda = skewed && outlier ? 1.0 : 0.0;
   }
 }
 
@@ -136,9 +177,13 @@ Result<std::vector<Filter>> AbductionModel::AbduceFilters(
   for (const SemanticContext& ctx : contexts) {
     Filter f;
     f.property = ctx.property;
-    SQUID_ASSIGN_OR_RETURN(f.selectivity, Selectivity(f.property));
-    SQUID_ASSIGN_OR_RETURN(double coverage, DomainCoverage(f.property));
-    f.delta = DeltaOf(coverage);
+    if (f.property.descriptor == nullptr) {
+      return Status::InvalidArgument("property without descriptor");
+    }
+    SQUID_ASSIGN_OR_RETURN(const PropertyStats* stats,
+                           adb_->StatsFor(*f.property.descriptor));
+    f.selectivity = SelectivityOf(*stats, f.property);
+    f.delta = DeltaOf(DomainCoverageOf(*stats, f.property));
     f.alpha = AlphaOf(f.property);
     filters.push_back(std::move(f));
   }

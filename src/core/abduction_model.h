@@ -62,7 +62,12 @@ class AbductionModel {
   static bool IsOutlier(double theta, const std::vector<double>& thetas, double k);
 
  private:
-  /// λ(φ) per family of derived filters over the same descriptor.
+  /// ψ(φ) and the domain coverage from the descriptor's resolved stats.
+  double SelectivityOf(const PropertyStats& stats, const SemanticProperty& p) const;
+  static double DomainCoverageOf(const PropertyStats& stats, const SemanticProperty& p);
+
+  /// λ(φ) per family of derived filters over the same descriptor (grouped
+  /// by descriptor ordinal).
   void ApplyOutlierImpact(std::vector<Filter>* filters) const;
 
   const AbductionReadyDb* adb_;

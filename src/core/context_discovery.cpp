@@ -15,9 +15,12 @@ size_t ValueBytes(const Value& v) {
 }
 
 /// Point-queries the αDB for what `key` (at `row`) exhibits under `desc`.
+/// A descriptor the αDB does not cover (skipped by max_derived_rows) keeps
+/// the empty observation, which no merge or score ever shares.
 Status ObserveDescriptor(const AbductionReadyDb& adb,
                          const PropertyDescriptor& desc, size_t row,
                          const Value& key, DescriptorObservation* out) {
+  if (!adb.Covers(desc)) return Status::OK();
   if (desc.hops.empty()) {
     SQUID_ASSIGN_OR_RETURN(out->basic_value, adb.BasicValue(desc, row));
     return Status::OK();
@@ -116,24 +119,22 @@ Result<EntityContextProfile> BuildEntityContextProfile(
     SQUID_ASSIGN_OR_RETURN(profile.row,
                            adb.EntityRowByKey(entity_relation, entity_key));
   }
-  const std::vector<const PropertyDescriptor*> descs =
-      adb.schema_graph().DescriptorsFor(entity_relation);
-  profile.observations.resize(descs.size());
-  if (pool != nullptr && pool->num_threads() > 1 && descs.size() > 1) {
+  const SchemaGraph& graph = adb.schema_graph();
+  const std::vector<size_t>& ordinals = graph.OrdinalsFor(entity_relation);
+  profile.observations.resize(ordinals.size());
+  auto observe = [&](size_t d) {
+    return ObserveDescriptor(adb, graph.descriptors()[ordinals[d]], profile.row,
+                             entity_key, &profile.observations[d]);
+  };
+  if (pool != nullptr && pool->num_threads() > 1 && ordinals.size() > 1) {
     // Per-descriptor point queries are independent; fan them out into
     // canonical slots (bit-identical to the serial loop below).
-    std::vector<Status> statuses(descs.size());
-    pool->ParallelFor(descs.size(), [&](size_t d) {
-      statuses[d] = ObserveDescriptor(adb, *descs[d], profile.row, entity_key,
-                                      &profile.observations[d]);
-    });
+    std::vector<Status> statuses(ordinals.size());
+    pool->ParallelFor(ordinals.size(), [&](size_t d) { statuses[d] = observe(d); });
     for (const Status& st : statuses) SQUID_RETURN_NOT_OK(st);
     return profile;
   }
-  for (size_t d = 0; d < descs.size(); ++d) {
-    SQUID_RETURN_NOT_OK(ObserveDescriptor(adb, *descs[d], profile.row, entity_key,
-                                          &profile.observations[d]));
-  }
+  for (size_t d = 0; d < ordinals.size(); ++d) SQUID_RETURN_NOT_OK(observe(d));
   return profile;
 }
 
@@ -161,18 +162,19 @@ Result<std::vector<SemanticContext>> MergeContextProfiles(
     return Status::InvalidArgument("no entity profiles for context discovery");
   }
   const size_t support = profiles.size();
-  const std::vector<const PropertyDescriptor*> descs =
-      adb.schema_graph().DescriptorsFor(entity_relation);
+  const SchemaGraph& graph = adb.schema_graph();
+  const std::vector<size_t>& ordinals = graph.OrdinalsFor(entity_relation);
   for (const EntityContextProfile* profile : profiles) {
-    if (profile == nullptr || profile->observations.size() != descs.size()) {
+    if (profile == nullptr || profile->observations.size() != ordinals.size()) {
       return Status::Internal("entity profile does not match descriptor set of '" +
                               entity_relation + "'");
     }
   }
 
   std::vector<size_t> at;  // ForEachSharedValue cursors
-  for (size_t d = 0; d < descs.size(); ++d) {
-    const PropertyDescriptor* desc = descs[d];
+  for (size_t d = 0; d < ordinals.size(); ++d) {
+    const PropertyDescriptor* desc = &graph.descriptors()[ordinals[d]];
+    if (!adb.Covers(*desc)) continue;  // empty slot: nothing to share
     if (desc->hops.empty()) {
       SQUID_RETURN_NOT_OK(
           MergeBasicObservations(*desc, profiles, d, support, &contexts));

@@ -49,7 +49,8 @@ struct DescriptorObservation {
 
 /// \brief The cacheable per-entity unit of context discovery: one
 /// observation per descriptor of the entity's relation, in
-/// SchemaGraph::DescriptorsFor order.
+/// SchemaGraph::OrdinalsFor order. A descriptor the αDB does not cover
+/// (AbductionReadyDb::Covers) keeps an empty observation.
 struct EntityContextProfile {
   /// Resolved row of the entity in its relation.
   size_t row = 0;

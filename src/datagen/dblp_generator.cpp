@@ -90,8 +90,16 @@ Result<DblpData> GenerateDblp(const DblpOptions& options) {
 
   const size_t num_authors =
       std::max<size_t>(300, static_cast<size_t>(options.num_authors * options.scale));
+  // The planted structures below claim publications from the back of the
+  // organic ones: up to 2 x 18 per prolific author (DQ2), 15 for the trio
+  // (DQ4) and 12 per lab collaborator (DQ1). Small scales generate at least
+  // that many, so the claims always fit.
+  const size_t prolific_cohort = std::max<size_t>(20, num_authors / 75);
+  const size_t lab_cohort = std::max<size_t>(15, num_authors / 100);
+  const size_t planted_pubs = prolific_cohort * 2 * 18 + 15 + lab_cohort * 12;
   const size_t num_pubs = std::max<size_t>(
-      600, static_cast<size_t>(options.num_publications * options.scale));
+      {600, planted_pubs,
+       static_cast<size_t>(options.num_publications * options.scale)});
   const size_t num_affiliations = std::max<size_t>(
       20, static_cast<size_t>(options.num_affiliations * options.scale));
   const size_t num_keywords = 150;
@@ -156,8 +164,7 @@ Result<DblpData> GenerateDblp(const DblpOptions& options) {
   // DQ2 + Fig. 13(c): prolific DB authors with >= 10 publications at each
   // flagship venue.
   {
-    size_t cohort = std::max<size_t>(20, num_authors / 75);
-    for (size_t k = 0; k < cohort; ++k) {
+    for (size_t k = 0; k < prolific_cohort; ++k) {
       AuthorRow& a = authors[next_author--];
       manifest.prolific_authors.push_back(a.name);
       for (int64_t v = 1; v <= 2; ++v) {
@@ -209,8 +216,7 @@ Result<DblpData> GenerateDblp(const DblpOptions& options) {
       b.affiliation_id = lab_b_id;
       lab_b_members.push_back(b.id);
     }
-    size_t cohort = std::max<size_t>(15, num_authors / 100);
-    for (size_t k = 0; k < cohort; ++k) {
+    for (size_t k = 0; k < lab_cohort; ++k) {
       AuthorRow& a = authors[next_author--];
       for (int i = 0; i < 6; ++i) {
         PubRow& p1 = pubs[next_pub--];

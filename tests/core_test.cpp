@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <unordered_map>
 
 #include "adb/abduction_ready_db.h"
@@ -628,6 +629,419 @@ TEST(AbductionMathTest, OutlierDetection) {
   EXPECT_FALSE(AbductionModel::IsOutlier(3, thetas, 2.0));
   // n < 3: everything is an outlier.
   EXPECT_TRUE(AbductionModel::IsOutlier(1, {1, 1}, 2.0));
+}
+
+// ---------- Ordinal-indexed abduction vs the string-keyed model ----------
+
+// The string-keyed abduction pieces the ordinal-indexed AbductionModel
+// replaced, kept as the oracle of the differential tests below: stats are
+// resolved by descriptor id on every call, outlier families are grouped in a
+// map keyed by id, and each family's skewness and s are recomputed once per
+// member.
+namespace string_abduction {
+
+double Skewness(const std::vector<double>& thetas) {
+  const size_t n = thetas.size();
+  if (n < 3) return 0.0;
+  double mean = 0;
+  for (double t : thetas) mean += t;
+  mean /= static_cast<double>(n);
+  double m2 = 0, m3 = 0;
+  for (double t : thetas) {
+    double d = t - mean;
+    m2 += d * d;
+    m3 += d * d * d;
+  }
+  double s = std::sqrt(m2 / static_cast<double>(n - 1));
+  if (s <= 0) return 0.0;
+  return static_cast<double>(n) * m3 /
+         (s * s * s * static_cast<double>(n - 1) * static_cast<double>(n - 2));
+}
+
+bool IsOutlier(double theta, const std::vector<double>& thetas, double k) {
+  const size_t n = thetas.size();
+  if (n < 3) return true;
+  double mean = 0;
+  for (double t : thetas) mean += t;
+  mean /= static_cast<double>(n);
+  double var = 0;
+  for (double t : thetas) var += (t - mean) * (t - mean);
+  double s = std::sqrt(var / static_cast<double>(n - 1));
+  return (theta - mean) > k * s;
+}
+
+Result<double> Selectivity(const AbductionReadyDb& adb, const SquidConfig& config,
+                           const SemanticProperty& p) {
+  const PropertyDescriptor* desc = p.descriptor;
+  if (desc == nullptr) return Status::InvalidArgument("property without descriptor");
+  SQUID_ASSIGN_OR_RETURN(const PropertyStats* stats, adb.StatsFor(desc->id));
+  switch (desc->kind) {
+    case PropertyKind::kInlineCategorical:
+    case PropertyKind::kDimCategorical:
+      return stats->SelectivityEquals(p.value);
+    case PropertyKind::kInlineNumeric:
+      return stats->SelectivityRange(p.lo, p.hi);
+    case PropertyKind::kMultiValued: {
+      if (stats->total_entities() == 0) return 0.0;
+      return static_cast<double>(stats->EntitiesWithValue(p.value)) /
+             static_cast<double>(stats->total_entities());
+    }
+    case PropertyKind::kDerivedCategorical:
+    case PropertyKind::kDerivedNumericBucket:
+    case PropertyKind::kDerivedEntity:
+      if (config.normalize_association && p.theta_norm >= 0) {
+        return stats->SelectivityDerivedNormalized(p.value, p.theta_norm);
+      }
+      return stats->SelectivityDerived(p.value, p.theta);
+  }
+  return Status::Internal("unreachable");
+}
+
+Result<double> DomainCoverage(const AbductionReadyDb& adb, const SemanticProperty& p) {
+  const PropertyDescriptor* desc = p.descriptor;
+  SQUID_ASSIGN_OR_RETURN(const PropertyStats* stats, adb.StatsFor(desc->id));
+  if (desc->kind == PropertyKind::kInlineNumeric) {
+    double extent = stats->domain_max() - stats->domain_min();
+    if (extent <= 0) return 1.0;
+    return std::clamp((p.hi - p.lo) / extent, 0.0, 1.0);
+  }
+  size_t domain = stats->domain_size();
+  if (domain == 0) return 1.0;
+  return 1.0 / static_cast<double>(domain);
+}
+
+void ApplyOutlierImpact(const SquidConfig& config, std::vector<Filter>* filters) {
+  if (!config.use_outlier_impact) return;
+  std::map<std::string, std::vector<double>> family_thetas;
+  for (const Filter& f : *filters) {
+    if (!f.property.has_theta()) continue;
+    if (f.property.descriptor->kind == PropertyKind::kDerivedEntity) continue;
+    double t = config.normalize_association && f.property.theta_norm >= 0
+                   ? f.property.theta_norm
+                   : f.property.theta;
+    family_thetas[f.property.descriptor->id].push_back(t);
+  }
+  for (Filter& f : *filters) {
+    if (!f.property.has_theta() ||
+        f.property.descriptor->kind == PropertyKind::kDerivedEntity) {
+      f.lambda = 1.0;
+      continue;
+    }
+    const std::vector<double>& thetas = family_thetas[f.property.descriptor->id];
+    double t = config.normalize_association && f.property.theta_norm >= 0
+                   ? f.property.theta_norm
+                   : f.property.theta;
+    if (thetas.size() < 3) {
+      f.lambda = 1.0;
+      continue;
+    }
+    bool skewed = Skewness(thetas) > config.tau_s;
+    f.lambda = (skewed && IsOutlier(t, thetas, config.outlier_k)) ? 1.0 : 0.0;
+  }
+}
+
+Result<std::vector<Filter>> AbduceFilters(const AbductionReadyDb& adb,
+                                          const SquidConfig& config,
+                                          const std::vector<SemanticContext>& contexts,
+                                          size_t num_examples) {
+  AbductionModel model(&adb, config);  // δ and α only: neither looks stats up
+  std::vector<Filter> filters;
+  for (const SemanticContext& ctx : contexts) {
+    Filter f;
+    f.property = ctx.property;
+    SQUID_ASSIGN_OR_RETURN(f.selectivity, Selectivity(adb, config, f.property));
+    SQUID_ASSIGN_OR_RETURN(double coverage, DomainCoverage(adb, f.property));
+    f.delta = model.DeltaOf(coverage);
+    f.alpha = model.AlphaOf(f.property);
+    filters.push_back(std::move(f));
+  }
+  ApplyOutlierImpact(config, &filters);
+  const double n = static_cast<double>(num_examples);
+  for (Filter& f : filters) {
+    f.prior = config.rho * f.delta * f.alpha * f.lambda;
+    f.include_score = f.prior;
+    f.exclude_score = (1.0 - f.prior) * std::pow(f.selectivity, n);
+    f.included = f.include_score > f.exclude_score;
+  }
+  return filters;
+}
+
+}  // namespace string_abduction
+
+// What a profile observes, read off the αDB's relations by scanning instead
+// of through the descriptor records: each dim hop scans the dim table for
+// its key, and derived values come from a per-descriptor entity -> rows map
+// built here from the derived relation.
+class ScanProfiler {
+ public:
+  explicit ScanProfiler(const AbductionReadyDb& adb) : adb_(adb) {}
+
+  DescriptorObservation Observe(const PropertyDescriptor& desc, size_t row,
+                                const Value& key) {
+    DescriptorObservation obs;
+    const Database& db = adb_.database();
+    if (desc.hops.empty()) {
+      const Table* table = db.GetTable(desc.entity_relation).value();
+      size_t r = row;
+      for (const DimHop& dim : desc.dims) {
+        const Column* from = table->ColumnByName(dim.from_attr).value();
+        if (from->IsNull(r)) return obs;
+        const Value fk = from->ValueAt(r);
+        const Table* next = db.GetTable(dim.dim_relation).value();
+        const Column* pk = next->ColumnByName(dim.dim_key).value();
+        size_t found = next->num_rows();
+        for (size_t i = 0; i < next->num_rows() && found == next->num_rows(); ++i) {
+          if (!pk->IsNull(i) && pk->ValueAt(i) == fk) found = i;
+        }
+        EXPECT_LT(found, next->num_rows()) << desc.id;
+        table = next;
+        r = found;
+      }
+      obs.basic_value = table->ColumnByName(desc.terminal_attr).value()->ValueAt(r);
+      return obs;
+    }
+    const Table* derived = db.GetTable(desc.derived_table).value();
+    const Column* value = derived->ColumnByName("value").value();
+    const Column* count = derived->ColumnByName("count").value();
+    const Column* frac = derived->ColumnByName("frac").value();
+    auto [it, fresh] = rows_by_entity_.try_emplace(desc.id);
+    if (fresh) {
+      const Column* entity = derived->ColumnByName("entity_id").value();
+      for (size_t r = 0; r < derived->num_rows(); ++r) {
+        it->second[entity->ValueAt(r)].push_back(r);
+      }
+    }
+    auto rows = it->second.find(key);
+    if (rows == it->second.end()) return obs;
+    for (size_t r : rows->second) {
+      const double c = static_cast<double>(count->Int64At(r));
+      obs.values.emplace_back(value->ValueAt(r), c);
+      if (obs.total == 0 && c > 0 && frac->DoubleAt(r) > 0) {
+        obs.total = static_cast<double>(std::llround(c / frac->DoubleAt(r)));
+      }
+    }
+    std::stable_sort(obs.values.begin(), obs.values.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    return obs;
+  }
+
+ private:
+  const AbductionReadyDb& adb_;
+  std::map<std::string, std::unordered_map<Value, std::vector<size_t>, ValueHash>>
+      rows_by_entity_;
+};
+
+void ExpectSameValue(const Value& got, const Value& want, const std::string& where) {
+  EXPECT_EQ(got.type(), want.type()) << where;
+  EXPECT_TRUE(got == want) << where << ": " << got.ToString() << " vs "
+                           << want.ToString();
+  if (got.type() == ValueType::kDouble && want.type() == ValueType::kDouble) {
+    EXPECT_EQ(Bits(got.AsDouble()), Bits(want.AsDouble())) << where;
+  }
+}
+
+void ExpectSameObservation(const DescriptorObservation& got,
+                           const DescriptorObservation& want,
+                           const std::string& where) {
+  ExpectSameValue(got.basic_value, want.basic_value, where);
+  ASSERT_EQ(got.values.size(), want.values.size()) << where;
+  for (size_t i = 0; i < got.values.size(); ++i) {
+    ExpectSameValue(got.values[i].first, want.values[i].first, where);
+    EXPECT_EQ(Bits(got.values[i].second), Bits(want.values[i].second)) << where;
+  }
+  EXPECT_EQ(Bits(got.total), Bits(want.total)) << where;
+}
+
+void ExpectSameFilters(const std::vector<Filter>& got, const std::vector<Filter>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const Filter& g = got[i];
+    const Filter& w = want[i];
+    const std::string at = where + " filter " + std::to_string(i);
+    EXPECT_EQ(g.property.descriptor, w.property.descriptor) << at;
+    ExpectSameValue(g.property.value, w.property.value, at);
+    EXPECT_EQ(Bits(g.property.lo), Bits(w.property.lo)) << at;
+    EXPECT_EQ(Bits(g.property.hi), Bits(w.property.hi)) << at;
+    EXPECT_EQ(Bits(g.property.theta), Bits(w.property.theta)) << at;
+    EXPECT_EQ(Bits(g.property.theta_norm), Bits(w.property.theta_norm)) << at;
+    EXPECT_EQ(Bits(g.selectivity), Bits(w.selectivity)) << at;
+    EXPECT_EQ(Bits(g.delta), Bits(w.delta)) << at;
+    EXPECT_EQ(Bits(g.alpha), Bits(w.alpha)) << at;
+    EXPECT_EQ(Bits(g.lambda), Bits(w.lambda)) << at;
+    EXPECT_EQ(Bits(g.prior), Bits(w.prior)) << at;
+    EXPECT_EQ(Bits(g.include_score), Bits(w.include_score)) << at;
+    EXPECT_EQ(Bits(g.exclude_score), Bits(w.exclude_score)) << at;
+    EXPECT_EQ(g.included, w.included) << at;
+  }
+  EXPECT_EQ(Bits(AbductionModel::LogPosterior(got)),
+            Bits(AbductionModel::LogPosterior(want)))
+      << where;
+}
+
+/// Example sets of sizes 2-7 drawn from every benchmark query's ground
+/// truth: each chosen entity's profile must match the scanned observations,
+/// and abduction over the merged contexts must match the string-keyed model
+/// bit for bit, with and without normalized association strengths.
+template <typename Bench>
+void ExpectOrdinalAbductionMatchesStringKeyed(const Bench& bench, size_t* sets) {
+  const AbductionReadyDb& adb = *bench.adb;
+  ScanProfiler scan(adb);
+  for (const BenchmarkQuery& query : bench.queries) {
+    auto truth = GroundTruth(*bench.data.db, query);
+    ASSERT_TRUE(truth.ok()) << query.id;
+    for (size_t k = 2; k <= 7; ++k) {
+      for (uint64_t seed : {5u, 23u}) {
+        Rng rng(seed * 31 + k);
+        const std::vector<std::string> examples = SampleExamples(truth.value(), k, &rng);
+        auto matches = LookupExamples(adb, examples);
+        if (!matches.ok()) continue;
+        for (const EntityMatch& match : matches.value()) {
+          const std::string where = query.id + " k=" + std::to_string(k) +
+                                    " seed=" + std::to_string(seed) + " " +
+                                    match.relation + "." + match.attribute;
+          auto resolved = ResolveEntities(adb, match, SquidConfig{});
+          ASSERT_TRUE(resolved.ok()) << where;
+          const std::vector<Value>& keys = resolved.value().keys;
+          const std::vector<size_t>& ordinals =
+              adb.schema_graph().OrdinalsFor(match.relation);
+          std::vector<EntityContextProfile> profiles;
+          for (size_t i = 0; i < keys.size(); ++i) {
+            auto profile = BuildEntityContextProfile(adb, match.relation, keys[i],
+                                                     &resolved.value().rows[i]);
+            ASSERT_TRUE(profile.ok()) << where;
+            ASSERT_EQ(profile.value().observations.size(), ordinals.size()) << where;
+            for (size_t d = 0; d < ordinals.size(); ++d) {
+              const PropertyDescriptor& desc = adb.schema_graph().descriptors()[ordinals[d]];
+              ExpectSameObservation(
+                  profile.value().observations[d],
+                  scan.Observe(desc, resolved.value().rows[i], keys[i]),
+                  where + " " + desc.id);
+            }
+            profiles.push_back(std::move(profile).value());
+          }
+          std::vector<const EntityContextProfile*> views;
+          for (const EntityContextProfile& p : profiles) views.push_back(&p);
+          for (bool normalize : {false, true}) {
+            SquidConfig config;
+            config.normalize_association = normalize;
+            auto contexts = MergeContextProfiles(adb, match.relation, views, config);
+            ASSERT_TRUE(contexts.ok()) << where;
+            auto got = AbductionModel(&adb, config).AbduceFilters(contexts.value(),
+                                                                  keys.size());
+            auto want = string_abduction::AbduceFilters(adb, config, contexts.value(),
+                                                        keys.size());
+            ASSERT_TRUE(got.ok()) << where;
+            ASSERT_TRUE(want.ok()) << where;
+            ExpectSameFilters(got.value(), want.value(),
+                              where + (normalize ? " normalized" : ""));
+            ++*sets;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AbductionDifferentialTest, OrdinalModelMatchesStringKeyedModel) {
+  size_t sets = 0;
+  ExpectOrdinalAbductionMatchesStringKeyed(bench::BuildImdbBench(0.2), &sets);
+  ExpectOrdinalAbductionMatchesStringKeyed(bench::BuildDblpBench(0.2), &sets);
+  EXPECT_GT(sets, 200u) << "too few example sets to compare";
+}
+
+// Outlier families (Appendix B) on hand-made contexts over the movies
+// fixture's person descriptors.
+class OutlierFamilyTest : public MoviesFixture {
+ protected:
+  const PropertyDescriptor* Desc(const std::string& id) const {
+    auto desc = adb_->schema_graph().FindDescriptor(id);
+    EXPECT_TRUE(desc.ok()) << id;
+    return desc.ok() ? desc.value() : nullptr;
+  }
+
+  static SemanticContext Derived(const PropertyDescriptor* desc, double theta) {
+    SemanticContext ctx;
+    ctx.property.descriptor = desc;
+    ctx.property.value = Value(int64_t{1});
+    ctx.property.theta = theta;
+    ctx.support = 2;
+    return ctx;
+  }
+
+  /// λ of each filter, checked against the string-keyed model first.
+  std::vector<double> Lambdas(const std::vector<SemanticContext>& contexts) const {
+    SquidConfig config;
+    auto got = AbductionModel(adb_.get(), config).AbduceFilters(contexts, 2);
+    auto want = string_abduction::AbduceFilters(*adb_, config, contexts, 2);
+    EXPECT_TRUE(got.ok() && want.ok());
+    if (!got.ok() || !want.ok()) return {};
+    ExpectSameFilters(got.value(), want.value(), "outlier family");
+    std::vector<double> lambdas;
+    for (const Filter& f : got.value()) lambdas.push_back(f.lambda);
+    return lambdas;
+  }
+};
+
+TEST_F(OutlierFamilyTest, InterleavedSkewedAndUnskewedFamilies) {
+  const PropertyDescriptor* genre = Desc("person~castinfo~movie~movietogenre~genre.name");
+  const PropertyDescriptor* costar = Desc("person~castinfo~movie~castinfo~person.gender");
+  ASSERT_NE(genre, nullptr);
+  ASSERT_NE(costar, nullptr);
+  // Genre thetas {40, 3, 2, 2, 1, 1, 1} are skewed (skewness > τs = 2), and
+  // only 40 stands out; co-star thetas {12, 10, 10, 9, 9} are not skewed.
+  ASSERT_GT(AbductionModel::Skewness({40, 3, 2, 2, 1, 1, 1}), 2.0);
+  ASSERT_LT(AbductionModel::Skewness({12, 10, 10, 9, 9}), 2.0);
+  const std::vector<double> genre_thetas = {40, 3, 2, 2, 1, 1, 1};
+  const std::vector<double> costar_thetas = {12, 10, 10, 9, 9};
+  std::vector<SemanticContext> contexts;
+  for (size_t i = 0; i < genre_thetas.size(); ++i) {
+    contexts.push_back(Derived(genre, genre_thetas[i]));
+    if (i < costar_thetas.size()) contexts.push_back(Derived(costar, costar_thetas[i]));
+  }
+  const std::vector<double> lambdas = Lambdas(contexts);
+  ASSERT_EQ(lambdas.size(), contexts.size());
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    const bool strong_genre =
+        contexts[i].property.descriptor == genre && contexts[i].property.theta == 40;
+    EXPECT_EQ(lambdas[i], strong_genre ? 1.0 : 0.0) << i;
+  }
+}
+
+TEST_F(OutlierFamilyTest, FamilyOfFewerThanThreeKeepsEveryFilter) {
+  const PropertyDescriptor* year = Desc("person~castinfo~movie.year");
+  const PropertyDescriptor* genre = Desc("person~castinfo~movie~movietogenre~genre.name");
+  ASSERT_NE(year, nullptr);
+  ASSERT_NE(genre, nullptr);
+  // Two year-bucket filters among a skewed genre family: skewness is
+  // undefined for n < 3, so both stay (λ = 1).
+  const std::vector<double> lambdas =
+      Lambdas({Derived(genre, 40), Derived(year, 1), Derived(genre, 1),
+               Derived(genre, 1), Derived(year, 50), Derived(genre, 1),
+               Derived(genre, 1), Derived(genre, 1)});
+  const std::vector<double> want = {1, 1, 0, 0, 1, 0, 0, 0};
+  EXPECT_EQ(lambdas, want);
+}
+
+TEST_F(OutlierFamilyTest, IdentityAndBasicFiltersFormNoFamily) {
+  const PropertyDescriptor* identity = Desc("person~castinfo~movie#identity");
+  const PropertyDescriptor* gender = Desc("person.gender");
+  ASSERT_NE(identity, nullptr);
+  ASSERT_NE(gender, nullptr);
+  ASSERT_EQ(identity->kind, PropertyKind::kDerivedEntity);
+  // Identity thetas as skewed as the genre family above: if they formed a
+  // family, the weak ones would get λ = 0.
+  std::vector<SemanticContext> contexts;
+  for (double t : {40.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0}) {
+    contexts.push_back(Derived(identity, t));
+  }
+  SemanticContext basic;
+  basic.property.descriptor = gender;
+  basic.property.value = Value("Female");
+  basic.support = 2;
+  contexts.push_back(basic);
+  const std::vector<double> lambdas = Lambdas(contexts);
+  EXPECT_EQ(lambdas, std::vector<double>(contexts.size(), 1.0));
 }
 
 TEST_F(MoviesFixture, DeltaPenalizesWideRanges) {

@@ -273,6 +273,49 @@ TEST_F(DblpFixture, TrioPublishesTogether) {
   EXPECT_GE(rs.value().num_rows(), 15u);
 }
 
+// ---------- Small scales ----------
+
+// Below the default scales the generators sit at their row-count floors.
+// The planted structures still claim their rows from the back of the
+// generated ones, so they must fit there (GenerateDblp once indexed past
+// its publications at scale 0.1).
+TEST(SmallScaleTest, ImdbGeneratesAtSmallScales) {
+  for (double scale : {0.05, 0.1}) {
+    ImdbOptions o;
+    o.scale = scale;
+    auto data = GenerateImdb(o);
+    ASSERT_TRUE(data.ok()) << "scale=" << scale << " " << data.status().ToString();
+    EXPECT_EQ(data.value().db->num_tables(), 15u);
+    EXPECT_TRUE(data.value().db->ValidateForeignKeys().ok()) << "scale=" << scale;
+    EXPECT_FALSE(data.value().manifest.costar_a.empty());
+  }
+}
+
+TEST(SmallScaleTest, DblpGeneratesAtSmallScales) {
+  for (double scale : {0.05, 0.1}) {
+    DblpOptions o;
+    o.scale = scale;
+    auto data = GenerateDblp(o);
+    ASSERT_TRUE(data.ok()) << "scale=" << scale << " " << data.status().ToString();
+    const Database& db = *data.value().db;
+    EXPECT_EQ(db.num_tables(), 14u);
+    EXPECT_TRUE(db.ValidateForeignKeys().ok()) << "scale=" << scale;
+    const DblpManifest& m = data.value().manifest;
+    EXPECT_EQ(m.trio.size(), 3u);
+    EXPECT_FALSE(m.prolific_authors.empty());
+    // The planted cohort kept all of its flagship publications.
+    auto q = ParseQuery(
+        "SELECT a.name FROM author a, writes w, publication p, venue v WHERE "
+        "w.author_id = a.id AND w.pub_id = p.id AND p.venue_id = v.id AND "
+        "v.name = '" + m.venue_sigmod + "' AND a.name = '" +
+        m.prolific_authors[0] + "' GROUP BY a.id HAVING count(*) >= 10");
+    ASSERT_TRUE(q.ok());
+    auto rs = ExecuteQuery(db, q.value());
+    ASSERT_TRUE(rs.ok());
+    EXPECT_EQ(rs.value().num_rows(), 1u) << "scale=" << scale;
+  }
+}
+
 // ---------- Adult generator ----------
 
 TEST(AdultGeneratorTest, SchemaAndMarginals) {

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -23,9 +25,12 @@
 #include "core/squid.h"
 #include "datagen/dblp_generator.h"
 #include "datagen/imdb_generator.h"
+#include "eval/sampler.h"
 #include "sql/printer.h"
 #include "storage/snapshot.h"
 #include "tests/test_util.h"
+#include "workloads/benchmark_query.h"
+#include "workloads/imdb_queries.h"
 
 namespace squid {
 namespace {
@@ -326,6 +331,59 @@ TEST_F(SnapshotFixtureTest, AcademicsDiscoverParityLoadedVsFresh) {
   CheckParity(*db, "academics", {{"Dan Susic", "Sam Madsen"}});
 }
 
+// ---------- capped αDB ----------
+
+// max_derived_rows leaves each descriptor it skips in the schema graph with
+// an empty record. Discover must skip that slot, not fail every candidate
+// on it — on the built αDB and on one booted from its snapshot alike.
+TEST(SnapshotCappedTest, DiscoverSucceedsOnCappedAdbBuiltAndReloaded) {
+  ImdbOptions gen;
+  gen.scale = 0.1;
+  auto data = GenerateImdb(gen);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const Database& db = *data.value().db;
+  auto full = AbductionReadyDb::Build(db);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  AdbOptions options;
+  options.max_derived_rows = 5000;
+  auto capped = AbductionReadyDb::Build(db, options);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  ASSERT_LT(capped.value()->report().num_derived_relations,
+            full.value()->report().num_derived_relations)
+      << "the cap skipped nothing; the test would not exercise empty records";
+  size_t skipped = 0;
+  for (const PropertyDescriptor& desc : capped.value()->schema_graph().descriptors()) {
+    if (capped.value()->Covers(desc)) continue;
+    ++skipped;
+    EXPECT_FALSE(capped.value()->StatsFor(desc).ok()) << desc.id;
+    EXPECT_FALSE(capped.value()->DerivedValues(desc, Value(int64_t{1})).ok()) << desc.id;
+  }
+  EXPECT_GT(skipped, 0u);
+
+  const std::string path = TempPath("capped.sqsnap");
+  ASSERT_TRUE(capped.value()->SaveSnapshot(path).ok());
+  auto loaded = AbductionReadyDb::LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::remove(path.c_str());
+
+  Squid capped_squid(capped.value().get());
+  Squid loaded_squid(loaded.value().get());
+  size_t sets = 0;
+  for (const BenchmarkQuery& query : ImdbBenchmarkQueries(data.value().manifest)) {
+    auto truth = GroundTruth(db, query);
+    ASSERT_TRUE(truth.ok()) << query.id;
+    Rng rng(17);
+    const std::vector<std::string> examples = SampleExamples(truth.value(), 5, &rng);
+    if (examples.empty()) continue;
+    ++sets;
+    auto direct = capped_squid.Discover(examples);
+    EXPECT_TRUE(direct.ok()) << query.id << ": " << direct.status().ToString();
+    EXPECT_EQ(Fingerprint(loaded_squid.Discover(examples)), Fingerprint(direct))
+        << query.id;
+  }
+  EXPECT_GE(sets, 10u);
+}
+
 // ---------- manifest peek ----------
 
 TEST(SnapshotInfoTest, DescribesFileWithoutLoadingIt) {
@@ -576,6 +634,125 @@ TEST_F(SnapshotCorruptionTest, SeededFuzzTruncationsNeverCrash) {
     std::vector<uint8_t> b(bytes_->begin(), bytes_->begin() + keep);
     Status s = TryLoad(b, "fuzz_trunc");
     EXPECT_FALSE(s.ok()) << "truncation to " << keep << " bytes accepted";
+  }
+}
+
+/// Re-serializes `bytes` with `patch` applied to the payload of the extent
+/// of type `type`. Every checksum comes out valid, so the load reaches the
+/// payload's own validation.
+std::vector<uint8_t> PatchExtent(const std::vector<uint8_t>& bytes, ExtentType type,
+                                 const std::function<void(std::vector<uint8_t>*)>& patch) {
+  auto file = SnapshotFile::FromBytes(bytes);
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
+  SnapshotWriter writer;
+  for (const SnapshotFile::ExtentInfo& info : file.value().extents()) {
+    std::vector<uint8_t> payload(bytes.begin() + static_cast<ptrdiff_t>(info.offset),
+                                 bytes.begin() +
+                                     static_cast<ptrdiff_t>(info.offset + info.length));
+    if (info.type == type) patch(&payload);
+    ExtentWriter* out = writer.AddExtent(info.type);
+    for (uint8_t b : payload) out->U8(b);
+  }
+  return writer.Serialize();
+}
+
+/// Replaces every length-prefixed occurrence of `from` in `payload` by `to`
+/// (same length, so no offset moves); returns the number replaced.
+size_t ReplaceStr(std::vector<uint8_t>* payload, const std::string& from,
+                  const std::string& to) {
+  std::string needle(4, '\0');
+  const uint32_t len = static_cast<uint32_t>(from.size());
+  std::memcpy(needle.data(), &len, 4);
+  needle += from;
+  size_t n = 0;
+  auto it = payload->begin();
+  while ((it = std::search(it, payload->end(), needle.begin(), needle.end())) !=
+         payload->end()) {
+    std::copy(to.begin(), to.end(), it + 4);
+    it += static_cast<ptrdiff_t>(needle.size());
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(SnapshotCorruptionTest, RepatchedIntactSnapshotLoads) {
+  // The re-serialization alone must not disturb a load.
+  auto same = PatchExtent(*bytes_, ExtentType::kSchemas, [](std::vector<uint8_t>*) {});
+  EXPECT_TRUE(TryLoad(same, "repatched").ok());
+}
+
+TEST_F(SnapshotCorruptionTest, DerivedRelationWithoutValueColumnIsCorruption) {
+  size_t renamed = 0;
+  auto b = PatchExtent(*bytes_, ExtentType::kSchemas, [&](std::vector<uint8_t>* p) {
+    renamed = ReplaceStr(p, "value", "valuX");
+  });
+  ASSERT_GT(renamed, 0u);
+  Status s = TryLoad(b, "no_value_column");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("value"), std::string::npos) << s.ToString();
+}
+
+TEST_F(SnapshotCorruptionTest, DerivedRelationWithMistypedCountIsCorruption) {
+  // The count column's type byte follows its name in the schema. Whichever
+  // check sees the mismatch first (table data against its schema, the
+  // totals, or the record's own column check), the load must fail cleanly.
+  size_t retyped = 0;
+  auto b = PatchExtent(*bytes_, ExtentType::kSchemas, [&](std::vector<uint8_t>* p) {
+    const std::string name = "count";
+    for (size_t i = 0; i + 4 + name.size() < p->size(); ++i) {
+      if (std::memcmp(p->data() + i + 4, name.data(), name.size()) != 0) continue;
+      uint32_t len;
+      std::memcpy(&len, p->data() + i, 4);
+      uint8_t& type = (*p)[i + 4 + name.size()];
+      if (len != name.size() || type != static_cast<uint8_t>(ValueType::kInt64)) continue;
+      type = static_cast<uint8_t>(ValueType::kDouble);
+      ++retyped;
+    }
+  });
+  ASSERT_GT(retyped, 0u);
+  Status s = TryLoad(b, "mistyped_count");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+}
+
+// ---------- descriptors of another graph ----------
+
+TEST(SnapshotForeignDescriptorTest, ForeignDescriptorsGetAStatusNeverAnIndex) {
+  auto db = MakeMoviesDb();
+  auto built = AbductionReadyDb::Build(*db);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string path = TempPath("foreign.sqsnap");
+  ASSERT_TRUE(built.value()->SaveSnapshot(path).ok());
+  auto loaded = AbductionReadyDb::LoadSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const AbductionReadyDb& adb = *built.value();
+  const Value key(int64_t{1});
+
+  for (const PropertyDescriptor& own : adb.schema_graph().descriptors()) {
+    // Same id and ordinal, but the loaded αDB's descriptor object.
+    auto twin = loaded.value()->schema_graph().FindDescriptor(own.id);
+    ASSERT_TRUE(twin.ok()) << own.id;
+    ASSERT_EQ(twin.value()->ordinal, own.ordinal);
+    // A detached copy, and one whose ordinal is out of range.
+    PropertyDescriptor copy = own;
+    PropertyDescriptor far = own;
+    far.ordinal = adb.schema_graph().descriptors().size() + 1000;
+    for (const PropertyDescriptor* foreign :
+         std::vector<const PropertyDescriptor*>{twin.value(), &copy, &far}) {
+      EXPECT_FALSE(adb.Covers(*foreign)) << own.id;
+      auto stats = adb.StatsFor(*foreign);
+      ASSERT_FALSE(stats.ok()) << own.id;
+      EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_FALSE(adb.BasicValue(*foreign, 0).ok()) << own.id;
+      EXPECT_FALSE(adb.DerivedValues(*foreign, key).ok()) << own.id;
+      EXPECT_EQ(adb.EntityTotal(*foreign, key), 0.0) << own.id;
+    }
+    // The owning αDBs resolve them, and the id lookup still works.
+    EXPECT_TRUE(adb.StatsFor(own).ok()) << own.id;
+    EXPECT_TRUE(loaded.value()->StatsFor(*twin.value()).ok()) << own.id;
+    EXPECT_TRUE(adb.StatsFor(own.id).ok()) << own.id;
   }
 }
 
