@@ -15,15 +15,14 @@ namespace {
 
 /// Per-descriptor build output, filled by one worker and merged serially in
 /// descriptor order. Everything a descriptor needs (stats, the derived
-/// table, its entity index, per-entity totals) is local to this slot, so
-/// workers hold no locks on the αDB's records.
+/// table, its per-entity row ranges) is local to this slot, so workers hold
+/// no locks on the αDB's records.
 struct DescriptorWork {
   Status status = Status::OK();
   std::optional<PropertyStats> stats;
   std::shared_ptr<Table> derived;  // null for basic and oversized descriptors
   bool oversized = false;          // derived skipped by max_derived_rows
-  std::optional<HashColumnIndex> entity_index;
-  std::unordered_map<Value, double, ValueHash> totals;
+  std::vector<EntityRows> entity_rows;
 };
 
 /// Materializes + computes statistics for one descriptor against the base
@@ -55,13 +54,9 @@ DescriptorWork BuildDescriptor(const Database& base, const HopAdjacencies& adjac
     return work;
   }
   const Table& table = *derived.value().table;
-  auto stats = StatisticsBuilder::BuildFromDerived(
-      table, etable.value()->num_rows(), &work.totals);
+  auto stats = StatisticsBuilder::BuildFromDerived(table, etable.value()->num_rows());
   if (!stats.ok()) return fail(stats.status());
-  auto entity_idx = HashColumnIndex::Build(table, "entity_id");
-  if (!entity_idx.ok()) return fail(entity_idx.status());
   work.stats.emplace(std::move(stats).value());
-  work.entity_index.emplace(std::move(entity_idx).value());
   work.derived = std::move(derived.value().table);
   return work;
 }
@@ -143,7 +138,16 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
   stage.Reset();
   std::vector<DescriptorWork> work(descriptors.size());
   pool.ParallelFor(descriptors.size(), [&](size_t i) {
-    work[i] = BuildDescriptor(base, adjacencies, descriptors[i], options);
+    DescriptorWork& w = work[i];
+    w = BuildDescriptor(base, adjacencies, descriptors[i], options);
+    if (!w.status.ok() || w.derived == nullptr) return;
+    // Reads only the PK indexes and base tables, complete before the fan-out.
+    auto ranges = adb->IndexEntities(descriptors[i], *w.derived);
+    if (ranges.ok()) {
+      w.entity_rows = std::move(ranges).value();
+    } else {
+      w.status = ranges.status();
+    }
   });
   adb->records_.resize(descriptors.size());
   for (size_t i = 0; i < descriptors.size(); ++i) {
@@ -162,8 +166,7 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
     adb->report_.derived_bytes += derived.ApproxBytes();
     ++adb->report_.num_derived_relations;
     SQUID_RETURN_NOT_OK(adb->db_.AddTable(std::move(w.derived)));
-    SQUID_RETURN_NOT_OK(adb->AttachDerived(i, derived, std::move(*w.entity_index),
-                                           std::move(w.totals)));
+    SQUID_RETURN_NOT_OK(adb->AttachDerived(i, derived, std::move(w.entity_rows)));
   }
   SQUID_RETURN_NOT_OK(adb->ResolveRecords());
 
@@ -190,25 +193,35 @@ Status ForeignDescriptor(const PropertyDescriptor& desc) {
 }  // namespace
 
 Status AbductionReadyDb::AttachDerived(size_t ordinal, const Table& derived,
-                                       HashColumnIndex entity_index,
-                                       std::unordered_map<Value, double, ValueHash> totals) {
+                                       std::vector<EntityRows> entity_rows) {
   DescriptorRecord& rec = records_[ordinal];
-  SQUID_ASSIGN_OR_RETURN(rec.value_col, derived.ColumnByName("value"));
-  SQUID_ASSIGN_OR_RETURN(rec.count_col, derived.ColumnByName("count"));
-  if (rec.count_col->type() != ValueType::kInt64) {
+  SQUID_ASSIGN_OR_RETURN(rec.derived.values, derived.ColumnByName("value"));
+  SQUID_ASSIGN_OR_RETURN(rec.derived.counts, derived.ColumnByName("count"));
+  if (rec.derived.counts->type() != ValueType::kInt64) {
     return Status::InvalidArgument("derived table '" + derived.name() +
                                    "' has a non-int64 count column");
   }
-  rec.entity_index = std::move(entity_index);
-  rec.totals = std::move(totals);
+  rec.entity_rows = std::move(entity_rows);
   return Status::OK();
+}
+
+Result<std::vector<EntityRows>> AbductionReadyDb::IndexEntities(
+    const PropertyDescriptor& desc, const Table& derived) const {
+  auto pk = entity_pk_index_.find(desc.entity_relation);
+  if (pk == entity_pk_index_.end()) {
+    return Status::InvalidArgument("entity relation '" + desc.entity_relation +
+                                   "' of descriptor '" + desc.id +
+                                   "' has no primary key");
+  }
+  SQUID_ASSIGN_OR_RETURN(const Table* entity, db_.GetTable(desc.entity_relation));
+  return IndexDerivedEntities(derived, pk->second, entity->num_rows());
 }
 
 Status AbductionReadyDb::ResolveRecords() {
   for (const PropertyDescriptor& desc : graph_.descriptors()) {
     DescriptorRecord& rec = records_[desc.ordinal];
     if (!desc.hops.empty()) {
-      if (rec.stats.has_value() != (rec.value_col != nullptr)) {
+      if (rec.stats.has_value() != (rec.derived.values != nullptr)) {
         return Status::InvalidArgument(
             "descriptor '" + desc.id + "' has " +
             (rec.stats.has_value() ? "stats but no derived relation"
@@ -301,30 +314,51 @@ Result<Value> AbductionReadyDb::BasicValue(const PropertyDescriptor& desc,
   return rec->terminal->ValueAt(current_row);
 }
 
+AbductionReadyDb::DerivedColumns AbductionReadyDb::DerivedColumnsOf(
+    const PropertyDescriptor& desc) const {
+  const DescriptorRecord* rec = RecordOf(desc);
+  return rec == nullptr ? DerivedColumns{} : rec->derived;
+}
+
+Result<EntityRows> AbductionReadyDb::DerivedRows(const PropertyDescriptor& desc,
+                                                 size_t row) const {
+  const DescriptorRecord* rec = RecordOf(desc);
+  if (rec == nullptr) return ForeignDescriptor(desc);
+  if (rec->derived.values == nullptr) {
+    return Status::NotFound("no derived relation for descriptor '" + desc.id + "'");
+  }
+  if (row >= rec->entity_rows.size()) {
+    return Status::OutOfRange("row " + std::to_string(row) + " is past the end of " +
+                              desc.entity_relation);
+  }
+  return rec->entity_rows[row];
+}
+
 Result<std::vector<std::pair<Value, double>>> AbductionReadyDb::DerivedValues(
     const PropertyDescriptor& desc, const Value& key) const {
   const DescriptorRecord* rec = RecordOf(desc);
   if (rec == nullptr) return ForeignDescriptor(desc);
-  if (rec->value_col == nullptr) {
+  if (rec->derived.values == nullptr) {
     return Status::NotFound("no derived relation for descriptor '" + desc.id + "'");
   }
   std::vector<std::pair<Value, double>> out;
-  const std::vector<size_t>* rows = rec->entity_index.Lookup(key);
-  if (rows == nullptr) return out;
-  out.reserve(rows->size());
-  for (size_t r : *rows) {
-    out.emplace_back(rec->value_col->ValueAt(r),
-                     static_cast<double>(rec->count_col->Int64At(r)));
+  auto row = EntityRowByKey(desc.entity_relation, key);
+  if (!row.ok()) return out;
+  SQUID_ASSIGN_OR_RETURN(EntityRows rows, DerivedRows(desc, row.value()));
+  out.reserve(rows.end - rows.begin);
+  for (uint32_t r = rows.begin; r < rows.end; ++r) {
+    out.emplace_back(rec->derived.values->ValueAt(r),
+                     static_cast<double>(rec->derived.counts->Int64At(r)));
   }
   return out;
 }
 
 double AbductionReadyDb::EntityTotal(const PropertyDescriptor& desc,
                                      const Value& key) const {
-  const DescriptorRecord* rec = RecordOf(desc);
-  if (rec == nullptr) return 0.0;
-  auto it = rec->totals.find(key);
-  return it == rec->totals.end() ? 0.0 : it->second;
+  auto row = EntityRowByKey(desc.entity_relation, key);
+  if (!row.ok()) return 0.0;
+  auto rows = DerivedRows(desc, row.value());
+  return rows.ok() ? rows.value().total : 0.0;
 }
 
 std::string AbductionReadyDb::DisplayValue(const PropertyDescriptor& desc,

@@ -4,20 +4,21 @@
 /// \file abduction_ready_db.h
 /// \brief The abduction-ready database (αDB, §5): the original database plus
 /// materialized derived relations, precomputed semantic-property statistics,
-/// an inverted column index for entity lookup, and entity-keyed indexes that
-/// make per-example context discovery a sequence of point queries.
+/// an inverted column index for entity lookup, and per-entity row ranges
+/// into each derived relation that make per-example context discovery a
+/// sequence of array reads.
 ///
 /// Per-descriptor state lives in one record per descriptor, in a vector
 /// indexed by PropertyDescriptor::ordinal. Build and LoadSnapshot resolve
-/// every record once (stats, derived columns and indexes, dim-hop PK
-/// indexes), so the serve path (profile builds, merges, abduction) indexes
-/// by ordinal and never looks a descriptor up by its id string.
+/// every record once (stats, derived columns and per-entity row ranges,
+/// dim-hop PK indexes), so the serve path (profile builds, merges,
+/// abduction) indexes by ordinal and never looks a descriptor up by its id
+/// string.
 
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "adb/derived_relation.h"
@@ -101,12 +102,14 @@ class AbductionReadyDb {
 
   /// Boots an αDB from a snapshot file without touching the original data:
   /// tables, pool, inverted index, schema graph, and statistics are
-  /// restored from the extents; PK / derived-entity hash indexes, the
-  /// inverted index's probe table, and per-entity totals are rebuilt
-  /// in-memory (cheap and deterministic), and every descriptor record is
-  /// resolved as Build resolves it, so a derived relation without a `value`
-  /// column or an int64 `count` column fails here, as Corruption, instead
-  /// of at request time. Malformed input of any kind —
+  /// restored from the extents; PK hash indexes, the inverted index's probe
+  /// table, and each derived relation's per-entity row ranges and totals
+  /// are rebuilt in-memory (cheap and deterministic), and every descriptor
+  /// record is resolved as Build resolves it. So a derived relation without
+  /// a `value` column or an int64 `count` column, or one that splits an
+  /// entity's rows or lists its values out of order (IndexDerivedEntities),
+  /// fails here, as Corruption, instead of at request time. Malformed input
+  /// of any kind —
   /// truncation, bit flips, hostile lengths — yields a Status error, never
   /// UB. The volatile report fields are not part of a snapshot:
   /// build_seconds and the stage seconds read 0 and threads_used 1 after a
@@ -154,8 +157,24 @@ class AbductionReadyDb {
   /// the record's terminal column, reached through each dim hop's PK index.
   Result<Value> BasicValue(const PropertyDescriptor& desc, size_t row) const;
 
+  /// A hop descriptor's derived relation as entity profiles read it: the
+  /// value and count columns that DerivedRows ranges index. Both null when
+  /// the αDB does not cover `desc` or `desc` is not a hop descriptor.
+  struct DerivedColumns {
+    const Column* values = nullptr;
+    const Column* counts = nullptr;
+  };
+  DerivedColumns DerivedColumnsOf(const PropertyDescriptor& desc) const;
+
+  /// The rows of `desc`'s derived relation that belong to the entity at
+  /// `row` of desc.entity_relation (ordered by value), and its total: two
+  /// array reads. Empty for an entity without associations. Errors as
+  /// DerivedValues does, and with OutOfRange for a row past the relation.
+  Result<EntityRows> DerivedRows(const PropertyDescriptor& desc, size_t row) const;
+
   /// All (value, count) associations of the entity with key `key` under a
-  /// multi-valued / derived descriptor. Point query on the derived relation.
+  /// multi-valued / derived descriptor, in value order: EntityRowByKey,
+  /// then DerivedRows. Empty for a key that names no entity.
   Result<std::vector<std::pair<Value, double>>> DerivedValues(
       const PropertyDescriptor& desc, const Value& key) const;
 
@@ -175,12 +194,10 @@ class AbductionReadyDb {
   struct DescriptorRecord {
     std::optional<PropertyStats> stats;
 
-    // Hop descriptors: the derived relation's value and count columns, its
-    // entity -> rows index and the per-entity association totals.
-    const Column* value_col = nullptr;
-    const Column* count_col = nullptr;
-    HashColumnIndex entity_index;
-    std::unordered_map<Value, double, ValueHash> totals;
+    // Hop descriptors: the derived relation's value and count columns, and
+    // per row of the entity relation, that entity's rows and total.
+    DerivedColumns derived;
+    std::vector<EntityRows> entity_rows;
 
     // Basic descriptors: the entity table, each dim hop's FK column (in the
     // relation the hop leaves) with the PK index of the dim it enters, and
@@ -205,11 +222,15 @@ class AbductionReadyDb {
   }
 
   /// Attaches `derived` (a descriptor's materialized relation, already in
-  /// db_) to record `ordinal`: its value / count columns (checked), entity
-  /// index and per-entity totals.
+  /// db_) to record `ordinal`: its value / count columns (checked) and its
+  /// IndexDerivedEntities ranges.
   Status AttachDerived(size_t ordinal, const Table& derived,
-                       HashColumnIndex entity_index,
-                       std::unordered_map<Value, double, ValueHash> totals);
+                       std::vector<EntityRows> entity_rows);
+
+  /// IndexDerivedEntities of `derived` against the PK index of `desc`'s
+  /// entity relation.
+  Result<std::vector<EntityRows>> IndexEntities(const PropertyDescriptor& desc,
+                                                const Table& derived) const;
 
   /// Resolves every record's basic-descriptor columns and PK indexes and
   /// checks each record is whole: stats present exactly when a hop

@@ -347,7 +347,7 @@ Status AbductionReadyDb::SaveSnapshot(const std::string& path) const {
   std::vector<const PropertyDescriptor*> with_stats;
   for (const PropertyDescriptor& desc : graph_.descriptors()) {
     const DescriptorRecord& rec = records_[desc.ordinal];
-    if (rec.value_col != nullptr) derived_names.insert(desc.derived_table);
+    if (rec.derived.values != nullptr) derived_names.insert(desc.derived_table);
     if (rec.stats.has_value()) with_stats.push_back(&desc);
   }
   std::sort(with_stats.begin(), with_stats.end(),
@@ -514,9 +514,10 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
     adb->entity_pk_index_.emplace(meta.name, std::move(index));
   }
 
-  // ... and, per derived relation, the entity->rows index plus the exact
-  // per-entity totals (CollectEntityTotals, shared with Build). Then every
-  // record is resolved as Build resolves it.
+  // ... and, per derived relation, its per-entity row ranges and exact
+  // totals (IndexDerivedEntities, shared with Build, which also checks the
+  // layout the ranges rely on). Then every record is resolved as Build
+  // resolves it.
   for (const AdbSnapshotTableInfo& meta : manifest.tables) {
     if (!meta.derived) continue;
     const PropertyDescriptor* desc = nullptr;
@@ -530,18 +531,15 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
       return Status::Corruption("snapshot: derived table '" + meta.name +
                                 "' is not named by any derived descriptor");
     }
-    if (adb->records_[desc->ordinal].value_col != nullptr) {
+    if (adb->records_[desc->ordinal].derived.values != nullptr) {
       return Status::Corruption("snapshot: two derived tables map to descriptor '" +
                                 desc->id + "'");
     }
     SQUID_ASSIGN_OR_RETURN(const Table* derived, adb->db_.GetTable(meta.name));
-    SQUID_ASSIGN_OR_RETURN(HashColumnIndex index,
-                           HashColumnIndex::Build(*derived, "entity_id"));
-    std::unordered_map<Value, double, ValueHash> totals;
-    Status status = CollectEntityTotals(*derived, derived->num_rows(), &totals);
+    auto entity_rows = adb->IndexEntities(*desc, *derived);
+    Status status = entity_rows.status();
     if (status.ok()) {
-      status = adb->AttachDerived(desc->ordinal, *derived, std::move(index),
-                                  std::move(totals));
+      status = adb->AttachDerived(desc->ordinal, *derived, std::move(entity_rows).value());
     }
     if (!status.ok()) return Status::Corruption("snapshot: " + status.message());
   }

@@ -421,4 +421,71 @@ Result<DerivedRelation> MaterializeDerivedRelation(const Database& db,
   return result;
 }
 
+namespace {
+
+/// True when rows `a` and `b` of `col` hold one key as a HashColumnIndex
+/// packs it: equal integers, equal double images (-0.0 is 0.0), one symbol,
+/// or both null.
+bool SameKey(const Column& col, size_t a, size_t b) {
+  if (col.IsNull(a) || col.IsNull(b)) return col.IsNull(a) == col.IsNull(b);
+  switch (col.type()) {
+    case ValueType::kInt64:
+      return col.Int64At(a) == col.Int64At(b);
+    case ValueType::kDouble:
+      return PackedDoubleBits(col.DoubleAt(a)) == PackedDoubleBits(col.DoubleAt(b));
+    case ValueType::kString:
+      return col.SymbolAt(a) == col.SymbolAt(b);
+    case ValueType::kNull:
+      return true;
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<std::vector<EntityRows>> IndexDerivedEntities(
+    const Table& derived, const HashColumnIndex& entity_pk, size_t entity_rows) {
+  SQUID_ASSIGN_OR_RETURN(const Column* entity_col, derived.ColumnByName("entity_id"));
+  SQUID_ASSIGN_OR_RETURN(const Column* value_col, derived.ColumnByName("value"));
+  SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived.ColumnByName("count"));
+  SQUID_ASSIGN_OR_RETURN(const Column* frac_col, derived.ColumnByName("frac"));
+  auto malformed = [&](const std::string& what) {
+    return Status::InvalidArgument("derived table '" + derived.name() + "' " + what);
+  };
+  if (count_col->type() != ValueType::kInt64 || frac_col->type() != ValueType::kDouble) {
+    return malformed("has unexpected count/frac column types");
+  }
+  const size_t n = derived.num_rows();
+  if (n >= kNoRow) return malformed("has too many rows for 32-bit row ranges");
+
+  constexpr double kMaxExactTotal = 9007199254740992.0;  // 2^53
+  std::vector<EntityRows> ranges(entity_rows);
+  for (size_t begin = 0, end = 0; begin < n; begin = end) {
+    double total = 0;
+    for (end = begin; end < n && SameKey(*entity_col, begin, end); ++end) {
+      if (end > begin && value_col->CompareRows(end - 1, end) > 0) {
+        return malformed("lists the values of one entity out of order (rows " +
+                         std::to_string(end - 1) + ", " + std::to_string(end) + ")");
+      }
+      const double count = static_cast<double>(count_col->Int64At(end));
+      const double frac = frac_col->DoubleAt(end);
+      if (!(count > 0 && frac > 0)) continue;
+      const double quotient = count / frac;
+      if (quotient <= kMaxExactTotal) total = static_cast<double>(std::llround(quotient));
+    }
+    const std::vector<size_t>* rows = entity_pk.Lookup(entity_col->ValueAt(begin));
+    if (rows == nullptr) continue;  // no such entity: unreachable
+    for (size_t row : *rows) {
+      if (row >= entity_rows) return malformed("names an entity row out of range");
+      EntityRows& slot = ranges[row];
+      if (slot.end != 0) {
+        return malformed("splits the rows of one entity (row " + std::to_string(begin) +
+                         " starts its second run)");
+      }
+      slot = EntityRows{static_cast<uint32_t>(begin), static_cast<uint32_t>(end), total};
+    }
+  }
+  return ranges;
+}
+
 }  // namespace squid

@@ -24,6 +24,7 @@
 
 #include "adb/schema_graph.h"
 #include "common/status.h"
+#include "storage/column_index.h"
 #include "storage/database.h"
 
 namespace squid {
@@ -114,6 +115,35 @@ struct DerivedRelation {
 Result<DerivedRelation> MaterializeDerivedRelation(
     const Database& db, const HopAdjacencies& adjacencies,
     const PropertyDescriptor& desc, size_t max_rows = 0);
+
+/// One entity's rows [begin, end) of a derived relation, and its total
+/// association count (its number of non-null terminal arrivals; 0 when the
+/// entity has no rows).
+struct EntityRows {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  double total = 0;
+};
+
+/// \brief Indexes `derived` (a materialized relation) by entity row: slot r
+/// of the result holds the rows of the entity at row r of the entity
+/// relation, whose primary-key index is `entity_pk` and row count
+/// `entity_rows`. Entity rows that share a key share its rows.
+///
+/// Checks the layout every reader of the ranges relies on: each entity's
+/// rows are contiguous, and their values are non-decreasing under
+/// Value::Compare. A relation that breaks either fails with
+/// InvalidArgument, as does one with a missing or mistyped column
+/// (count must be int64, frac double) or 2^32 rows or more. Rows whose
+/// entity_id matches no entity row are unreachable and ignored.
+///
+/// The total is exact: llround(count / frac) undoes the materializer's
+/// frac = count / total, where plain count / frac can land an ulp off
+/// (9 / (9 / 14.0) is 13.999999999999998). It comes from the entity's last
+/// row whose (count, frac) a materializer can produce (both positive, the
+/// quotient at most 2^53); an entity with no such row totals 0.
+Result<std::vector<EntityRows>> IndexDerivedEntities(
+    const Table& derived, const HashColumnIndex& entity_pk, size_t entity_rows);
 
 }  // namespace squid
 

@@ -1,7 +1,6 @@
 #include "adb/statistics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "storage/column_index.h"
 
@@ -162,9 +161,8 @@ Result<PropertyStats> StatisticsBuilder::BuildBasic(const Database& db,
   return stats;
 }
 
-Result<PropertyStats> StatisticsBuilder::BuildFromDerived(
-    const Table& derived, size_t total_entities,
-    std::unordered_map<Value, double, ValueHash>* entity_totals) {
+Result<PropertyStats> StatisticsBuilder::BuildFromDerived(const Table& derived,
+                                                          size_t total_entities) {
   PropertyStats stats;
   stats.kind_ = PropertyKind::kDerivedCategorical;  // refined by caller if needed
   stats.total_entities_ = total_entities;
@@ -173,7 +171,10 @@ Result<PropertyStats> StatisticsBuilder::BuildFromDerived(
   SQUID_ASSIGN_OR_RETURN(const Column* value_col, derived.ColumnByName("value"));
   SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived.ColumnByName("count"));
   SQUID_ASSIGN_OR_RETURN(const Column* frac_col, derived.ColumnByName("frac"));
-  SQUID_RETURN_NOT_OK(CollectEntityTotals(derived, total_entities, entity_totals));
+  if (count_col->type() != ValueType::kInt64 || frac_col->type() != ValueType::kDouble) {
+    return Status::InvalidArgument("derived table '" + derived.name() +
+                                   "' has unexpected count/frac column types");
+  }
 
   StringPool* pool = derived.pool().get();
   for (size_t r = 0; r < derived.num_rows(); ++r) {
@@ -188,30 +189,6 @@ Result<PropertyStats> StatisticsBuilder::BuildFromDerived(
     std::sort(thetas.begin(), thetas.end());
   }
   return stats;
-}
-
-Status CollectEntityTotals(const Table& derived, size_t reserve,
-                           std::unordered_map<Value, double, ValueHash>* totals) {
-  SQUID_ASSIGN_OR_RETURN(const Column* entity_col, derived.ColumnByName("entity_id"));
-  SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived.ColumnByName("count"));
-  SQUID_ASSIGN_OR_RETURN(const Column* frac_col, derived.ColumnByName("frac"));
-  if (count_col->type() != ValueType::kInt64 || frac_col->type() != ValueType::kDouble) {
-    return Status::InvalidArgument("derived table '" + derived.name() +
-                                   "' has unexpected count/frac column types");
-  }
-  constexpr double kMaxExactTotal = 9007199254740992.0;  // 2^53
-  totals->clear();
-  totals->reserve(reserve);
-  for (size_t r = 0; r < derived.num_rows(); ++r) {
-    const double count = static_cast<double>(count_col->Int64At(r));
-    const double frac = frac_col->DoubleAt(r);
-    if (!(count > 0 && frac > 0)) continue;
-    const double total = count / frac;
-    if (!(total <= kMaxExactTotal)) continue;
-    // Rows of one entity all agree on its total.
-    (*totals)[entity_col->ValueAt(r)] = static_cast<double>(std::llround(total));
-  }
-  return Status::OK();
 }
 
 }  // namespace squid

@@ -130,26 +130,10 @@ class StatisticsBuilder {
                                           const PropertyDescriptor& desc);
 
   /// Stats for multi-valued / derived descriptors, computed from the
-  /// materialized derived relation (entity_id, value, count).
-  /// `entity_totals` maps entity key -> total association count, used for
-  /// normalized association strengths; it is also an output (filled here).
-  static Result<PropertyStats> BuildFromDerived(
-      const Table& derived, size_t total_entities,
-      std::unordered_map<Value, double, ValueHash>* entity_totals);
+  /// materialized derived relation (entity_id, value, count, frac).
+  static Result<PropertyStats> BuildFromDerived(const Table& derived,
+                                                size_t total_entities);
 };
-
-/// Fills `totals` (cleared first) with each entity's total association
-/// count — its number of non-null terminal arrivals — recovered from the
-/// derived relation's (entity_id, count, frac) rows. The integer is exact:
-/// llround(count / frac) undoes the materializer's frac = count / total,
-/// where plain count / frac can land an ulp off (9 / (9 / 14.0) is
-/// 13.999999999999998). αDB build and snapshot load both use it, so
-/// normalized strengths count / total reproduce the stored frac bit for
-/// bit. Rows whose (count, frac) cannot come from a materializer (count or
-/// frac not positive, quotient beyond 2^53) are skipped. `reserve` sizes
-/// the map up front (an upper bound on the entities, when known).
-Status CollectEntityTotals(const Table& derived, size_t reserve,
-                           std::unordered_map<Value, double, ValueHash>* totals);
 
 }  // namespace squid
 

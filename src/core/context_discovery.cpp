@@ -1,43 +1,21 @@
 #include "core/context_discovery.h"
 
 #include <algorithm>
-
-#include "common/thread_pool.h"
+#include <functional>
 
 namespace squid {
 
 namespace {
 
-/// Approximate heap bytes behind one Value (string payload only; numeric
-/// and null variants live inline).
-size_t ValueBytes(const Value& v) {
-  return v.type() == ValueType::kString ? v.AsString().size() : 0;
-}
-
-/// Point-queries the αDB for what `key` (at `row`) exhibits under `desc`.
-/// A descriptor the αDB does not cover (skipped by max_derived_rows) keeps
-/// the empty observation, which no merge or score ever shares.
-Status ObserveDescriptor(const AbductionReadyDb& adb,
-                         const PropertyDescriptor& desc, size_t row,
-                         const Value& key, DescriptorObservation* out) {
-  if (!adb.Covers(desc)) return Status::OK();
-  if (desc.hops.empty()) {
-    SQUID_ASSIGN_OR_RETURN(out->basic_value, adb.BasicValue(desc, row));
-    return Status::OK();
-  }
-  SQUID_ASSIGN_OR_RETURN(out->values, adb.DerivedValues(desc, key));
-  // Sorted values let readers intersect example sets with forward cursors;
-  // stability keeps the first of equal values first. The αDB's derived
-  // relations already list each entity's values in order, so normally only
-  // the scan runs; the sort keeps the contract independent of that layout.
-  auto by_value = [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  };
-  if (!std::is_sorted(out->values.begin(), out->values.end(), by_value)) {
-    std::stable_sort(out->values.begin(), out->values.end(), by_value);
-  }
-  out->total = adb.EntityTotal(desc, key);
-  return Status::OK();
+/// Heap bytes behind one Value: a string's buffer once it has outgrown the
+/// small-string storage inside the Value itself; nothing otherwise.
+size_t ValueHeapBytes(const Value& v) {
+  if (v.type() != ValueType::kString) return 0;
+  const std::string& s = v.AsString();
+  const std::less<const void*> before;
+  const void* data = s.data();
+  const bool inline_buffer = !before(data, &s) && before(data, &s + 1);
+  return inline_buffer ? 0 : s.capacity() + 1;
 }
 
 /// Merges the basic observations of one descriptor: numeric kinds yield the
@@ -99,19 +77,14 @@ size_t EntityContextProfile::ApproxBytes() const {
   size_t bytes = sizeof(EntityContextProfile) +
                  observations.capacity() * sizeof(DescriptorObservation);
   for (const DescriptorObservation& obs : observations) {
-    bytes += ValueBytes(obs.basic_value);
-    bytes += obs.values.capacity() * sizeof(std::pair<Value, double>);
-    for (const auto& [v, count] : obs.values) {
-      (void)count;
-      bytes += ValueBytes(v);
-    }
+    bytes += ValueHeapBytes(obs.basic_value);
   }
   return bytes;
 }
 
 Result<EntityContextProfile> BuildEntityContextProfile(
     const AbductionReadyDb& adb, const std::string& entity_relation,
-    const Value& entity_key, const size_t* known_row, ThreadPool* pool) {
+    const Value& entity_key, const size_t* known_row) {
   EntityContextProfile profile;
   if (known_row != nullptr) {
     profile.row = *known_row;
@@ -122,19 +95,18 @@ Result<EntityContextProfile> BuildEntityContextProfile(
   const SchemaGraph& graph = adb.schema_graph();
   const std::vector<size_t>& ordinals = graph.OrdinalsFor(entity_relation);
   profile.observations.resize(ordinals.size());
-  auto observe = [&](size_t d) {
-    return ObserveDescriptor(adb, graph.descriptors()[ordinals[d]], profile.row,
-                             entity_key, &profile.observations[d]);
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && ordinals.size() > 1) {
-    // Per-descriptor point queries are independent; fan them out into
-    // canonical slots (bit-identical to the serial loop below).
-    std::vector<Status> statuses(ordinals.size());
-    pool->ParallelFor(ordinals.size(), [&](size_t d) { statuses[d] = observe(d); });
-    for (const Status& st : statuses) SQUID_RETURN_NOT_OK(st);
-    return profile;
+  for (size_t d = 0; d < ordinals.size(); ++d) {
+    const PropertyDescriptor& desc = graph.descriptors()[ordinals[d]];
+    // A descriptor the αDB does not cover (skipped by max_derived_rows)
+    // keeps the empty observation, which no merge or score ever shares.
+    if (!adb.Covers(desc)) continue;
+    DescriptorObservation& obs = profile.observations[d];
+    if (desc.hops.empty()) {
+      SQUID_ASSIGN_OR_RETURN(obs.basic_value, adb.BasicValue(desc, profile.row));
+    } else {
+      SQUID_ASSIGN_OR_RETURN(obs.rows, adb.DerivedRows(desc, profile.row));
+    }
   }
-  for (size_t d = 0; d < ordinals.size(); ++d) SQUID_RETURN_NOT_OK(observe(d));
   return profile;
 }
 
@@ -171,7 +143,7 @@ Result<std::vector<SemanticContext>> MergeContextProfiles(
     }
   }
 
-  std::vector<size_t> at;  // ForEachSharedValue cursors
+  std::vector<uint32_t> at;  // ForEachSharedValue cursors
   for (size_t d = 0; d < ordinals.size(); ++d) {
     const PropertyDescriptor* desc = &graph.descriptors()[ordinals[d]];
     if (!adb.Covers(*desc)) continue;  // empty slot: nothing to share
@@ -182,20 +154,21 @@ Result<std::vector<SemanticContext>> MergeContextProfiles(
     }
     // Multi-valued / derived: one context per value every example holds,
     // with θ the smallest count and θ_norm the smallest count / total.
-    ForEachSharedValue(profiles, d, &at, [&](const std::vector<size_t>& idx) {
+    const AbductionReadyDb::DerivedColumns cols = adb.DerivedColumnsOf(*desc);
+    ForEachSharedValue(*cols.values, profiles, d, &at,
+                       [&](const std::vector<uint32_t>& rows) {
       double theta = 0, theta_norm = 0;
       for (size_t i = 0; i < profiles.size(); ++i) {
-        const DescriptorObservation& obs = profiles[i]->observations[d];
-        const double count = obs.values[idx[i]].second;
-        const double norm = obs.total > 0 ? count / obs.total : 0.0;
+        const double total = profiles[i]->observations[d].rows.total;
+        const double count = static_cast<double>(cols.counts->Int64At(rows[i]));
+        const double norm = total > 0 ? count / total : 0.0;
         theta = i == 0 ? count : std::min(theta, count);
         theta_norm = i == 0 ? norm : std::min(theta_norm, norm);
       }
       SemanticContext ctx;
       ctx.property.descriptor = desc;
       // The last example's representation of the shared value.
-      ctx.property.value =
-          profiles.back()->observations[d].values[idx.back()].first;
+      ctx.property.value = cols.values->ValueAt(rows.back());
       if (desc->derived) {
         ctx.property.theta = theta;
         if (config.normalize_association) ctx.property.theta_norm = theta_norm;

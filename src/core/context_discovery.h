@@ -4,19 +4,25 @@
 /// \file context_discovery.h
 /// \brief Semantic context discovery (§6.1.2): derives the set X of semantic
 /// contexts — one per minimal valid filter — exhibited by the example
-/// entities, by point-querying the αDB per descriptor.
+/// entities, read from the αDB's per-descriptor records.
 ///
 /// Discovery is split into two stages so serve mode can memoize the
 /// per-entity half (see serve/context_cache.h):
 ///  1. BuildEntityContextProfile: everything the αDB knows about ONE entity,
 ///     one observation per descriptor. Depends only on (relation, key) —
 ///     never on the other examples or on SquidConfig — so a profile is a
-///     cacheable, immutable unit. It is the only per-entity profile: entity
-///     disambiguation (disambiguation.h) scores candidates on the same
-///     profiles, fetched through the same ContextProvider.
+///     cacheable, immutable unit. It is a view, not a copy: a derived
+///     observation is the entity's row range in the αDB's derived relation
+///     (which stores each entity's rows contiguously, in value order), so a
+///     build is one array read per descriptor plus the basic values. It is
+///     the only per-entity profile: entity disambiguation
+///     (disambiguation.h) scores candidates on the same profiles, fetched
+///     through the same ContextProvider.
 ///  2. MergeContextProfiles: folds the profiles of the whole example set
 ///     into shared contexts (value agreement, numeric ranges, association
-///     intersections). Cheap, pure, and deterministic given the profiles.
+///     intersections), reading values and counts straight off the derived
+///     relation's columns; only a shared value that becomes a context is
+///     materialized as a Value. Pure and deterministic given the profiles.
 /// DiscoverContexts composes the two; any split evaluation (cached or
 /// parallel profile builds) is bit-identical to the one-shot call because
 /// observations are merged in canonical descriptor/entity order.
@@ -33,18 +39,17 @@
 
 namespace squid {
 
-class ThreadPool;
-
 /// \brief What one entity exhibits under one property descriptor.
 struct DescriptorObservation {
   /// Basic (no-hop) kinds: the entity's value (null when absent).
   Value basic_value;
-  /// Derived / multi-valued kinds: the entity's (value, count) associations,
-  /// stably sorted by value (equal values keep their αDB point-query order,
-  /// and every reader uses the first of them), plus its association-portfolio
-  /// total.
-  std::vector<std::pair<Value, double>> values;
-  double total = 0;
+  /// Derived / multi-valued kinds: the entity's rows of the descriptor's
+  /// derived relation (AbductionReadyDb::DerivedRows), in value order, and
+  /// its association-portfolio total. Values and counts live in the
+  /// relation's columns (AbductionReadyDb::DerivedColumnsOf); equal values
+  /// may repeat, and every reader uses the first of them. Empty for basic
+  /// kinds.
+  EntityRows rows;
 };
 
 /// \brief The cacheable per-entity unit of context discovery: one
@@ -56,20 +61,21 @@ struct EntityContextProfile {
   size_t row = 0;
   std::vector<DescriptorObservation> observations;
 
-  /// Approximate heap footprint (for the serve-mode cache byte budget).
+  /// Bytes the profile occupies: the struct, its observation array and any
+  /// basic string too long for the inline small-string buffer (for the
+  /// serve-mode cache byte budget). The derived rows it views belong to the
+  /// αDB and are not counted.
   size_t ApproxBytes() const;
 };
 
 /// \brief Builds the profile of the entity with key `entity_key` in
 /// `entity_relation`. When `known_row` is non-null it is trusted as the
 /// entity's row (hoisted from entity lookup postings), skipping the
-/// EntityRowByKey resolution. With a `pool`, the per-descriptor point
-/// queries fan out on it (observations land in canonical slots, so the
-/// result is identical at any thread count).
+/// EntityRowByKey resolution. The profile views `adb`'s derived relations
+/// and must not outlive it.
 Result<EntityContextProfile> BuildEntityContextProfile(
     const AbductionReadyDb& adb, const std::string& entity_relation,
-    const Value& entity_key, const size_t* known_row = nullptr,
-    ThreadPool* pool = nullptr);
+    const Value& entity_key, const size_t* known_row = nullptr);
 
 /// \brief Where Squid gets per-entity profiles, so serve mode can interpose
 /// a cache (serve/context_cache.h) without the core knowing about caching.
@@ -100,29 +106,31 @@ Result<std::shared_ptr<const EntityContextProfile>> FetchEntityContextProfile(
 
 /// \brief Visits, in ascending value order, each distinct value of
 /// `profiles[0]`'s observation `d` that the observation `d` of every other
-/// profile also holds — one forward cursor per profile over the sorted
-/// `values`. `fn(at)` receives at[i] = the index in `profiles[i]`'s values of
-/// the first entry equal to the shared value. `at` is caller-owned scratch.
+/// profile also holds — one forward cursor per profile over its rows of
+/// `values`, the descriptor's derived value column, ordered by
+/// Column::CompareRows (Value::Compare without materializing a Value).
+/// `fn(at)` receives at[i] = the row of `values` holding `profiles[i]`'s
+/// first entry equal to the shared value. `at` is caller-owned scratch.
 template <typename Fn>
-void ForEachSharedValue(
-    const std::vector<const EntityContextProfile*>& profiles, size_t d,
-    std::vector<size_t>* at, Fn&& fn) {
-  const std::vector<std::pair<Value, double>>& first =
-      profiles[0]->observations[d].values;
-  at->assign(profiles.size(), 0);
-  for (size_t k = 0; k < first.size(); ++k) {
-    const Value& v = first[k].first;
-    if (k > 0 && first[k - 1].first == v) continue;  // first of equal values
+void ForEachSharedValue(const Column& values,
+                        const std::vector<const EntityContextProfile*>& profiles,
+                        size_t d, std::vector<uint32_t>* at, Fn&& fn) {
+  const EntityRows& first = profiles[0]->observations[d].rows;
+  at->resize(profiles.size());
+  for (size_t i = 1; i < profiles.size(); ++i) {
+    (*at)[i] = profiles[i]->observations[d].rows.begin;
+  }
+  for (uint32_t k = first.begin; k < first.end; ++k) {
+    if (k > first.begin && values.CompareRows(k - 1, k) == 0) continue;
     (*at)[0] = k;
     bool in_all = true;
     for (size_t i = 1; i < profiles.size() && in_all; ++i) {
-      const std::vector<std::pair<Value, double>>& values =
-          profiles[i]->observations[d].values;
-      size_t& j = (*at)[i];
-      while (j < values.size() && values[j].first < v) ++j;
+      const uint32_t end = profiles[i]->observations[d].rows.end;
+      uint32_t& j = (*at)[i];
+      while (j < end && values.CompareRows(j, k) < 0) ++j;
       // Exhausted: every later value of `first` is larger still.
-      if (j == values.size()) return;
-      in_all = values[j].first == v;
+      if (j == end) return;
+      in_all = values.CompareRows(j, k) == 0;
     }
     if (in_all) fn(*at);
   }

@@ -19,10 +19,13 @@ Result<const Column*> KeyColumn(const AbductionReadyDb& adb,
 /// A basic descriptor is an item of weight 1 when every chosen value is
 /// non-null and equal; each derived value of the first profile that every
 /// other profile holds is an item weighted by its smallest count (so ties
-/// favor stronger associations, per §6.1.1). `at` is cursor scratch.
+/// favor stronger associations, per §6.1.1). `columns[d]` are observation
+/// d's derived columns (null for basic and uncovered descriptors); `at` is
+/// cursor scratch.
 std::pair<double, double> ScoreProfiles(
     const std::vector<const EntityContextProfile*>& chosen,
-    std::vector<size_t>* at) {
+    const std::vector<AbductionReadyDb::DerivedColumns>& columns,
+    std::vector<uint32_t>* at) {
   if (chosen.empty()) return {0, 0};
   double shared = 0, weight = 0;
   const std::vector<DescriptorObservation>& first = chosen[0]->observations;
@@ -39,11 +42,13 @@ std::pair<double, double> ScoreProfiles(
       }
       continue;
     }
-    ForEachSharedValue(chosen, d, at, [&](const std::vector<size_t>& idx) {
-      double min_w = first[d].values[idx[0]].second;
+    const Column* counts = columns[d].counts;
+    if (counts == nullptr) continue;
+    ForEachSharedValue(*columns[d].values, chosen, d, at,
+                       [&](const std::vector<uint32_t>& rows) {
+      double min_w = static_cast<double>(counts->Int64At(rows[0]));
       for (size_t i = 1; i < chosen.size(); ++i) {
-        min_w = std::min(min_w,
-                         chosen[i]->observations[d].values[idx[i]].second);
+        min_w = std::min(min_w, static_cast<double>(counts->Int64At(rows[i])));
       }
       shared += 1;
       weight += min_w;
@@ -113,7 +118,13 @@ Result<ResolvedEntities> ResolveEntities(const AbductionReadyDb& adb,
     }
   }
 
-  std::vector<size_t> at;  // ScoreProfiles cursor scratch
+  // Each observation's derived columns, resolved once for every score.
+  const SchemaGraph& graph = adb.schema_graph();
+  std::vector<AbductionReadyDb::DerivedColumns> columns;
+  for (size_t ordinal : graph.OrdinalsFor(match.relation)) {
+    columns.push_back(adb.DerivedColumnsOf(graph.descriptors()[ordinal]));
+  }
+  std::vector<uint32_t> at;  // ScoreProfiles cursor scratch
   std::vector<size_t> best(n, 0);
   if (match.NumCombinations() <= static_cast<double>(config.max_disambiguation_combos)) {
     // Exhaustive enumeration (§6.1.1: "the examples are typically few").
@@ -122,7 +133,7 @@ Result<ResolvedEntities> ResolveEntities(const AbductionReadyDb& adb,
     std::pair<double, double> best_score{-1, -1};
     while (true) {
       for (size_t i = 0; i < n; ++i) chosen[i] = profiles[i][current[i]].get();
-      auto score = ScoreProfiles(chosen, &at);
+      auto score = ScoreProfiles(chosen, columns, &at);
       if (BetterScore(score, best_score)) {
         best_score = score;
         best = current;
@@ -157,7 +168,7 @@ Result<ResolvedEntities> ResolveEntities(const AbductionReadyDb& adb,
         size_t local_pick = 0;
         for (size_t c = 0; c < profiles[ex].size(); ++c) {
           chosen.push_back(profiles[ex][c].get());
-          auto score = ScoreProfiles(chosen, &at);
+          auto score = ScoreProfiles(chosen, columns, &at);
           chosen.pop_back();
           if (BetterScore(score, local_best)) {
             local_best = score;
@@ -167,7 +178,7 @@ Result<ResolvedEntities> ResolveEntities(const AbductionReadyDb& adb,
         current[ex] = local_pick;
         chosen.push_back(profiles[ex][local_pick].get());
       }
-      auto score = ScoreProfiles(chosen, &at);
+      auto score = ScoreProfiles(chosen, columns, &at);
       if (BetterScore(score, best_score)) {
         best_score = score;
         best = current;

@@ -7,10 +7,6 @@ namespace squid {
 
 namespace {
 
-/// Map-node + list-node + shared_ptr control-block overhead charged per
-/// entry on top of the profile's own footprint.
-constexpr size_t kEntryOverheadBytes = 128;
-
 /// Rounds up to a power of two (>= 1).
 size_t PowerOfTwoAtLeast(size_t n) {
   size_t p = 1;
@@ -26,7 +22,6 @@ ContextCache::ContextCache(const AbductionReadyDb* adb)
 ContextCache::ContextCache(const AbductionReadyDb* adb, Options options)
     : adb_(adb),
       pool_(adb->inverted_index().pool_shared()),
-      workers_(options.pool),
       max_bytes_(options.max_bytes),
       shard_mask_(PowerOfTwoAtLeast(options.shards == 0 ? 1 : options.shards) - 1),
       shards_(shard_mask_ + 1) {
@@ -89,11 +84,10 @@ Result<std::shared_ptr<const EntityContextProfile>> ContextCache::Profile(
     uncacheable_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Build outside any lock (point queries against the immutable αDB).
-  SQUID_ASSIGN_OR_RETURN(EntityContextProfile built,
-                         BuildEntityContextProfile(*adb_, entity_relation,
-                                                   entity_key, known_row,
-                                                   workers_));
+  // Build outside any lock (array reads against the immutable αDB).
+  SQUID_ASSIGN_OR_RETURN(
+      EntityContextProfile built,
+      BuildEntityContextProfile(*adb_, entity_relation, entity_key, known_row));
   auto profile = std::make_shared<const EntityContextProfile>(std::move(built));
   if (!cacheable) return profile;
 

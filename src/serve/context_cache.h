@@ -5,10 +5,12 @@
 /// \brief Sharded, symbol-keyed LRU cache of per-entity context profiles.
 ///
 /// Context discovery splits into a per-entity half (BuildEntityContextProfile
-/// — αDB point queries, the expensive part) and a cheap per-example-set
-/// merge. The per-entity half depends only on (relation, entity key), both of
-/// which resolve to interned StringPool symbols, so the cache keys on
-/// integers and never hashes strings on the hit path. Entity disambiguation
+/// — a PK-index resolution when the row is not known, then one array read per
+/// descriptor: profiles view the αDB's derived relations rather than copy
+/// them, so a person profile is about 1 KB) and a per-example-set merge. The
+/// per-entity half depends only on (relation, entity key), both of which
+/// resolve to interned StringPool symbols, so the cache keys on integers and
+/// never hashes strings on the hit path. Entity disambiguation
 /// scores its candidates on the same profiles, so an ambiguous example's
 /// alternatives are cached too, and the chosen ones are handed on to
 /// context discovery without a second probe.
@@ -21,6 +23,11 @@
 /// eviction. Profile builds run OUTSIDE the shard lock; when two threads
 /// race on the same missing key both build (deterministically identical)
 /// profiles and the insert dedupes.
+///
+/// Byte accounting: each entry charges its profile's ApproxBytes plus
+/// kEntryOverheadBytes, the list node, hash-map node and shared_ptr control
+/// block that hold it (serve_test checks the latter against what the
+/// standard library allocates).
 ///
 /// Identity contract: profiles are a pure function of the immutable αDB, so
 /// serving from the cache — to disambiguation and context discovery alike,
@@ -46,8 +53,6 @@
 
 namespace squid {
 
-class ThreadPool;
-
 /// \brief Memoizes per-entity context profiles; plugs into Squid as its
 /// ContextProvider. All member functions are safe for concurrent use.
 class ContextCache : public ContextProvider {
@@ -58,10 +63,6 @@ class ContextCache : public ContextProvider {
     size_t max_bytes = 8u << 20;
     /// Shard count (rounded up to a power of two, at least 1).
     size_t shards = 8;
-    /// Optional worker pool: each profile build fans its per-descriptor
-    /// point queries out on it. May be null for serial builds. (Fetches of
-    /// several entities fan out in Squid; see Squid::set_context_provider.)
-    ThreadPool* pool = nullptr;
   };
 
   explicit ContextCache(const AbductionReadyDb* adb);
@@ -94,7 +95,6 @@ class ContextCache : public ContextProvider {
   size_t num_shards() const { return shard_mask_ + 1; }
   size_t shard_budget_bytes() const { return shard_budget_; }
 
- private:
   /// (relation symbol, value tag, packed value) — see MakeKey.
   struct CacheKey {
     Symbol relation = kNoSymbol;
@@ -117,12 +117,26 @@ class ContextCache : public ContextProvider {
     }
   };
 
+  /// One cached profile, as an LRU list node holds it.
   struct Entry {
     CacheKey key;
     std::shared_ptr<const EntityContextProfile> profile;
     size_t bytes = 0;
   };
 
+  /// Bytes an entry charges besides its profile's ApproxBytes, from the
+  /// layout (libstdc++'s) of the parts that hold it: the LRU list node (two
+  /// links and the Entry), the hash-map node (a link, the key with its list
+  /// iterator, and the cached hash code) with its bucket slot (the map
+  /// keeps at least one bucket per entry), and make_shared's control block
+  /// ahead of the profile (a vtable pointer and the use and weak counts).
+  static constexpr size_t kEntryOverheadBytes =
+      (2 * sizeof(void*) + sizeof(Entry)) +
+      (sizeof(void*) + sizeof(std::pair<const CacheKey, std::list<Entry>::iterator>) +
+       sizeof(size_t) + sizeof(void*)) +
+      (sizeof(void*) + 2 * sizeof(int));
+
+ private:
   struct Shard {
     mutable std::mutex mu;
     /// Front = most recently used.
@@ -146,7 +160,6 @@ class ContextCache : public ContextProvider {
 
   const AbductionReadyDb* adb_;
   std::shared_ptr<const StringPool> pool_;  // symbol space of the keys
-  ThreadPool* workers_;
   size_t max_bytes_;
   size_t shard_budget_;
   size_t shard_mask_;

@@ -22,7 +22,6 @@ SquidService::SquidService(const AbductionReadyDb* adb, ServeOptions options)
     ContextCache::Options cache_options;
     cache_options.max_bytes = options_.cache_bytes;
     cache_options.shards = options_.cache_shards;
-    cache_options.pool = &pool_;
     cache_ = std::make_unique<ContextCache>(adb_, cache_options);
     squid_.set_context_provider(cache_.get(), &pool_);
   }

@@ -3,9 +3,10 @@
 
 /// \file column_index.h
 /// \brief Sorted (B-tree-style) and hash indexes over single columns. The
-/// αDB uses the hash index for entity-keyed lookups into derived relations
-/// (the "point queries ... using B-tree indexes" of §7.2) and for
-/// primary-key lookups while computing statistics. The executor uses
+/// αDB uses the hash index for primary-key lookups: resolving an entity key
+/// to its row (from which its derived rows are a range, standing in for the
+/// "point queries ... using B-tree indexes" of §7.2) and dereferencing
+/// dimensions while computing statistics. The executor uses
 /// neither: it scans with typed kernels (exec/expression.h) and joins
 /// through per-query FlatJoinHash tables (exec/join_hash.h).
 
@@ -47,8 +48,8 @@ class SortedColumnIndex {
   size_t num_rows_ = 0;
 };
 
-/// \brief Hash index: value -> row ids, for equality-only probes (joins and
-/// the αDB's per-entity point queries).
+/// \brief Hash index: value -> row ids, for equality-only probes (the αDB's
+/// primary-key lookups).
 ///
 /// Keys are packed to 64-bit integers instead of hashing Values: string
 /// cells key by their dictionary Symbol (probes resolve through the pool

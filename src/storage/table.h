@@ -63,6 +63,30 @@ class Column {
   /// Materializes the cell as a Value (kNull if invalid).
   Value ValueAt(size_t row) const;
 
+  /// Three-way order of the cells at rows `a` and `b`, identical to
+  /// ValueAt(a).Compare(ValueAt(b)) without materializing either: nulls
+  /// first and equal to each other, numbers by value, strings equal on one
+  /// symbol and otherwise in string_view order.
+  int CompareRows(size_t a, size_t b) const {
+    const bool a_null = !valid_[a];
+    const bool b_null = !valid_[b];
+    if (a_null || b_null) return a_null == b_null ? 0 : (a_null ? -1 : 1);
+    switch (type_) {
+      case ValueType::kInt64:
+        return ints_[a] < ints_[b] ? -1 : (ints_[a] > ints_[b] ? 1 : 0);
+      case ValueType::kDouble:
+        return doubles_[a] < doubles_[b] ? -1 : (doubles_[a] > doubles_[b] ? 1 : 0);
+      case ValueType::kString: {
+        if (syms_[a] == syms_[b]) return 0;
+        const int c = pool_->View(syms_[a]).compare(pool_->View(syms_[b]));
+        return c < 0 ? -1 : (c > 0 ? 1 : 0);
+      }
+      case ValueType::kNull:
+        return 0;
+    }
+    return 0;
+  }
+
   /// Numeric view of the cell; 0.0 for nulls is NOT applied — call only on
   /// non-null cells of numeric columns.
   double NumericAt(size_t row) const {

@@ -302,8 +302,7 @@ TEST(StatisticsTest, DerivedSuffixSelectivity) {
   ASSERT_NE(ptg, nullptr);
   auto table = MaterializeOne(*db, *ptg);
   ASSERT_TRUE(table.ok());
-  std::unordered_map<Value, double, ValueHash> totals;
-  auto stats = StatisticsBuilder::BuildFromDerived(*table.value(), 6, &totals);
+  auto stats = StatisticsBuilder::BuildFromDerived(*table.value(), 6);
   ASSERT_TRUE(stats.ok());
   // Comedy counts per person: Jim 3, Ewan 2, Laura 1, Emma 1.
   EXPECT_NEAR(stats.value().SelectivityDerived(Value("Comedy"), 1), 4.0 / 6.0, 1e-9);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <unordered_map>
 
@@ -13,6 +14,7 @@
 #include "core/context_discovery.h"
 #include "core/disambiguation.h"
 #include "core/entity_lookup.h"
+#include "core/query_builder.h"
 #include "core/squid.h"
 #include "eval/sampler.h"
 #include "exec/executor.h"
@@ -125,6 +127,80 @@ TEST(DisambiguationTest, PicksMostSimilarCandidates) {
   ASSERT_TRUE(keys2.ok());
 }
 
+bool Better(const std::pair<double, double>& a,
+            const std::pair<double, double>& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return a.second > b.second;
+}
+
+/// The rows an ambiguous `match` resolves to when `score` rates each
+/// combination of candidate profiles (profiles[i][c] is example i's
+/// candidate c), with the same exhaustive / greedy enumeration and
+/// tie-breaking as ResolveEntities.
+template <typename Profile, typename ScoreFn>
+std::vector<size_t> PickRowsBy(const EntityMatch& match, const SquidConfig& config,
+                               const std::vector<std::vector<Profile>>& profiles,
+                               ScoreFn&& score) {
+  const size_t n = match.candidate_rows.size();
+  std::vector<size_t> best(n, 0);
+  std::pair<double, double> best_score{-1, -1};
+  if (match.NumCombinations() <=
+      static_cast<double>(config.max_disambiguation_combos)) {
+    std::vector<size_t> current(n, 0);
+    while (true) {
+      std::vector<const Profile*> chosen(n);
+      for (size_t i = 0; i < n; ++i) chosen[i] = &profiles[i][current[i]];
+      auto rated = score(chosen);
+      if (Better(rated, best_score)) {
+        best_score = rated;
+        best = current;
+      }
+      size_t d = 0;
+      while (d < n && ++current[d] == match.candidate_rows[d].size()) {
+        current[d] = 0;
+        ++d;
+      }
+      if (d == n) break;
+    }
+  } else {
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return match.candidate_rows[a].size() < match.candidate_rows[b].size();
+    });
+    const size_t seed_example = order[0];
+    for (size_t seed = 0; seed < profiles[seed_example].size(); ++seed) {
+      std::vector<size_t> current(n, 0);
+      current[seed_example] = seed;
+      std::vector<const Profile*> chosen = {&profiles[seed_example][seed]};
+      for (size_t ex : order) {
+        if (ex == seed_example) continue;
+        std::pair<double, double> local_best{-1, -1};
+        size_t local_pick = 0;
+        for (size_t c = 0; c < profiles[ex].size(); ++c) {
+          chosen.push_back(&profiles[ex][c]);
+          auto rated = score(chosen);
+          chosen.pop_back();
+          if (Better(rated, local_best)) {
+            local_best = rated;
+            local_pick = c;
+          }
+        }
+        current[ex] = local_pick;
+        chosen.push_back(&profiles[ex][local_pick]);
+      }
+      auto rated = score(chosen);
+      if (Better(rated, best_score)) {
+        best_score = rated;
+        best = current;
+      }
+    }
+  }
+  std::vector<size_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = match.candidate_rows[i][best[i]];
+  return rows;
+}
+
 // The string-keyed scorer disambiguation used before it scored
 // EntityContextProfiles, kept as the oracle of the differential tests below:
 // every (descriptor, value) item is keyed "descriptor id \x1f
@@ -180,12 +256,6 @@ std::pair<double, double> Score(const std::vector<const Profile*>& chosen) {
   return {shared, weight};
 }
 
-bool Better(const std::pair<double, double>& a,
-            const std::pair<double, double>& b) {
-  if (a.first != b.first) return a.first > b.first;
-  return a.second > b.second;
-}
-
 /// The rows the string scorer picks for an ambiguous `match`, with the same
 /// exhaustive / greedy enumeration and tie-breaking as ResolveEntities.
 std::vector<size_t> PickRows(const AbductionReadyDb& adb,
@@ -198,63 +268,7 @@ std::vector<size_t> PickRows(const AbductionReadyDb& adb,
       profiles[i].push_back(BuildProfile(adb, match.relation, row));
     }
   }
-  std::vector<size_t> best(n, 0);
-  std::pair<double, double> best_score{-1, -1};
-  if (match.NumCombinations() <=
-      static_cast<double>(config.max_disambiguation_combos)) {
-    std::vector<size_t> current(n, 0);
-    while (true) {
-      std::vector<const Profile*> chosen(n);
-      for (size_t i = 0; i < n; ++i) chosen[i] = &profiles[i][current[i]];
-      auto score = Score(chosen);
-      if (Better(score, best_score)) {
-        best_score = score;
-        best = current;
-      }
-      size_t d = 0;
-      while (d < n && ++current[d] == match.candidate_rows[d].size()) {
-        current[d] = 0;
-        ++d;
-      }
-      if (d == n) break;
-    }
-  } else {
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return match.candidate_rows[a].size() < match.candidate_rows[b].size();
-    });
-    const size_t seed_example = order[0];
-    for (size_t seed = 0; seed < profiles[seed_example].size(); ++seed) {
-      std::vector<size_t> current(n, 0);
-      current[seed_example] = seed;
-      std::vector<const Profile*> chosen = {&profiles[seed_example][seed]};
-      for (size_t ex : order) {
-        if (ex == seed_example) continue;
-        std::pair<double, double> local_best{-1, -1};
-        size_t local_pick = 0;
-        for (size_t c = 0; c < profiles[ex].size(); ++c) {
-          chosen.push_back(&profiles[ex][c]);
-          auto score = Score(chosen);
-          chosen.pop_back();
-          if (Better(score, local_best)) {
-            local_best = score;
-            local_pick = c;
-          }
-        }
-        current[ex] = local_pick;
-        chosen.push_back(&profiles[ex][local_pick]);
-      }
-      auto score = Score(chosen);
-      if (Better(score, best_score)) {
-        best_score = score;
-        best = current;
-      }
-    }
-  }
-  std::vector<size_t> rows(n);
-  for (size_t i = 0; i < n; ++i) rows[i] = match.candidate_rows[i][best[i]];
-  return rows;
+  return PickRowsBy(match, config, profiles, Score);
 }
 
 }  // namespace string_scorer
@@ -435,12 +449,163 @@ TEST_F(AcademicsFixture, MultiValuedContextIntersection) {
   EXPECT_FALSE(contexts.value()[0].property.has_theta());  // multi-valued basic
 }
 
+// Profiles as BuildEntityContextProfile built them before they became row
+// ranges into the αDB's derived relations: every association copied out as
+// a (Value, count) pair and stably sorted by value. The merge and scorer
+// below are the ones that read them, kept as the oracle of the
+// ProfileViewDifferentialTest below.
+namespace value_profiles {
+
+struct Observation {
+  Value basic_value;
+  std::vector<std::pair<Value, double>> values;
+  double total = 0;
+};
+
+struct Profile {
+  size_t row = 0;
+  std::vector<Observation> observations;
+};
+
+/// A range observation re-expressed as (Value, count) pairs.
+Observation FromView(const AbductionReadyDb& adb, const PropertyDescriptor& desc,
+                     const DescriptorObservation& obs) {
+  Observation out;
+  out.basic_value = obs.basic_value;
+  out.total = obs.rows.total;
+  const AbductionReadyDb::DerivedColumns cols = adb.DerivedColumnsOf(desc);
+  for (uint32_t r = obs.rows.begin; r < obs.rows.end; ++r) {
+    out.values.emplace_back(cols.values->ValueAt(r),
+                            static_cast<double>(cols.counts->Int64At(r)));
+  }
+  return out;
+}
+
+template <typename Fn>
+void ForEachSharedValue(const std::vector<const Profile*>& profiles, size_t d,
+                        std::vector<size_t>* at, Fn&& fn) {
+  const std::vector<std::pair<Value, double>>& first =
+      profiles[0]->observations[d].values;
+  at->assign(profiles.size(), 0);
+  for (size_t k = 0; k < first.size(); ++k) {
+    const Value& v = first[k].first;
+    if (k > 0 && first[k - 1].first == v) continue;  // first of equal values
+    (*at)[0] = k;
+    bool in_all = true;
+    for (size_t i = 1; i < profiles.size() && in_all; ++i) {
+      const std::vector<std::pair<Value, double>>& values =
+          profiles[i]->observations[d].values;
+      size_t& j = (*at)[i];
+      while (j < values.size() && values[j].first < v) ++j;
+      if (j == values.size()) return;
+      in_all = values[j].first == v;
+    }
+    if (in_all) fn(*at);
+  }
+}
+
+void MergeBasic(const PropertyDescriptor& desc, const std::vector<const Profile*>& profiles,
+                size_t d, std::vector<SemanticContext>* out) {
+  SemanticContext ctx;
+  ctx.property.descriptor = &desc;
+  ctx.support = profiles.size();
+  if (desc.kind == PropertyKind::kInlineNumeric) {
+    for (size_t i = 0; i < profiles.size(); ++i) {
+      const Value& v = profiles[i]->observations[d].basic_value;
+      if (v.is_null()) return;
+      const double num = v.ToNumeric().value();
+      ctx.property.lo = i == 0 ? num : std::min(ctx.property.lo, num);
+      ctx.property.hi = i == 0 ? num : std::max(ctx.property.hi, num);
+    }
+  } else {
+    for (size_t i = 0; i < profiles.size(); ++i) {
+      const Value& v = profiles[i]->observations[d].basic_value;
+      if (v.is_null()) return;
+      if (i == 0) {
+        ctx.property.value = v;
+      } else if (!(ctx.property.value == v)) {
+        return;
+      }
+    }
+  }
+  out->push_back(std::move(ctx));
+}
+
+std::vector<SemanticContext> Merge(const AbductionReadyDb& adb,
+                                   const std::string& relation,
+                                   const std::vector<const Profile*>& profiles,
+                                   const SquidConfig& config) {
+  std::vector<SemanticContext> contexts;
+  const SchemaGraph& graph = adb.schema_graph();
+  const std::vector<size_t>& ordinals = graph.OrdinalsFor(relation);
+  std::vector<size_t> at;
+  for (size_t d = 0; d < ordinals.size(); ++d) {
+    const PropertyDescriptor* desc = &graph.descriptors()[ordinals[d]];
+    if (!adb.Covers(*desc)) continue;
+    if (desc->hops.empty()) {
+      MergeBasic(*desc, profiles, d, &contexts);
+      continue;
+    }
+    ForEachSharedValue(profiles, d, &at, [&](const std::vector<size_t>& idx) {
+      double theta = 0, theta_norm = 0;
+      for (size_t i = 0; i < profiles.size(); ++i) {
+        const Observation& obs = profiles[i]->observations[d];
+        const double count = obs.values[idx[i]].second;
+        const double norm = obs.total > 0 ? count / obs.total : 0.0;
+        theta = i == 0 ? count : std::min(theta, count);
+        theta_norm = i == 0 ? norm : std::min(theta_norm, norm);
+      }
+      SemanticContext ctx;
+      ctx.property.descriptor = desc;
+      ctx.property.value = profiles.back()->observations[d].values[idx.back()].first;
+      if (desc->derived) {
+        ctx.property.theta = theta;
+        if (config.normalize_association) ctx.property.theta_norm = theta_norm;
+      }
+      ctx.support = profiles.size();
+      contexts.push_back(std::move(ctx));
+    });
+  }
+  return contexts;
+}
+
+std::pair<double, double> Score(const std::vector<const Profile*>& chosen) {
+  double shared = 0, weight = 0;
+  std::vector<size_t> at;
+  const std::vector<Observation>& first = chosen[0]->observations;
+  for (size_t d = 0; d < first.size(); ++d) {
+    const Value& basic = first[d].basic_value;
+    if (!basic.is_null()) {
+      bool in_all = true;
+      for (size_t i = 1; i < chosen.size() && in_all; ++i) {
+        in_all = chosen[i]->observations[d].basic_value == basic;
+      }
+      if (in_all) {
+        shared += 1;
+        weight += 1;
+      }
+      continue;
+    }
+    ForEachSharedValue(chosen, d, &at, [&](const std::vector<size_t>& idx) {
+      double min_w = first[d].values[idx[0]].second;
+      for (size_t i = 1; i < chosen.size(); ++i) {
+        min_w = std::min(min_w, chosen[i]->observations[d].values[idx[i]].second);
+      }
+      shared += 1;
+      weight += min_w;
+    });
+  }
+  return {shared, weight};
+}
+
+}  // namespace value_profiles
+
 // Hash-map merge MergeContextProfiles used before it intersected sorted
-// values, kept as the oracle of the differential test below. Input values
-// need not be sorted; the first of equal values counts.
+// values, kept as the oracle of value_profiles::Merge in the test below.
+// Input values need not be sorted; the first of equal values counts.
 std::vector<SemanticContext> HashMapMerge(
     const std::vector<const PropertyDescriptor*>& descs,
-    const std::vector<const EntityContextProfile*>& profiles,
+    const std::vector<const value_profiles::Profile*>& profiles,
     const SquidConfig& config) {
   std::vector<SemanticContext> contexts;
   const size_t support = profiles.size();
@@ -469,14 +634,14 @@ std::vector<SemanticContext> HashMapMerge(
       if (shared) contexts.push_back(std::move(ctx));
       continue;
     }
-    const DescriptorObservation& first_obs = profiles[0]->observations[d];
+    const value_profiles::Observation& first_obs = profiles[0]->observations[d];
     std::unordered_map<Value, std::pair<double, double>, ValueHash> shared;
     for (const auto& [v, count] : first_obs.values) {
       double norm = first_obs.total > 0 ? count / first_obs.total : 0.0;
       shared.emplace(v, std::make_pair(count, norm));
     }
     for (size_t i = 1; i < profiles.size() && !shared.empty(); ++i) {
-      const DescriptorObservation& obs = profiles[i]->observations[d];
+      const value_profiles::Observation& obs = profiles[i]->observations[d];
       std::unordered_map<Value, std::pair<double, double>, ValueHash> narrowed;
       for (const auto& [v, count] : obs.values) {
         auto it = shared.find(v);
@@ -534,11 +699,11 @@ TEST_F(MoviesFixture, SortedMergeMatchesHashMapMergeOnRandomProfiles) {
   for (int trial = 0; trial < 400; ++trial) {
     const size_t n = static_cast<size_t>(rng.UniformInt(1, 4));
     const bool numeric = rng.Bernoulli(0.5);
-    std::vector<EntityContextProfile> unsorted(n);
-    for (EntityContextProfile& profile : unsorted) {
+    std::vector<value_profiles::Profile> unsorted(n);
+    for (value_profiles::Profile& profile : unsorted) {
       profile.observations.resize(descs.size());
       for (size_t d = 0; d < descs.size(); ++d) {
-        DescriptorObservation& obs = profile.observations[d];
+        value_profiles::Observation& obs = profile.observations[d];
         if (descs[d]->hops.empty()) {
           if (rng.Bernoulli(0.8)) {
             obs.basic_value = descs[d]->kind == PropertyKind::kInlineNumeric
@@ -555,16 +720,16 @@ TEST_F(MoviesFixture, SortedMergeMatchesHashMapMergeOnRandomProfiles) {
         obs.total = rng.Bernoulli(0.2) ? 0.0 : rng.UniformInt(1, 40);
       }
     }
-    // Profiles as BuildEntityContextProfile leaves them: stably sorted.
-    std::vector<EntityContextProfile> sorted = unsorted;
-    for (EntityContextProfile& profile : sorted) {
-      for (DescriptorObservation& obs : profile.observations) {
+    // Profiles as the value-profile builder leaves them: stably sorted.
+    std::vector<value_profiles::Profile> sorted = unsorted;
+    for (value_profiles::Profile& profile : sorted) {
+      for (value_profiles::Observation& obs : profile.observations) {
         std::stable_sort(
             obs.values.begin(), obs.values.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
       }
     }
-    std::vector<const EntityContextProfile*> sorted_views, unsorted_views;
+    std::vector<const value_profiles::Profile*> sorted_views, unsorted_views;
     for (size_t i = 0; i < n; ++i) {
       sorted_views.push_back(&sorted[i]);
       unsorted_views.push_back(&unsorted[i]);
@@ -572,14 +737,14 @@ TEST_F(MoviesFixture, SortedMergeMatchesHashMapMergeOnRandomProfiles) {
     for (bool normalize : {false, true}) {
       SquidConfig config;
       config.normalize_association = normalize;
-      auto merged = MergeContextProfiles(*adb_, "person", sorted_views, config);
-      ASSERT_TRUE(merged.ok());
+      const std::vector<SemanticContext> merged =
+          value_profiles::Merge(*adb_, "person", sorted_views, config);
       const std::vector<SemanticContext> expected =
           HashMapMerge(descs, unsorted_views, config);
-      ASSERT_EQ(merged.value().size(), expected.size()) << "trial " << trial;
+      ASSERT_EQ(merged.size(), expected.size()) << "trial " << trial;
       contexts_seen += expected.size();
       for (size_t c = 0; c < expected.size(); ++c) {
-        const SemanticProperty& got = merged.value()[c].property;
+        const SemanticProperty& got = merged[c].property;
         const SemanticProperty& want = expected[c].property;
         EXPECT_EQ(got.descriptor, want.descriptor);
         EXPECT_EQ(got.value, want.value);
@@ -588,7 +753,7 @@ TEST_F(MoviesFixture, SortedMergeMatchesHashMapMergeOnRandomProfiles) {
         EXPECT_EQ(Bits(got.hi), Bits(want.hi));
         EXPECT_EQ(Bits(got.theta), Bits(want.theta));
         EXPECT_EQ(Bits(got.theta_norm), Bits(want.theta_norm));
-        EXPECT_EQ(merged.value()[c].support, expected[c].support);
+        EXPECT_EQ(merged[c].support, expected[c].support);
       }
     }
   }
@@ -776,9 +941,9 @@ class ScanProfiler {
  public:
   explicit ScanProfiler(const AbductionReadyDb& adb) : adb_(adb) {}
 
-  DescriptorObservation Observe(const PropertyDescriptor& desc, size_t row,
-                                const Value& key) {
-    DescriptorObservation obs;
+  value_profiles::Observation Observe(const PropertyDescriptor& desc, size_t row,
+                                      const Value& key) {
+    value_profiles::Observation obs;
     const Database& db = adb_.database();
     if (desc.hops.empty()) {
       const Table* table = db.GetTable(desc.entity_relation).value();
@@ -840,8 +1005,8 @@ void ExpectSameValue(const Value& got, const Value& want, const std::string& whe
   }
 }
 
-void ExpectSameObservation(const DescriptorObservation& got,
-                           const DescriptorObservation& want,
+void ExpectSameObservation(const value_profiles::Observation& got,
+                           const value_profiles::Observation& want,
                            const std::string& where) {
   ExpectSameValue(got.basic_value, want.basic_value, where);
   ASSERT_EQ(got.values.size(), want.values.size()) << where;
@@ -914,7 +1079,7 @@ void ExpectOrdinalAbductionMatchesStringKeyed(const Bench& bench, size_t* sets) 
             for (size_t d = 0; d < ordinals.size(); ++d) {
               const PropertyDescriptor& desc = adb.schema_graph().descriptors()[ordinals[d]];
               ExpectSameObservation(
-                  profile.value().observations[d],
+                  value_profiles::FromView(adb, desc, profile.value().observations[d]),
                   scan.Observe(desc, resolved.value().rows[i], keys[i]),
                   where + " " + desc.id);
             }
@@ -948,6 +1113,192 @@ TEST(AbductionDifferentialTest, OrdinalModelMatchesStringKeyedModel) {
   ExpectOrdinalAbductionMatchesStringKeyed(bench::BuildImdbBench(0.2), &sets);
   ExpectOrdinalAbductionMatchesStringKeyed(bench::BuildDblpBench(0.2), &sets);
   EXPECT_GT(sets, 200u) << "too few example sets to compare";
+}
+
+// ---------- range profiles against value profiles ----------
+
+void ExpectSameContexts(const std::vector<SemanticContext>& got,
+                        const std::vector<SemanticContext>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t c = 0; c < got.size(); ++c) {
+    const SemanticProperty& g = got[c].property;
+    const SemanticProperty& w = want[c].property;
+    const std::string at = where + " context " + std::to_string(c);
+    EXPECT_EQ(g.descriptor, w.descriptor) << at;
+    ExpectSameValue(g.value, w.value, at);
+    EXPECT_EQ(Bits(g.lo), Bits(w.lo)) << at;
+    EXPECT_EQ(Bits(g.hi), Bits(w.hi)) << at;
+    EXPECT_EQ(Bits(g.theta), Bits(w.theta)) << at;
+    EXPECT_EQ(Bits(g.theta_norm), Bits(w.theta_norm)) << at;
+    EXPECT_EQ(got[c].support, want[c].support) << at;
+  }
+}
+
+/// The value profile of the entity at `row`, one scanned observation per
+/// descriptor in OrdinalsFor order (uncovered descriptors stay empty).
+value_profiles::Profile BuildValueProfile(const AbductionReadyDb& adb, ScanProfiler* scan,
+                                          const std::string& relation, size_t row) {
+  value_profiles::Profile profile;
+  profile.row = row;
+  const Value key = string_scorer::KeyAt(adb, relation, row);
+  const SchemaGraph& graph = adb.schema_graph();
+  for (size_t ordinal : graph.OrdinalsFor(relation)) {
+    const PropertyDescriptor& desc = graph.descriptors()[ordinal];
+    profile.observations.push_back(adb.Covers(desc) ? scan->Observe(desc, row, key)
+                                                    : value_profiles::Observation{});
+  }
+  return profile;
+}
+
+/// Example sets of sizes 2-7 drawn from every benchmark query's ground
+/// truth: disambiguation's picks (exhaustive and greedy), the merged
+/// contexts, and the abduced query (filters, log posterior, both SQL forms)
+/// must be the value profiles' bit for bit.
+template <typename Bench>
+void ExpectRangeProfilesMatchValueProfiles(const Bench& bench, size_t* sets,
+                                           size_t* ambiguous) {
+  const AbductionReadyDb& adb = *bench.adb;
+  ScanProfiler scan(adb);
+  for (const BenchmarkQuery& query : bench.queries) {
+    auto truth = GroundTruth(*bench.data.db, query);
+    ASSERT_TRUE(truth.ok()) << query.id;
+    for (size_t k = 2; k <= 7; ++k) {
+      for (uint64_t seed : {5u, 23u}) {
+        Rng rng(seed * 31 + k);
+        const std::vector<std::string> examples = SampleExamples(truth.value(), k, &rng);
+        auto matches = LookupExamples(adb, examples);
+        if (!matches.ok()) continue;
+        for (const EntityMatch& match : matches.value()) {
+          const std::string where = query.id + " k=" + std::to_string(k) +
+                                    " seed=" + std::to_string(seed) + " " +
+                                    match.relation + "." + match.attribute;
+          const size_t n = match.candidate_rows.size();
+          std::vector<std::vector<value_profiles::Profile>> candidates(n);
+          for (size_t i = 0; i < n; ++i) {
+            for (size_t row : match.candidate_rows[i]) {
+              candidates[i].push_back(BuildValueProfile(adb, &scan, match.relation, row));
+            }
+          }
+          const bool is_ambiguous = match.NumCombinations() > 1.0;
+          *ambiguous += is_ambiguous;
+          std::vector<size_t> rows(n);
+          for (size_t combos :
+               {SquidConfig{}.max_disambiguation_combos, size_t{1}}) {
+            SquidConfig config;
+            config.max_disambiguation_combos = combos;
+            auto resolved = ResolveEntities(adb, match, config);
+            ASSERT_TRUE(resolved.ok()) << where;
+            std::vector<size_t> want(n);
+            if (is_ambiguous) {
+              want = PickRowsBy(match, config, candidates, value_profiles::Score);
+            } else {
+              for (size_t i = 0; i < n; ++i) want[i] = match.candidate_rows[i][0];
+            }
+            EXPECT_EQ(resolved.value().rows, want) << where << " combos=" << combos;
+            if (combos == SquidConfig{}.max_disambiguation_combos) rows = want;
+          }
+
+          std::vector<EntityContextProfile> views;
+          std::vector<value_profiles::Profile> values;
+          std::vector<Value> keys;
+          for (size_t i = 0; i < n; ++i) {
+            keys.push_back(string_scorer::KeyAt(adb, match.relation, rows[i]));
+            auto view = BuildEntityContextProfile(adb, match.relation, keys[i], &rows[i]);
+            ASSERT_TRUE(view.ok()) << where;
+            views.push_back(std::move(view).value());
+            values.push_back(BuildValueProfile(adb, &scan, match.relation, rows[i]));
+          }
+          std::vector<const EntityContextProfile*> view_ptrs;
+          std::vector<const value_profiles::Profile*> value_ptrs;
+          for (size_t i = 0; i < n; ++i) {
+            view_ptrs.push_back(&views[i]);
+            value_ptrs.push_back(&values[i]);
+          }
+          for (bool normalize : {false, true}) {
+            SquidConfig config;
+            config.normalize_association = normalize;
+            const std::string at = where + (normalize ? " normalized" : "");
+            auto contexts = MergeContextProfiles(adb, match.relation, view_ptrs, config);
+            ASSERT_TRUE(contexts.ok()) << at;
+            const std::vector<SemanticContext> want_contexts =
+                value_profiles::Merge(adb, match.relation, value_ptrs, config);
+            ExpectSameContexts(contexts.value(), want_contexts, at);
+
+            auto got = Squid(&adb, config).AbduceCandidate(match);
+            auto want_filters = AbductionModel(&adb, config).AbduceFilters(want_contexts, n);
+            ASSERT_TRUE(got.ok()) << at;
+            ASSERT_TRUE(want_filters.ok()) << at;
+            EXPECT_EQ(got.value().entity_keys, keys) << at;
+            ExpectSameFilters(got.value().filters, want_filters.value(), at);
+            EXPECT_EQ(Bits(got.value().log_posterior),
+                      Bits(AbductionModel::LogPosterior(want_filters.value())))
+                << at;
+            QueryBuilder builder(&adb, config);
+            auto want_adb = builder.BuildAdbQuery(match.relation, match.attribute,
+                                                  want_filters.value());
+            auto want_original = builder.BuildOriginalQuery(
+                match.relation, match.attribute, want_filters.value());
+            ASSERT_TRUE(want_adb.ok()) << at;
+            ASSERT_TRUE(want_original.ok()) << at;
+            EXPECT_EQ(ToSql(got.value().adb_query), ToSql(want_adb.value())) << at;
+            EXPECT_EQ(ToSql(got.value().original_query), ToSql(want_original.value()))
+                << at;
+            ++*sets;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ProfileViewDifferentialTest, RangeProfilesMatchValueProfiles) {
+  size_t sets = 0, ambiguous = 0;
+  ExpectRangeProfilesMatchValueProfiles(bench::BuildImdbBench(0.2), &sets, &ambiguous);
+  ExpectRangeProfilesMatchValueProfiles(bench::BuildDblpBench(0.2), &sets, &ambiguous);
+  EXPECT_GT(sets, 200u) << "too few example sets to compare";
+  EXPECT_GT(ambiguous, 20u) << "too few ambiguous matches to compare";
+}
+
+/// Column::CompareRows, the order range-profile cursors walk, against
+/// Value::Compare on every pair of cells of one column.
+void ExpectCompareRowsMatchesValueCompare(ValueType type, const std::vector<Value>& cells) {
+  Database db("cells");
+  auto table = db.CreateTable(Schema("t", {{"c", type}}));
+  ASSERT_TRUE(table.ok());
+  for (const Value& v : cells) ASSERT_TRUE(table.value()->AppendRow({v}).ok());
+  const Column& col = table.value()->column(0);
+  for (size_t a = 0; a < cells.size(); ++a) {
+    for (size_t b = 0; b < cells.size(); ++b) {
+      EXPECT_EQ(col.CompareRows(a, b), col.ValueAt(a).Compare(col.ValueAt(b)))
+          << ValueTypeName(type) << " " << col.ValueAt(a).ToString() << " vs "
+          << col.ValueAt(b).ToString();
+    }
+  }
+}
+
+TEST(CompareRowsTest, StringsWithSharedPrefixesAndTheEmptyString) {
+  ExpectCompareRowsMatchesValueCompare(
+      ValueType::kString, {Value("ab"), Value(""), Value("abc"), Value("a"), Value::Null(),
+                           Value("abd"), Value("ab"), Value("b"), Value(""),
+                           Value("ab\x7f"), Value("ab\xc3\xa9")});
+}
+
+TEST(CompareRowsTest, Int64Column) {
+  ExpectCompareRowsMatchesValueCompare(
+      ValueType::kInt64,
+      {Value(int64_t{0}), Value(std::numeric_limits<int64_t>::min()), Value(int64_t{-1}),
+       Value::Null(), Value(int64_t{1}), Value(std::numeric_limits<int64_t>::max()),
+       Value(int64_t{0})});
+}
+
+TEST(CompareRowsTest, DoubleColumn) {
+  const double inf = std::numeric_limits<double>::infinity();
+  ExpectCompareRowsMatchesValueCompare(
+      ValueType::kDouble,
+      {Value(0.0), Value(-0.0), Value(-1.5), Value(2.5), Value(1e-300), Value(inf),
+       Value(-inf), Value(std::numeric_limits<double>::quiet_NaN()), Value::Null(),
+       Value(2.5)});
 }
 
 // Outlier families (Appendix B) on hand-made contexts over the movies

@@ -13,11 +13,13 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <list>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -359,12 +361,100 @@ TEST_F(ServeFixture, CachedProfileMatchesDirectBuild) {
   EXPECT_EQ(a.row, b.row);
   for (size_t d = 0; d < a.observations.size(); ++d) {
     EXPECT_EQ(a.observations[d].basic_value, b.observations[d].basic_value);
-    EXPECT_EQ(a.observations[d].total, b.observations[d].total);
-    ASSERT_EQ(a.observations[d].values.size(), b.observations[d].values.size());
-    for (size_t v = 0; v < a.observations[d].values.size(); ++v) {
-      EXPECT_EQ(a.observations[d].values[v].first, b.observations[d].values[v].first);
-      EXPECT_EQ(a.observations[d].values[v].second, b.observations[d].values[v].second);
-    }
+    EXPECT_EQ(a.observations[d].rows.total, b.observations[d].rows.total);
+    EXPECT_EQ(a.observations[d].rows.begin, b.observations[d].rows.begin);
+    EXPECT_EQ(a.observations[d].rows.end, b.observations[d].rows.end);
+  }
+}
+
+/// Counts the bytes the standard library asks of it, so the cache's charge
+/// can be checked against the real node and control-block layouts.
+template <typename T>
+struct CountingAllocator {
+  using value_type = T;
+  static inline size_t bytes = 0;
+  CountingAllocator() = default;
+  template <typename U>
+  CountingAllocator(const CountingAllocator<U>&) {}  // NOLINT
+  T* allocate(size_t n) {
+    CountingAllocator<char>::bytes += n * sizeof(T);
+    return std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* p, size_t n) { std::allocator<T>().deallocate(p, n); }
+  template <typename U>
+  bool operator==(const CountingAllocator<U>&) const { return true; }
+  template <typename U>
+  bool operator!=(const CountingAllocator<U>&) const { return false; }
+};
+
+/// Bytes `fn` has the standard library allocate through CountingAllocator.
+template <typename Fn>
+size_t CountedBytes(Fn&& fn) {
+  const size_t before = CountingAllocator<char>::bytes;
+  fn();
+  return CountingAllocator<char>::bytes - before;
+}
+
+TEST(ContextCacheAccountingTest, EntryOverheadMatchesTheLibraryLayout) {
+  using Entry = ContextCache::Entry;
+  using Key = ContextCache::CacheKey;
+  using Iterator = std::list<Entry>::iterator;
+  std::list<Entry, CountingAllocator<Entry>> lru;
+  const size_t list_node = CountedBytes([&] { lru.emplace_front(); });
+
+  std::unordered_map<Key, Iterator, ContextCache::CacheKeyHash, std::equal_to<Key>,
+                     CountingAllocator<std::pair<const Key, Iterator>>>
+      map;
+  map.reserve(16);  // the bucket array, allocated apart from the nodes
+  const size_t map_node = CountedBytes([&] { map.emplace(Key{}, lru.begin()); });
+
+  const size_t shared = CountedBytes([] {
+    (void)std::allocate_shared<const EntityContextProfile>(
+        CountingAllocator<EntityContextProfile>());
+  });
+  const size_t control_block = shared - sizeof(EntityContextProfile);
+
+  // One bucket slot per entry on top of the nodes.
+  EXPECT_EQ(ContextCache::kEntryOverheadBytes,
+            list_node + map_node + sizeof(void*) + control_block);
+}
+
+TEST(ContextCacheAccountingTest, ProfileChargesOnlyWhatItHolds) {
+  EntityContextProfile profile;
+  profile.observations.resize(3);
+  profile.observations[0].basic_value = Value("M");  // inline (small string)
+  profile.observations[1].basic_value = Value(int64_t{1970});
+  const size_t fixed = sizeof(EntityContextProfile) +
+                       profile.observations.capacity() * sizeof(DescriptorObservation);
+  EXPECT_EQ(profile.ApproxBytes(), fixed);
+
+  const std::string long_string(200, 'x');
+  profile.observations[2].basic_value = Value(long_string);
+  EXPECT_EQ(profile.ApproxBytes(),
+            fixed + profile.observations[2].basic_value.AsString().capacity() + 1);
+}
+
+TEST_F(ServeFixture, PersonProfileIsAboutOneKilobyte) {
+  // A profile views the αDB's derived relations: its footprint is its
+  // observation array, however many associations the person has.
+  for (const Value& key : PersonKeys(20)) {
+    auto profile = BuildEntityContextProfile(*bench_->adb, "person", key);
+    ASSERT_TRUE(profile.ok());
+    EXPECT_LE(profile.value().ApproxBytes(), 1228u);
+  }
+}
+
+TEST_F(ServeFixture, CacheChargesProfileBytesPlusEntryOverhead) {
+  ContextCache::Options options;
+  options.shards = 1;
+  options.max_bytes = 64u << 20;
+  ContextCache cache(bench_->adb.get(), options);
+  size_t expected = 0;
+  for (const Value& key : PersonKeys(5)) {
+    auto profile = cache.Profile("person", key, nullptr, nullptr);
+    ASSERT_TRUE(profile.ok());
+    expected += profile.value()->ApproxBytes() + ContextCache::kEntryOverheadBytes;
+    EXPECT_EQ(cache.ApproxBytes(), expected);
   }
 }
 

@@ -716,6 +716,143 @@ TEST_F(SnapshotCorruptionTest, DerivedRelationWithMistypedCountIsCorruption) {
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
 }
 
+// ---------- derived-relation layout ----------
+
+/// Replaces `from`'s bytes in `payload` with `to`'s (same length) when they
+/// occur exactly once; returns the number of occurrences.
+template <typename T>
+size_t ReplaceUniqueArray(std::vector<uint8_t>* payload, const std::vector<T>& from,
+                          const std::vector<T>& to) {
+  const auto* f = reinterpret_cast<const uint8_t*>(from.data());
+  const size_t len = from.size() * sizeof(T);
+  size_t found = 0;
+  auto hit = payload->end();
+  for (auto it = payload->begin();
+       (it = std::search(it, payload->end(), f, f + len)) != payload->end(); ++it) {
+    ++found;
+    hit = it;
+  }
+  if (found == 1) std::memcpy(&*hit, to.data(), len);
+  return found;
+}
+
+/// A person-keyed derived relation of the movies fixture whose entity_id
+/// and value columns are each stored once in the snapshot's table data
+/// (so patching their bytes hits this relation only), and whose first
+/// entity has two rows of different values followed by a second entity.
+class DerivedLayoutTest : public SnapshotCorruptionTest {
+ protected:
+  void SetUp() override {
+    auto db = MakeMoviesDb();
+    auto built = AbductionReadyDb::Build(*db);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    adb_ = std::move(built).value();
+    auto file = SnapshotFile::FromBytes(*bytes_);
+    ASSERT_TRUE(file.ok());
+    for (const SnapshotFile::ExtentInfo& info : file.value().extents()) {
+      if (info.type != ExtentType::kTableData) continue;
+      table_data_.assign(bytes_->begin() + static_cast<ptrdiff_t>(info.offset),
+                         bytes_->begin() + static_cast<ptrdiff_t>(info.offset + info.length));
+    }
+    for (const PropertyDescriptor& desc : adb_->schema_graph().descriptors()) {
+      if (desc.hops.empty() || desc.entity_relation != "person") continue;
+      auto table = adb_->database().GetTable(desc.derived_table);
+      if (!table.ok()) continue;
+      const Column* entity = table.value()->ColumnByName("entity_id").value();
+      const Column* value = table.value()->ColumnByName("value").value();
+      if (value->type() != ValueType::kString || table.value()->num_rows() < 3) continue;
+      if (entity->Int64At(0) != entity->Int64At(1) ||
+          entity->Int64At(1) == entity->Int64At(2) ||
+          value->SymbolAt(0) == value->SymbolAt(1)) {
+        continue;
+      }
+      std::vector<uint8_t> probe = table_data_;
+      if (ReplaceUniqueArray(&probe, entity->ints_raw(), entity->ints_raw()) != 1 ||
+          ReplaceUniqueArray(&probe, value->syms_raw(), value->syms_raw()) != 1) {
+        continue;
+      }
+      desc_ = &desc;
+      entity_ = entity;
+      value_ = value;
+      return;
+    }
+    FAIL() << "no person-keyed derived relation fits the layout cases";
+  }
+
+  /// The snapshot with the relation's entity_id or value column replaced.
+  std::vector<uint8_t> WithEntityIds(const std::vector<int64_t>& ids) {
+    return PatchExtent(*bytes_, ExtentType::kTableData, [&](std::vector<uint8_t>* p) {
+      EXPECT_EQ(ReplaceUniqueArray(p, entity_->ints_raw(), ids), 1u);
+    });
+  }
+  std::vector<uint8_t> WithValueSymbols(const std::vector<Symbol>& syms) {
+    return PatchExtent(*bytes_, ExtentType::kTableData, [&](std::vector<uint8_t>* p) {
+      EXPECT_EQ(ReplaceUniqueArray(p, value_->syms_raw(), syms), 1u);
+    });
+  }
+
+  std::unique_ptr<AbductionReadyDb> adb_;
+  std::vector<uint8_t> table_data_;
+  const PropertyDescriptor* desc_ = nullptr;
+  const Column* entity_ = nullptr;
+  const Column* value_ = nullptr;
+};
+
+TEST_F(DerivedLayoutTest, ValuesOutOfOrderWithinOneEntityAreCorruption) {
+  std::vector<Symbol> syms = value_->syms_raw();
+  std::swap(syms[0], syms[1]);  // the first entity's two values, descending
+  Status s = TryLoad(WithValueSymbols(syms), "values_out_of_order");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("out of order"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find(desc_->derived_table), std::string::npos) << s.ToString();
+}
+
+TEST_F(DerivedLayoutTest, InterleavedEntitiesAreCorruption) {
+  std::vector<int64_t> ids = entity_->ints_raw();
+  std::swap(ids[1], ids[2]);  // A A B -> A B A: the first entity's rows split
+  Status s = TryLoad(WithEntityIds(ids), "interleaved_entities");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("splits the rows of one entity"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(DerivedLayoutTest, RowsOfAnUnknownEntityAreUnreachableNotAnError) {
+  // The last entity's rows get a key no person has; they stay grouped and
+  // in value order, so the load succeeds and nothing reaches them.
+  std::vector<int64_t> ids = entity_->ints_raw();
+  const int64_t last = ids.back();
+  const int64_t orphan = *std::max_element(ids.begin(), ids.end()) + 1000;
+  for (int64_t& id : ids) {
+    if (id == last) id = orphan;
+  }
+  const std::string path = TempPath("orphan_entity.sqsnap");
+  WriteBytes(path, WithEntityIds(ids));
+  auto loaded = AbductionReadyDb::LoadSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const AbductionReadyDb& adb = *loaded.value();
+  auto desc = adb.schema_graph().FindDescriptor(desc_->id);
+  ASSERT_TRUE(desc.ok());
+
+  auto orphaned = adb.DerivedValues(*desc.value(), Value(orphan));
+  ASSERT_TRUE(orphaned.ok());
+  EXPECT_TRUE(orphaned.value().empty());
+  auto renamed = adb.DerivedValues(*desc.value(), Value(last));
+  ASSERT_TRUE(renamed.ok());
+  EXPECT_TRUE(renamed.value().empty());
+  EXPECT_EQ(adb.EntityTotal(*desc.value(), Value(last)), 0.0);
+  // Every other entity keeps its rows.
+  const Value first(entity_->Int64At(0));
+  auto kept = adb.DerivedValues(*desc.value(), first);
+  auto original = adb_->DerivedValues(*desc_, first);
+  ASSERT_TRUE(kept.ok());
+  ASSERT_TRUE(original.ok());
+  EXPECT_EQ(kept.value(), original.value());
+  EXPECT_EQ(adb.EntityTotal(*desc.value(), first), adb_->EntityTotal(*desc_, first));
+}
+
 // ---------- descriptors of another graph ----------
 
 TEST(SnapshotForeignDescriptorTest, ForeignDescriptorsGetAStatusNeverAnIndex) {
