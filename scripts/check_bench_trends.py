@@ -345,54 +345,6 @@ def check_snapshot(path):
                 )
 
 
-# The pipelined probe must not be slower than the unprefetched probe at the
-# largest (out-of-LLC) sweep size per structure. In-cache sizes are reported
-# but not gated — there prefetch instructions are pure overhead and losing a
-# little is expected. The tolerance + absolute slack covers noisy shared CI
-# runners, where a DRAM-latency effect can be partially masked.
-MEMLAT_TOLERANCE = 1.30
-MEMLAT_SLACK_NS = 20.0
-
-
-def check_memlat(path):
-    global checks_run
-    doc = load(path)
-    required = ["structure", "keys", "no-prefetch (ns)", "pipelined (ns)"]
-    tables = tables_with_headers(doc, required)
-    if not tables:
-        fail(f"{path.name}: no memlat sweep table with {required}")
-        return
-    for table in tables:
-        section = table.get("section", "?")
-        rows = [
-            {h: v for h, v in zip(table["headers"], row)} for row in table["rows"]
-        ]
-        if not rows:
-            fail(f"{path.name} [{section}]: memlat table is empty")
-            continue
-        by_structure = {}
-        for row in rows:
-            by_structure.setdefault(row["structure"], []).append(row)
-        for structure, structure_rows in by_structure.items():
-            largest = max(structure_rows, key=lambda r: float(r["keys"]))
-            plain_ns = float(largest["no-prefetch (ns)"])
-            piped_ns = float(largest["pipelined (ns)"])
-            checks_run += 1
-            bound = plain_ns * MEMLAT_TOLERANCE + MEMLAT_SLACK_NS
-            label = f"{structure} keys={float(largest['keys']):.0f}"
-            if piped_ns > bound:
-                fail(
-                    f"{path.name} [{section}] {label}: pipelined probe "
-                    f"{piped_ns:.2f}ns/op slower than unprefetched "
-                    f"{plain_ns:.2f}ns/op beyond tolerance"
-                )
-            else:
-                ok(
-                    f"{section} {label}: no-prefetch {plain_ns:.2f}ns, "
-                    f"pipelined {piped_ns:.2f}ns"
-                )
-
-
 # Open-loop accepted p99 may exceed the closed-loop p99 by this multiple
 # plus slack before we call the overload contract broken (accepted work
 # waits behind at most a tiny queue; unbounded queueing blows this bound by
@@ -613,7 +565,6 @@ def main():
         "bench_fig10_accuracy": check_fig10,
         "bench_fig11_query_runtime": check_fig11,
         "bench_fig9_scalability": check_build_speedup,
-        "bench_memlat": check_memlat,
         "bench_net_serve": check_net_serve,
         "bench_obs": check_obs,
         "bench_serve_throughput": check_serve,

@@ -49,8 +49,6 @@ SOURCE_SUFFIXES = {".h", ".cpp", ".cc", ".hpp"}
 ALLOWED_RAW_FILES = {
     "src/common/wire.h",
     "src/common/wire.cpp",
-    "src/common/mem_arena.h",
-    "src/common/mem_arena.cpp",
     "src/storage/snapshot.h",
     "src/storage/snapshot.cpp",
     "src/storage/string_pool.h",

@@ -77,9 +77,9 @@ struct AdbReport {
   size_t base_rows = 0;
   size_t derived_bytes = 0;
   size_t base_bytes = 0;
-  /// Resident bytes of the inverted index (CSR arrays + probe table, exact
-  /// arena accounting). Volatile like base_bytes: recomputed on snapshot
-  /// load, never serialized.
+  /// Bytes of the inverted index's arrays (CSR arrays + probe table; see
+  /// InvertedColumnIndex::ApproxBytes). Recomputed on snapshot load, never
+  /// serialized; a loaded αDB reports what its build reported.
   size_t index_bytes = 0;
 };
 

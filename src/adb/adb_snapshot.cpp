@@ -369,7 +369,7 @@ Status AbductionReadyDb::SaveSnapshot(const std::string& path) const {
   manifest->U64(pool->size());
   manifest->U64(pool->IdBound());
   // Stable report fields only: build_seconds / threads_used vary run to
-  // run, and base_bytes counts pool arena blocks — a function of the pool's
+  // run, and base_bytes counts pool arena chunks — a function of the pool's
   // allocation history, not of the logical αDB (two builds against one
   // shared pool report different values). Serializing any of them would
   // break the snapshot-bytes determinism contract; base_bytes is recomputed

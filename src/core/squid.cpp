@@ -1,8 +1,5 @@
 #include "core/squid.h"
 
-#include <atomic>
-
-#include "common/thread_pool.h"
 #include "core/entity_lookup.h"
 
 namespace squid {
@@ -34,41 +31,23 @@ Result<AbducedQuery> Squid::DiscoverForResolvedEntities(
     // resolution of every profile build.
     const bool have_rows = resolved.rows.size() == n;
     resolved.profiles.resize(n);
-    std::vector<size_t> missing;
+    size_t hits = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (resolved.profiles[i] == nullptr) missing.push_back(i);
-    }
-    std::vector<Status> statuses(missing.size());
-    // relaxed: workers only increment; the total is read after the fan-out
-    // joins (ParallelFor synchronizes completion).
-    std::atomic<size_t> cache_hits{0};
-    auto fetch = [&](size_t m) {
-      const size_t i = missing[m];
+      if (resolved.profiles[i] != nullptr) continue;
       bool hit = false;
-      auto profile = FetchEntityContextProfile(
-          *adb_, context_provider_, entity_relation, entity_keys[i],
-          have_rows ? &resolved.rows[i] : nullptr, &hit);
-      if (!profile.ok()) {
-        statuses[m] = profile.status();
-        return;
-      }
-      resolved.profiles[i] = std::move(profile).value();
-      if (hit) cache_hits.fetch_add(1, std::memory_order_relaxed);
-    };
-    if (pool_ != nullptr && missing.size() > 1) {
-      // Per-entity fetches are independent and land in per-example slots,
-      // so the merge below is identical at any thread count.
-      pool_->ParallelFor(missing.size(), fetch);
-    } else {
-      for (size_t m = 0; m < missing.size(); ++m) fetch(m);
+      SQUID_ASSIGN_OR_RETURN(
+          resolved.profiles[i],
+          FetchEntityContextProfile(*adb_, context_provider_, entity_relation,
+                                    entity_keys[i],
+                                    have_rows ? &resolved.rows[i] : nullptr,
+                                    &hit));
+      if (hit) ++hits;
     }
-    for (const Status& st : statuses) SQUID_RETURN_NOT_OK(st);
     // A cache hit spares the PK-index resolution entirely; hoisted rows
     // spare it for builds too (and disambiguation always has rows).
     if (have_rows) {
       out.stats.entity_row_lookups_saved += n;
     } else {
-      const size_t hits = cache_hits.load(std::memory_order_relaxed);
       out.stats.entity_row_lookups_saved += hits;
       out.stats.entity_row_lookups += n - hits;
     }

@@ -31,8 +31,6 @@
 
 namespace squid {
 
-class ThreadPool;
-
 /// \brief Work counters for one Discover call (candidate fan-out width and
 /// the entity-row point queries the hoisted lookup resolution saved).
 struct DiscoverStats {
@@ -88,13 +86,9 @@ class Squid {
 
   /// Interposes `provider` on every per-entity profile fetch — entity
   /// disambiguation's and context discovery's (not owned; must outlive this
-  /// Squid). nullptr restores uncached profile builds. `pool`, when
-  /// non-null, fans out the profile fetches of one example set that
-  /// disambiguation did not already make.
-  void set_context_provider(const ContextProvider* provider,
-                            ThreadPool* pool = nullptr) {
+  /// Squid). nullptr restores uncached profile builds.
+  void set_context_provider(const ContextProvider* provider) {
     context_provider_ = provider;
-    pool_ = pool;
   }
   const ContextProvider* context_provider() const { return context_provider_; }
 
@@ -146,7 +140,6 @@ class Squid {
   const AbductionReadyDb* adb_;
   SquidConfig config_;
   const ContextProvider* context_provider_ = nullptr;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace squid

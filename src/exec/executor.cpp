@@ -446,8 +446,7 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
     }
     // Grouping keys are packed per column — (validity, symbol-or-bits)
     // pairs — a chunk at a time into one flat scratch block, then folded
-    // into the GroupKeyTable, whose pipelined AddBatch prefetches slot
-    // reads a window ahead (see exec/group_table.h).
+    // into the GroupKeyTable (see exec/group_table.h).
     const size_t parts = keys.size() * 2;
     GroupKeyTable table(parts);
     std::vector<uint64_t> scratch(kProbeChunk * parts);

@@ -1,6 +1,7 @@
 #include "exec/group_table.h"
 
-#include "common/probe_pipeline.h"
+#include <algorithm>
+
 #include "exec/join_hash.h"
 
 namespace squid {
@@ -28,47 +29,27 @@ void GroupKeyTable::Rehash() {
 
 void GroupKeyTable::AddBatch(const uint64_t* packed, size_t n,
                              uint32_t tuple_base) {
-  // The compute stage carries the key hash forward and prefetches the
-  // home slot; the resolve stage re-masks the carried hash against the
-  // *current* capacity, so an insert-triggered rehash between the two
-  // stages only invalidates prefetch hints, never correctness.
-  PipelinedProbe<uint64_t>(
-      n, GlobalMemConfig().prefetch_window,
-      [&](size_t j) -> uint64_t {
-        const uint64_t h = HashKey(packed + j * parts_);
-        PrefetchRead(slots_.data() + (h & (cap_ - 1)));
-        return h;
-      },
-      [&](size_t i, uint64_t h) {
-        const uint64_t* key = packed + i * parts_;
-        uint64_t b = h & (cap_ - 1);
-        while (true) {
-          const uint32_t g = slots_[b];
-          if (g == kNoGroup) {
-            slots_[b] = static_cast<uint32_t>(groups_.size());
-            groups_.push_back(
-                Group{h, tuple_base + static_cast<uint32_t>(i), 1});
-            key_storage_.insert(key_storage_.end(), key, key + parts_);
-            if ((groups_.size() + 1) * 2 > cap_) Rehash();
-            return;
-          }
-          const uint64_t* stored = key_storage_.data() + g * parts_;
-          if (groups_[g].hash == h) {
-            bool equal = true;
-            for (size_t p = 0; p < parts_; ++p) {
-              if (stored[p] != key[p]) {
-                equal = false;
-                break;
-              }
-            }
-            if (equal) {
-              ++groups_[g].count;
-              return;
-            }
-          }
-          b = (b + 1) & (cap_ - 1);
-        }
-      });
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t* key = packed + i * parts_;
+    const uint64_t h = HashKey(key);
+    uint64_t b = h & (cap_ - 1);
+    while (true) {
+      const uint32_t g = slots_[b];
+      if (g == kNoGroup) {
+        slots_[b] = static_cast<uint32_t>(groups_.size());
+        groups_.push_back(Group{h, tuple_base + static_cast<uint32_t>(i), 1});
+        key_storage_.insert(key_storage_.end(), key, key + parts_);
+        if ((groups_.size() + 1) * 2 > cap_) Rehash();
+        break;
+      }
+      if (groups_[g].hash == h &&
+          std::equal(key, key + parts_, key_storage_.data() + g * parts_)) {
+        ++groups_[g].count;
+        break;
+      }
+      b = (b + 1) & (cap_ - 1);
+    }
+  }
 }
 
 }  // namespace squid

@@ -10,8 +10,7 @@
 /// in one flat array. The table assigns dense group ids in first-occurrence
 /// order (the executor's output-determinism contract) and each group
 /// remembers only its first tuple's index plus a running count. The three
-/// arrays (slot table, group list, key storage) are plain heap vectors: a
-/// table lives for one query, too briefly to repay a hugepage arena block.
+/// arrays (slot table, group list, key storage) are plain vectors.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,11 +36,6 @@ class GroupKeyTable {
   /// Folds `n` tuples into the table. `packed` holds n * parts words,
   /// row-major: tuple j's key is packed[j * parts, (j + 1) * parts). Tuple j
   /// is recorded as buffer index `tuple_base + j` if it opens a new group.
-  ///
-  /// The slot-table read of tuple i+W is hashed and prefetched while tuple i
-  /// resolves (W = MemConfig::prefetch_window; the pipeline carries the
-  /// *hash*, not the bucket, so a mid-batch rehash only staleness-es the
-  /// prefetch hints — resolution always re-masks against the live table).
   void AddBatch(const uint64_t* packed, size_t n, uint32_t tuple_base);
 
   /// Groups in first-occurrence order.

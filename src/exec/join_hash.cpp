@@ -1,6 +1,5 @@
 #include "exec/join_hash.h"
 
-#include "common/probe_pipeline.h"
 #include "storage/string_pool.h"
 
 namespace squid {
@@ -155,48 +154,7 @@ FlatJoinHash::RowSpan FlatJoinHash::Probe(uint64_t key) const {
 
 void FlatJoinHash::ProbeBatch(const uint64_t* keys, const uint8_t* valid,
                               size_t n, RowSpan* out) const {
-  if (table_.empty()) {
-    for (size_t i = 0; i < n; ++i) out[i] = RowSpan{};
-    return;
-  }
-  // Batching exists so the probe loop can run ahead of the memory system:
-  // on large build sides the table exceeds cache and every bucket read is a
-  // DRAM load. The shared pipeline hashes + prefetches the bucket of probe
-  // i+W while resolving probe i, carrying the computed bucket index across
-  // so the resolve stage doesn't re-hash (the window W is
-  // MemConfig::prefetch_window; W <= 1 means plain per-item probes).
-  const Entry* table = table_.data();
-  PipelinedProbe<uint64_t>(
-      n, GlobalMemConfig().prefetch_window,
-      [&](size_t j) -> uint64_t {
-        if (!valid[j]) return 0;
-        const uint64_t b = MixJoinKey(keys[j]) & mask_;
-        PrefetchRead(table + b);
-        return b;
-      },
-      [&](size_t i, uint64_t bucket) {
-        if (!valid[i]) {
-          out[i] = RowSpan{};
-          return;
-        }
-        const uint64_t key = keys[i];
-        uint64_t b = bucket;
-        while (true) {
-          const Entry& e = table[b];
-          if (e.count == 0) {
-            out[i] = RowSpan{};
-            return;
-          }
-          if (e.key == key) {
-            // Confirmed hit: start the row-id span on its way to cache
-            // before the caller walks it during match expansion.
-            PrefetchRead(rows_.data() + e.begin);
-            out[i] = RowSpan{rows_.data() + e.begin, e.count};
-            return;
-          }
-          b = (b + 1) & mask_;
-        }
-      });
+  for (size_t i = 0; i < n; ++i) out[i] = valid[i] ? Probe(keys[i]) : RowSpan{};
 }
 
 }  // namespace squid

@@ -11,8 +11,8 @@
 /// `{key, slot}` entries at <= 50% load, and each key's matching row ids are
 /// one contiguous span of a single CSR postings array. A probe is one mix of
 /// the packed key and a linear scan of flat entries — no node chasing, no
-/// per-probe allocation — and `ProbeBatch` amortizes that over a whole chunk
-/// of probe keys at once.
+/// per-probe allocation. `ProbeBatch` runs that probe over a whole chunk of
+/// probe keys in one call.
 
 #include <cstdint>
 #include <vector>
@@ -76,12 +76,6 @@ class FlatJoinHash {
 
   /// Batched probe over a packed key chunk: out[i] = Probe(keys[i]) where
   /// valid[i] is non-zero, else the empty span.
-  ///
-  /// Runs the shared software-prefetch pipeline (common/probe_pipeline.h):
-  /// buckets are hashed and prefetched MemConfig::prefetch_window probes
-  /// ahead of the resolve stage, and a confirmed hit prefetches its row-id
-  /// span too, so the caller's match expansion doesn't stall on it. A
-  /// window <= 1 degrades to plain per-item probes (same results).
   void ProbeBatch(const uint64_t* keys, const uint8_t* valid, size_t n,
                   RowSpan* out) const;
 
@@ -109,10 +103,7 @@ class FlatJoinHash {
   static_assert(sizeof(Entry) == 16, "bucket layout audited at 16 bytes");
 
   /// One bucket probe touches one 16-byte entry — one cache line, by the
-  /// alignment above — and a hit's row span is one contiguous read. Both
-  /// arrays are plain heap vectors: a table lives for one query, and at
-  /// benched αDB scales a per-query hugepage arena block (mmap, a zeroing
-  /// 2 MiB fault, munmap) cost more than its dTLB reach saved.
+  /// alignment above — and a hit's row span is one contiguous read.
   std::vector<Entry> table_;  // power-of-two, <= 50% load
   uint64_t mask_ = 0;
   std::vector<uint32_t> rows_;

@@ -23,7 +23,7 @@ SquidService::SquidService(const AbductionReadyDb* adb, ServeOptions options)
     cache_options.max_bytes = options_.cache_bytes;
     cache_options.shards = options_.cache_shards;
     cache_ = std::make_unique<ContextCache>(adb_, cache_options);
-    squid_.set_context_provider(cache_.get(), &pool_);
+    squid_.set_context_provider(cache_.get());
   }
   metrics_ = options_.metrics != nullptr ? options_.metrics
                                          : &obs::MetricsRegistry::Global();

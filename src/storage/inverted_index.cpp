@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/probe_pipeline.h"
-
 namespace squid {
 
 Result<InvertedColumnIndex> InvertedColumnIndex::Build(const Database& db) {
@@ -108,63 +106,6 @@ InvertedColumnIndex::PostingSpan InvertedColumnIndex::Lookup(
 Symbol InvertedColumnIndex::FoldedSymbolOf(std::string_view text) const {
   const ProbeEntry* e = FindProbeEntry(text);
   return e == nullptr ? kNoSymbol : e->folded;
-}
-
-InvertedColumnIndex::PostingSpan InvertedColumnIndex::LookupFolded(
-    Symbol folded) const {
-  if (folded == kNoSymbol || folded >= slot_of_folded_.size()) return PostingSpan();
-  uint32_t slot = slot_of_folded_[folded];
-  if (slot == kNoSlot) return PostingSpan();
-  return PostingSpan(postings_.data() + offsets_[slot],
-                     offsets_[slot + 1] - offsets_[slot]);
-}
-
-void InvertedColumnIndex::LookupFoldedBatch(const Symbol* folded, size_t n,
-                                            PostingSpan* out) const {
-  size_t w = GlobalMemConfig().prefetch_window;
-  if (w > kMaxProbeWindow) w = kMaxProbeWindow;
-  if (w <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) out[i] = LookupFolded(folded[i]);
-    return;
-  }
-
-  // Two pipelined dependent loads per probe: symbol -> slot, then slot ->
-  // offset pair. Stage A prefetches the slot entry a full window ahead;
-  // stage B (half a window ahead, when A's line has arrived) loads the
-  // slot, parks it in the ring, and prefetches its offsets; the resolve
-  // stage reads the offsets and emits the span, prefetching the postings
-  // the caller is about to walk.
-  const size_t bound = slot_of_folded_.size();
-  const size_t half = w / 2 == 0 ? 1 : w / 2;
-  uint32_t slot_ring[kMaxProbeWindow];
-  auto stage_a = [&](size_t j) {
-    const Symbol s = folded[j];
-    if (s != kNoSymbol && s < bound) PrefetchRead(&slot_of_folded_[s]);
-  };
-  auto stage_b = [&](size_t j) {
-    const Symbol s = folded[j];
-    const uint32_t slot =
-        (s != kNoSymbol && s < bound) ? slot_of_folded_[s] : kNoSlot;
-    slot_ring[j % w] = slot;
-    if (slot != kNoSlot) PrefetchRead(&offsets_[slot]);
-  };
-  const size_t lead_a = n < w ? n : w;
-  for (size_t j = 0; j < lead_a; ++j) stage_a(j);
-  const size_t lead_b = n < half ? n : half;
-  for (size_t j = 0; j < lead_b; ++j) stage_b(j);
-  for (size_t i = 0; i < n; ++i) {
-    if (i + w < n) stage_a(i + w);
-    if (i + half < n) stage_b(i + half);
-    const uint32_t slot = slot_ring[i % w];
-    if (slot == kNoSlot) {
-      out[i] = PostingSpan();
-      continue;
-    }
-    const uint32_t off = offsets_[slot];
-    const uint32_t count = offsets_[slot + 1] - off;
-    PrefetchRead(postings_.data() + off);
-    out[i] = PostingSpan(postings_.data() + off, count);
-  }
 }
 
 }  // namespace squid

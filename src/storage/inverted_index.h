@@ -11,15 +11,15 @@
 /// StringPool symbols; a symbol->slot table (sized by StringPool::IdBound(),
 /// the sharded pool's id space is not dense) plus a slot offset array
 /// locate each key's posting span. Lookup is a single case-folding hash of
-/// the probe text and two array reads — no per-lookup allocation, no string
-/// materialization.
+/// the probe text, a short linear probe of a flat table and two array reads
+/// — no per-lookup allocation, no string materialization. All four arrays
+/// are plain vectors.
 
 #include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
 
-#include "common/mem_arena.h"
 #include "common/status.h"
 #include "storage/database.h"
 #include "storage/string_pool.h"
@@ -71,19 +71,6 @@ class InvertedColumnIndex {
   /// of a flat open-addressing table of 16-byte entries.
   PostingSpan Lookup(std::string_view text) const;
 
-  /// Lookup by an already-folded pool symbol (the symbol-threaded fast path
-  /// for callers that interned the probe once at the API boundary).
-  PostingSpan LookupFolded(Symbol folded) const;
-
-  /// Batched LookupFolded over `n` symbols: out[i] = LookupFolded(folded[i]).
-  /// Runs the shared probe pipeline (common/probe_pipeline.h): the
-  /// symbol->slot read of probe i+W and the offset read of probe i+W/2 are
-  /// prefetched while probe i resolves, and a resolved span prefetches its
-  /// postings — the CSR twin of FlatJoinHash::ProbeBatch. A
-  /// MemConfig::prefetch_window <= 1 degrades to a plain loop.
-  void LookupFoldedBatch(const Symbol* folded, size_t n,
-                         PostingSpan* out) const;
-
   /// Folded symbol of `text`, or kNoSymbol when no *indexed* value matches
   /// (unlike StringPool::FindFolded this only sees indexed keys).
   Symbol FoldedSymbolOf(std::string_view text) const;
@@ -105,9 +92,15 @@ class InvertedColumnIndex {
   size_t NumKeys() const { return num_keys_; }
   size_t NumPostings() const { return postings_.size(); }
 
-  /// Exact footprint of the CSR arrays + probe table (arena stats); feeds
-  /// AdbReport::index_bytes and the serve/snapshot byte reports.
-  size_t ApproxBytes() const { return arena_->stats().used_bytes; }
+  /// Bytes of the four arrays' elements (symbol->slot table, probe table,
+  /// offsets, postings). Depends only on the indexed content, so a built
+  /// and a snapshot-loaded index agree; feeds AdbReport::index_bytes.
+  size_t ApproxBytes() const {
+    return slot_of_folded_.size() * sizeof(uint32_t) +
+           probe_table_.size() * sizeof(ProbeEntry) +
+           offsets_.size() * sizeof(uint32_t) +
+           postings_.size() * sizeof(Posting);
+  }
 
   /// Writes the CSR arrays (slot keys in slot order, offsets, postings) to
   /// a kInvertedIndex extent. The probe table is derived state and is not
@@ -138,19 +131,15 @@ class InvertedColumnIndex {
   const ProbeEntry* FindProbeEntry(std::string_view text) const;
 
   std::shared_ptr<const StringPool> pool_;
-  // All probe-path arrays live in one bump arena (hugepage-backed per
-  // MemConfig): adjacent placement plus 2 MiB TLB reach is what keeps the
-  // out-of-cache lookup path fast at Fig. 9's largest |D|.
-  std::shared_ptr<MemArena> arena_ = std::make_shared<MemArena>();
   // Folded symbol -> dense slot (kNoSlot when the symbol has no postings).
-  ArenaVector<uint32_t> slot_of_folded_{ArenaAllocator<uint32_t>(arena_)};
+  std::vector<uint32_t> slot_of_folded_;
   // Open-addressing (linear probing) table over the folded keys, sized to
   // a power of two at <= 50% load.
-  ArenaVector<ProbeEntry> probe_table_{ArenaAllocator<ProbeEntry>(arena_)};
+  std::vector<ProbeEntry> probe_table_;
   uint64_t probe_mask_ = 0;
   // Slot s owns postings_[offsets_[s], offsets_[s + 1]).
-  ArenaVector<uint32_t> offsets_{ArenaAllocator<uint32_t>(arena_)};
-  ArenaVector<Posting> postings_{ArenaAllocator<Posting>(arena_)};
+  std::vector<uint32_t> offsets_;
+  std::vector<Posting> postings_;
   size_t num_keys_ = 0;
 };
 

@@ -113,11 +113,9 @@ class ExtentWriter {
     Raw(s.data(), s.size());
   }
 
-  /// u64 element count, padding to 8, then the elements verbatim. Accepts
-  /// any allocator (arena-backed vectors serialize identically — the wire
-  /// format is driven by T alone).
-  template <typename T, typename Alloc>
-  void Array(const std::vector<T, Alloc>& v) {
+  /// u64 element count, padding to 8, then the elements verbatim.
+  template <typename T>
+  void Array(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     U64(v.size());
     Align8();
@@ -166,11 +164,9 @@ class ExtentReader {
     return out;
   }
 
-  /// Reads a length-prefixed array written by ExtentWriter::Array. Accepts
-  /// any allocator; the destination's allocator placement (e.g. a hugepage
-  /// arena) is invisible to the wire format.
-  template <typename T, typename Alloc>
-  Status Array(std::vector<T, Alloc>* out) {
+  /// Reads a length-prefixed array written by ExtentWriter::Array.
+  template <typename T>
+  Status Array(std::vector<T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
     SQUID_ASSIGN_OR_RETURN(uint64_t count, U64());
     SQUID_RETURN_NOT_OK(Align8());

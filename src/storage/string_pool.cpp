@@ -1,6 +1,7 @@
 #include "storage/string_pool.h"
 
 #include <cstring>
+#include <memory>
 #include <new>
 #include <type_traits>
 
@@ -19,9 +20,39 @@ bool HasUpper(std::string_view s) {
 
 }  // namespace
 
+void* ChunkArena::Allocate(size_t bytes, size_t align) {
+  SQUID_CHECK(align != 0 && (align & (align - 1)) == 0)
+      << "arena alignment must be a power of two";
+  if (bytes == 0) bytes = 1;  // keep returned pointers distinct
+
+  if (bytes + align > kChunkBytes) {
+    // Oversize: a chunk of its own, so the current chunk's free space still
+    // serves the small requests that follow.
+    size_t space = bytes + align;
+    chunks_.push_back(std::unique_ptr<char[]>(new char[space]));
+    void* p = chunks_.back().get();
+    std::align(align, bytes, p, space);
+    used_bytes_ += bytes;
+    return p;
+  }
+
+  void* p = bump_;
+  size_t space = space_;
+  if (std::align(align, bytes, p, space) == nullptr) {
+    chunks_.push_back(std::unique_ptr<char[]>(new char[kChunkBytes]));
+    bump_ = p = chunks_.back().get();
+    space_ = space = kChunkBytes;
+    std::align(align, bytes, p, space);  // fits: bytes + align <= chunk
+  }
+  used_bytes_ += (space_ - space) + bytes;  // alignment padding + request
+  bump_ = static_cast<char*>(p) + bytes;
+  space_ = space - bytes;
+  return p;
+}
+
 std::string_view StringPool::Store(Shard* shard, std::string_view s) {
-  // The arena handles any size (oversize strings get a dedicated block) and
-  // never moves published bytes, so the returned view is stable for the
+  // The arena handles any size (oversize strings get a chunk of their own)
+  // and never moves published bytes, so the returned view is stable for the
   // pool's lifetime.
   char* dst = static_cast<char*>(shard->arena.Allocate(s.size(), 1));
   if (!s.empty()) std::memcpy(dst, s.data(), s.size());  // s.data() may be null
@@ -137,28 +168,13 @@ size_t StringPool::ApproxBytes() const {
   size_t bytes = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    // Exact arena share: string bytes + entry-table chunks (mmap is lazy,
-    // so used bytes track resident pages far closer than reserved bytes).
-    bytes += shard.arena.stats().used_bytes;
+    // Arena share: string bytes + entry-table chunks, as handed out.
+    bytes += shard.arena.used_bytes();
     // Two hash maps of (view, symbol) nodes; bucket arrays ignored.
     bytes += (shard.exact.size() + shard.folded.size()) *
              (sizeof(std::string_view) + sizeof(Symbol) + sizeof(void*));
   }
   return bytes;
-}
-
-MemArena::Stats StringPool::ArenaStats() const {
-  MemArena::Stats total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const MemArena::Stats& s = shard.arena.stats();
-    total.used_bytes += s.used_bytes;
-    total.reserved_bytes += s.reserved_bytes;
-    total.block_count += s.block_count;
-    total.hugetlb_bytes += s.hugetlb_bytes;
-    total.thp_bytes += s.thp_bytes;
-  }
-  return total;
 }
 
 }  // namespace squid

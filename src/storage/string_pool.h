@@ -2,7 +2,7 @@
 #define SQUID_STORAGE_STRING_POOL_H_
 
 /// \file string_pool.h
-/// \brief Sharded, arena-backed string interner mapping strings <-> `Symbol`
+/// \brief Sharded string interner mapping strings <-> `Symbol`
 /// (uint32) ids. Every interned string also records the id of its ASCII
 /// case-folded form, so case-insensitive comparison is integer equality and
 /// the inverted column index can key postings by folded symbol.
@@ -15,7 +15,7 @@
 /// Concurrency: the pool is internally sharded 16 ways by the case-folded
 /// hash of the key (all casings of a string share one fold hash, so a string
 /// and its folded twin always land in the same shard). Each shard owns its
-/// own mutex, arena, probe maps, and entry table, so Intern / Find /
+/// own mutex, chunk arena, probe maps, and entry table, so Intern / Find /
 /// FindFolded are safe to call from any number of threads concurrently —
 /// contention is limited to threads touching the same shard. View() and
 /// FoldedOf() are lock-free: entry storage is chunked (chunks are never
@@ -41,8 +41,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/mem_arena.h"
-
 #if defined(_MSC_VER) && !defined(__clang__)
 #include <intrin.h>
 #endif
@@ -57,16 +55,42 @@ using Symbol = uint32_t;
 /// Sentinel returned by the Find* lookups when the string is not interned.
 inline constexpr Symbol kNoSymbol = 0xFFFFFFFFu;
 
+/// \brief Bump allocator over heap chunks: the stable storage behind
+/// StringPool's views and entry tables. Not thread-safe (each pool shard
+/// owns one and uses it under the shard mutex). Nothing is freed on its
+/// own: chunks are released with the arena, so a returned pointer stays
+/// valid and never moves for the arena's lifetime.
+class ChunkArena {
+ public:
+  static constexpr size_t kChunkBytes = size_t{64} << 10;
+
+  /// Returns `bytes` of storage aligned to `align` (a power of two). A
+  /// request that cannot fit a chunk gets a chunk of its own, and the
+  /// current chunk keeps its free space. Zero-byte requests return a
+  /// distinct valid pointer. Never returns null.
+  void* Allocate(size_t bytes, size_t align);
+
+  /// Bytes handed out, alignment padding included.
+  size_t used_bytes() const { return used_bytes_; }
+  size_t num_chunks() const { return chunks_.size(); }
+
+ private:
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  void* bump_ = nullptr;  ///< next free byte of the current chunk
+  size_t space_ = 0;      ///< free bytes after bump_
+  size_t used_bytes_ = 0;
+};
+
 /// \brief Sharded string interner with stable storage and case-folded twin
 /// ids. All member functions are safe for concurrent use.
 ///
-/// Views returned by View() point into an internal arena and stay valid for
-/// the lifetime of the pool (arena blocks are never freed or reallocated).
+/// Views returned by View() point into heap chunks and stay valid for the
+/// lifetime of the pool (chunks are never freed or reallocated).
 class StringPool {
  public:
   StringPool() = default;
 
-  // Interned views point into the arena; copying/moving the maps would be
+  // Interned views point into the chunks; copying/moving the maps would be
   // cheap but error-prone, so the pool is pinned and shared via shared_ptr.
   StringPool(const StringPool&) = delete;
   StringPool& operator=(const StringPool&) = delete;
@@ -122,13 +146,10 @@ class StringPool {
     return (id >> kShardBits) < shard.count.load(std::memory_order_acquire);
   }
 
-  /// Approximate heap footprint (arenas + entry tables + hash maps). The
-  /// arena share (string bytes + entry chunks) is exact, from arena stats.
+  /// Approximate heap footprint (chunk arenas + hash maps). The arena
+  /// share, string bytes plus entry tables, counts exactly the bytes the
+  /// arenas handed out.
   size_t ApproxBytes() const;
-
-  /// Aggregated arena counters across all shards (footprint reporting:
-  /// AdbReport, serve stats, squid_snapshot).
-  MemArena::Stats ArenaStats() const;
 
   /// ASCII-only lower-casing of one byte; bytes outside 'A'..'Z' pass
   /// through unchanged (locale-independent, matching ToLower()).
@@ -239,11 +260,10 @@ class StringPool {
   struct Shard {
     mutable std::mutex mu;
 
-    // One bump arena per shard holds both the interned string bytes and the
-    // entry-table chunks (stable storage: arena blocks are never moved or
-    // freed while the pool lives). Hugepage-backed per MemConfig; oversize
-    // strings get dedicated arena blocks.
-    MemArena arena{kBlockBytes};
+    // One chunk arena per shard holds both the interned string bytes and
+    // the entry-table chunks (stable storage: nothing is moved or freed
+    // while the pool lives).
+    ChunkArena arena;
 
     // Chunked entry table (see kChunk0/kMaxChunks above). `count` is the
     // number of published entries; readers only dereference indexes below a
@@ -296,10 +316,6 @@ class StringPool {
 
   /// Interns `s` into `shard` (mu held). `s` must hash to `shard_index`.
   Symbol InternLocked(Shard* shard, size_t shard_index, std::string_view s);
-
-  /// Arena block size: one 2 MiB hugepage per shard block, so a populated
-  /// shard's strings + entry chunks sit on hugepage-backed mappings.
-  static constexpr size_t kBlockBytes = MemArena::kDefaultBlockBytes;
 
   Shard shards_[kNumShards];
 };

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <vector>
 
 #include "exec/executor.h"
 #include "exec/expression.h"
+#include "exec/group_table.h"
 #include "exec/join_hash.h"
 #include "exec/tuple_buffer.h"
 #include "sql/parser.h"
@@ -648,6 +652,97 @@ TEST(FlatJoinHashTest, EmptyAndNullOnlyBuilds) {
   auto null_only = FlatJoinHash::Build(t.value()->column(0), {0});
   EXPECT_EQ(null_only.num_rows(), 0u);  // nulls never join
   EXPECT_TRUE(null_only.Probe(0).empty());
+}
+
+TEST(FlatJoinHashTest, ProbeBatchMatchesScalarProbeAndOracle) {
+  Column col(ValueType::kInt64, nullptr);
+  std::vector<uint32_t> rows;
+  std::map<uint64_t, std::vector<uint32_t>> oracle;
+  auto append = [&](int64_t v) {
+    const uint32_t r = static_cast<uint32_t>(rows.size());
+    col.AppendInt64(v);
+    rows.push_back(r);
+    oracle[static_cast<uint64_t>(v)].push_back(r);
+  };
+  for (int64_t i = 0; i < 5000; ++i) append(i % 1000);  // multi-row keys
+
+  // Keys that share key 0's home bucket, so probes walk a collision chain.
+  // The table the build sizes for 5000 + 6 rows has 16384 buckets.
+  constexpr uint64_t kMask = 16383;
+  const uint64_t home = MixJoinKey(0) & kMask;
+  std::vector<uint64_t> chain;
+  for (uint64_t k = 1000; chain.size() < 7; ++k) {
+    if ((MixJoinKey(k) & kMask) == home) chain.push_back(k);
+  }
+  for (size_t c = 0; c + 1 < chain.size(); ++c) {
+    append(static_cast<int64_t>(chain[c]));
+  }
+  FlatJoinHash hash = FlatJoinHash::Build(col, rows);
+
+  // More probe keys than one executor chunk (1024): hits, misses, invalid
+  // keys, every chain key, and a chain miss (the last chain key).
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k < 2500; ++k) keys.push_back(k);
+  keys.insert(keys.end(), chain.begin(), chain.end());
+  std::vector<uint8_t> valid;
+  for (size_t i = 0; i < keys.size(); ++i) valid.push_back(i % 7 == 3 ? 0 : 1);
+
+  std::vector<FlatJoinHash::RowSpan> out(keys.size());
+  hash.ProbeBatch(keys.data(), valid.data(), keys.size(), out.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (!valid[i]) {
+      EXPECT_TRUE(out[i].empty()) << i;
+      continue;
+    }
+    FlatJoinHash::RowSpan scalar = hash.Probe(keys[i]);
+    ASSERT_EQ(out[i].data, scalar.data) << "key=" << keys[i];
+    ASSERT_EQ(out[i].size, scalar.size) << "key=" << keys[i];
+    auto it = oracle.find(keys[i]);
+    const std::vector<uint32_t> expected =
+        it == oracle.end() ? std::vector<uint32_t>{} : it->second;
+    EXPECT_EQ(std::vector<uint32_t>(out[i].begin(), out[i].end()), expected)
+        << "key=" << keys[i];
+  }
+  EXPECT_TRUE(hash.Probe(chain.back()).empty());
+  EXPECT_EQ(hash.Probe(chain.front()).size, 1u);
+}
+
+TEST(GroupKeyTableTest, AddBatchMatchesMapOracleAcrossRehashes) {
+  // 4000 distinct keys among 10000 tuples, folded in batches of 1024 into a
+  // table that starts with 16 slots: many rehashes land mid-batch.
+  constexpr size_t kParts = 2;
+  constexpr size_t kTuples = 10000;
+  constexpr size_t kBatch = 1024;
+  std::vector<uint64_t> packed(kTuples * kParts);
+  for (size_t i = 0; i < kTuples; ++i) {
+    packed[i * kParts] = 1;
+    packed[i * kParts + 1] = (i * 2654435761u) % 4000;
+  }
+  GroupKeyTable table(kParts);
+  for (size_t base = 0; base < kTuples; base += kBatch) {
+    const size_t n = std::min(kBatch, kTuples - base);
+    table.AddBatch(packed.data() + base * kParts, n,
+                   static_cast<uint32_t>(base));
+  }
+
+  // Oracle: first tuple and count per key, and keys in first-occurrence
+  // order.
+  std::map<std::vector<uint64_t>, std::pair<uint32_t, uint32_t>> oracle;
+  std::vector<std::vector<uint64_t>> order;
+  for (size_t i = 0; i < kTuples; ++i) {
+    std::vector<uint64_t> key(packed.begin() + i * kParts,
+                              packed.begin() + (i + 1) * kParts);
+    auto [it, inserted] =
+        oracle.emplace(key, std::make_pair(static_cast<uint32_t>(i), 0u));
+    if (inserted) order.push_back(key);
+    ++it->second.second;
+  }
+  ASSERT_EQ(table.num_groups(), order.size());
+  for (size_t g = 0; g < order.size(); ++g) {
+    const GroupKeyTable::Group& group = table.groups()[g];
+    EXPECT_EQ(group.first_tuple, oracle[order[g]].first) << "group " << g;
+    EXPECT_EQ(group.count, oracle[order[g]].second) << "group " << g;
+  }
 }
 
 TEST(TupleBufferTest, ExpandAndKeep) {

@@ -286,6 +286,31 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(static_cast<int>(info.param.scale * 100));
     });
 
+// ---------- inverted-index byte accounting ----------
+
+// index_bytes is a function of the indexed content alone, so an αDB booted
+// from a snapshot reports exactly what its build reported.
+TEST(SnapshotIndexBytesTest, EqualAfterBuildAndAfterLoad) {
+  ImdbOptions gen;
+  gen.scale = 0.1;
+  auto data = GenerateImdb(gen);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  auto built = AbductionReadyDb::Build(*data.value().db);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string path = TempPath("index_bytes.sqsnap");
+  ASSERT_TRUE(built.value()->SaveSnapshot(path).ok());
+  auto loaded = AbductionReadyDb::LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  const InvertedColumnIndex& index = built.value()->inverted_index();
+  EXPECT_GT(index.ApproxBytes(), index.NumPostings() * sizeof(Posting));
+  EXPECT_EQ(built.value()->report().index_bytes, index.ApproxBytes());
+  EXPECT_EQ(loaded.value()->inverted_index().ApproxBytes(), index.ApproxBytes());
+  EXPECT_EQ(loaded.value()->report().index_bytes,
+            built.value()->report().index_bytes);
+  std::remove(path.c_str());
+}
+
 // ---------- fixture-database round-trip + Discover parity ----------
 
 class SnapshotFixtureTest : public ::testing::Test {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <new>
 #include <string>
@@ -31,11 +33,78 @@ void* operator new(std::size_t size) {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC's -Wmismatched-new-delete misreads an inlined free() of
+// a pointer from the replaced operator new as a mismatch.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace squid {
 namespace {
+
+// ---------- ChunkArena: the storage behind the pool's views ----------
+
+TEST(ChunkArenaTest, AlignmentGuarantees) {
+  ChunkArena arena;
+  // Interleave odd sizes with every power-of-two alignment so the bump
+  // pointer is rarely pre-aligned when the next request arrives.
+  for (size_t align : {1u, 2u, 4u, 8u, 16u, 64u, 256u}) {
+    for (size_t bytes : {1u, 3u, 7u, 65u, 1000u}) {
+      void* p = arena.Allocate(bytes, align);
+      ASSERT_NE(p, nullptr);
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u)
+          << "bytes=" << bytes << " align=" << align;
+      std::memset(p, 0xAB, bytes);  // must be writable storage
+    }
+  }
+  EXPECT_GT(arena.used_bytes(), 0u);
+}
+
+TEST(ChunkArenaTest, ZeroByteAllocationsAreValidAndDistinct) {
+  ChunkArena arena;
+  void* a = arena.Allocate(0, 1);
+  void* b = arena.Allocate(0, 1);
+  EXPECT_NE(a, nullptr);
+  EXPECT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+}
+
+TEST(ChunkArenaTest, OversizeRequestGetsItsOwnChunk) {
+  constexpr size_t kChunk = ChunkArena::kChunkBytes;
+  ChunkArena arena;
+  arena.Allocate(64, 8);
+  EXPECT_EQ(arena.num_chunks(), 1u);
+  void* big = arena.Allocate(kChunk * 3, 64);
+  ASSERT_NE(big, nullptr);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(big) % 64, 0u);
+  std::memset(big, 0xCD, kChunk * 3);
+  EXPECT_EQ(arena.num_chunks(), 2u);
+  // The oversize chunk must not have consumed the small chunk's free space:
+  // a follow-up small allocation still fits without a third chunk.
+  arena.Allocate(64, 8);
+  EXPECT_EQ(arena.num_chunks(), 2u);
+  EXPECT_GE(arena.used_bytes(), kChunk * 3 + 128);
+}
+
+TEST(ChunkArenaTest, PointersStayValidAcrossChunkGrowth) {
+  ChunkArena arena;
+  const uint64_t n = 3 * ChunkArena::kChunkBytes / sizeof(uint64_t);
+  std::vector<uint64_t*> cells;
+  for (uint64_t i = 0; i < n; ++i) {
+    auto* cell = static_cast<uint64_t*>(
+        arena.Allocate(sizeof(uint64_t), alignof(uint64_t)));
+    *cell = i;
+    cells.push_back(cell);
+  }
+  EXPECT_GT(arena.num_chunks(), 1u);  // growth actually happened
+  for (uint64_t i = 0; i < cells.size(); ++i) EXPECT_EQ(*cells[i], i);
+  EXPECT_EQ(arena.used_bytes(), n * sizeof(uint64_t));  // no padding
+}
+
+// ---------- StringPool ----------
 
 TEST(StringPoolTest, InternIsIdempotent) {
   StringPool pool;
@@ -102,14 +171,14 @@ TEST(StringPoolTest, NonAsciiBytesPassThroughFolding) {
 
 TEST(StringPoolTest, ViewsStayStableAsThePoolGrows) {
   StringPool pool;
-  // Force many arena blocks (64 KiB each) and record early views.
+  // Force many arena chunks (64 KiB each) and record early views.
   std::vector<std::pair<Symbol, std::string>> expected;
   for (int i = 0; i < 20000; ++i) {
     std::string s = "entity-" + std::to_string(i) + "-with-some-padding";
     Symbol id = pool.Intern(s);
     if (i % 997 == 0) expected.emplace_back(id, s);
   }
-  // An oversize string (> one block) takes the dedicated-storage path.
+  // An oversize string (> one chunk) takes the dedicated-chunk path.
   std::string big(100000, 'x');
   Symbol big_id = pool.Intern(big);
   for (int i = 20000; i < 24000; ++i) {
@@ -296,6 +365,34 @@ TEST(StringPoolConcurrencyTest, ReadersRaceWritersSafely) {
   writer.join();
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(pool.size(), 2 * kKeys);  // each key + its folded twin
+}
+
+TEST(StringPoolConcurrencyTest, ConcurrentGrowthKeepsViewsStable) {
+  StringPool pool;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  std::vector<std::vector<Symbol>> symbols(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &symbols, t] {
+      // Heavy overlap across threads: every shard's arena grows while other
+      // threads hold views into earlier chunks.
+      for (int i = 0; i < kPerThread; ++i) {
+        symbols[t].push_back(
+            pool.Intern("value-" + std::to_string(i % (kPerThread / 2)) +
+                        "-padpadpadpadpadpad"));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      ASSERT_EQ(pool.View(symbols[t][i]),
+                "value-" + std::to_string(i % (kPerThread / 2)) +
+                    "-padpadpadpadpadpad");
+    }
+  }
+  EXPECT_GT(pool.ApproxBytes(), 0u);
 }
 
 /// The determinism contract: identical first-intern order => identical
