@@ -11,8 +11,9 @@
 //        --rate=0 --burst=16 --metrics-dump=0 --smoke
 // (--port=0 picks an ephemeral port, printed on stderr; --rate is the
 // per-connection token-bucket rate, 0 = unlimited; --metrics-dump=N dumps
-// the Prometheus-style metrics text to stderr every N seconds while
-// serving, and once at shutdown — in smoke mode, once after the rounds).
+// the service's registry — every cache, service and server counter, gauge
+// and histogram — as Prometheus-style text to stderr every N seconds while
+// serving, and once at shutdown; in smoke mode, once after the rounds).
 //
 // The smoke mode connects a client to the freshly started server, runs the
 // same Discover twice (cold then cached), asserts the answer matches the
@@ -64,8 +65,8 @@ int Fail(const char* what, const Status& status) {
   return 1;
 }
 
-void DumpMetrics(const char* when) {
-  std::string text = obs::DumpMetricsText();
+void DumpMetrics(const obs::MetricsRegistry& metrics, const char* when) {
+  std::string text = metrics.DumpText();
   std::fprintf(stderr, "--- metrics (%s) ---\n%s--- end metrics ---\n", when,
                text.c_str());
 }
@@ -74,13 +75,13 @@ void DumpMetrics(const char* when) {
 /// Stop() — the operator-facing live view of the serve histograms.
 class MetricsDumper {
  public:
-  explicit MetricsDumper(double period_s) {
-    thread_ = std::thread([this, period_s] {
+  MetricsDumper(const obs::MetricsRegistry* metrics, double period_s) {
+    thread_ = std::thread([this, metrics, period_s] {
       std::unique_lock<std::mutex> lock(mu_);
       while (!stop_) {
         cv_.wait_for(lock, std::chrono::duration<double>(period_s));
         if (stop_) break;
-        DumpMetrics("periodic");
+        DumpMetrics(*metrics, "periodic");
       }
     });
   }
@@ -186,13 +187,13 @@ int main(int argc, char** argv) {
         saw_request_hist = true;
       }
     }
-    if (obs::MetricsEnabled() && !saw_request_hist) {
+    if (!saw_request_hist) {
       std::fprintf(stderr,
                    "smoke: FAILED (stats frame missing request_ns histogram "
                    "with >= 3 samples)\n");
       return 1;
     }
-    if (metrics_dump_s > 0) DumpMetrics("smoke");
+    if (metrics_dump_s > 0) DumpMetrics(service.metrics(), "smoke");
 
     server.Stop();
     net::TcpServerStats net_stats = server.stats();
@@ -211,7 +212,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "squid_serve_tcp: press ctrl-D to stop\n");
   std::unique_ptr<MetricsDumper> dumper;
   if (metrics_dump_s > 0) {
-    dumper = std::make_unique<MetricsDumper>(metrics_dump_s);
+    dumper = std::make_unique<MetricsDumper>(&service.metrics(), metrics_dump_s);
   }
   std::string line;
   while (std::getline(std::cin, line)) {
@@ -219,7 +220,7 @@ int main(int argc, char** argv) {
   server.Stop();
   if (dumper != nullptr) {
     dumper->Stop();
-    DumpMetrics("shutdown");
+    DumpMetrics(service.metrics(), "shutdown");
   }
   net::TcpServerStats net_stats = server.stats();
   std::fprintf(stderr,

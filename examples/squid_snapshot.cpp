@@ -171,15 +171,13 @@ int RunVerify(int argc, char** argv) {
       report.base_bytes / (1024.0 * 1024.0),
       report.derived_bytes / (1024.0 * 1024.0),
       report.index_bytes / (1024.0 * 1024.0));
-  // Feed the observability registry and expose it: verify is the CLI smoke
-  // path for the Prometheus-style exposition (obs/metrics.h).
-  squid::obs::MetricsRegistry::Global()
-      .GetCounter("squid_snapshot_verify_ok")
-      ->Add();
-  squid::obs::MetricsRegistry::Global()
-      .GetHistogram("squid_snapshot_load_ns")
+  // Feed a registry and expose it: verify is the CLI smoke path for the
+  // Prometheus-style exposition (obs/metrics.h).
+  squid::obs::MetricsRegistry metrics;
+  metrics.GetCounter("squid_snapshot_verify_ok")->Add();
+  metrics.GetHistogram("squid_snapshot_load_ns")
       ->Record(static_cast<uint64_t>(load_seconds * 1e9));
-  std::printf("--- metrics ---\n%s", squid::obs::DumpMetricsText().c_str());
+  std::printf("--- metrics ---\n%s", metrics.DumpText().c_str());
   return 0;
 }
 

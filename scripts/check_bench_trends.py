@@ -29,11 +29,10 @@ CI) and fails when a shape regresses:
   * Snapshot boot (bench_snapshot.json): loading an αDB snapshot must be at
     least ~5x faster than rebuilding the αDB from the base tables at the
     largest benched scale, per dataset.
-  * Observability (bench_obs.json): enabled-path metric recording stays
-    within an absolute ns slack of the disabled path (the kill-switch
-    contract), every reported quantile chain is monotone (p50 <= p90 <=
-    p99 <= max), and a serve pass with metrics on is within a small factor
-    of the same pass with metrics off.
+  * Observability (bench_obs.json): metric recording stays within an
+    absolute ns slack of an empty-op loop (and a traced phase timer within
+    it of a null-trace one), and every reported quantile chain is monotone
+    (p50 <= p90 <= p99 <= max, server-side p50 <= p99).
   * Fig. 11 (bench_fig11_query_runtime.json): abduced queries execute with
     runtimes comparable to the ground-truth queries — per query, the abduced
     runtime must stay within a sane ratio of the actual runtime (plus a
@@ -444,25 +443,21 @@ def check_net_serve(path):
                 )
 
 
-# Observability overhead bounds (bench_obs): enabled-path recording may
-# exceed the disabled path by this many ns before the "cheap enough to
-# leave on" contract is broken (the slack covers clock reads in the phase
-# timer and scheduler noise on shared runners — the bound exists to catch a
-# lock or syscall sneaking into the hot path, which costs microseconds
-# under contention, not nanoseconds). The serve pass with metrics on may be
-# this factor slower than with metrics off, plus an absolute slack that
-# soaks timer noise at CI scales.
+# Observability overhead bound (bench_obs): recording may exceed its
+# baseline (an empty-op loop; a null-trace timer for the phase timer) by
+# this many ns before the "cheap enough to keep on" contract is broken (the
+# slack covers clock reads in the phase timer and scheduler noise on shared
+# runners — the bound exists to catch a lock or syscall sneaking into the
+# hot path, which costs microseconds under contention, not nanoseconds).
 OBS_OVERHEAD_SLACK_NS = 500.0
-OBS_SERVE_TOLERANCE = 1.5
-OBS_SERVE_SLACK_SECONDS = 0.05
 
 
 def check_obs(path):
     global checks_run
     doc = load(path)
-    # Recording overhead: enabled within an absolute slack of disabled.
+    # Recording overhead: within an absolute slack of the baseline loop.
     overhead_tables = tables_with_headers(
-        doc, ["op", "threads", "disabled (ns)", "enabled (ns)"]
+        doc, ["op", "threads", "baseline (ns)", "recorded (ns)"]
     )
     if not overhead_tables:
         fail(f"{path.name}: no recording-overhead table")
@@ -470,19 +465,19 @@ def check_obs(path):
         section = table.get("section", "?")
         ops = column(table, "op")
         threads = [float(v) for v in column(table, "threads")]
-        disabled = [float(v) for v in column(table, "disabled (ns)")]
-        enabled = [float(v) for v in column(table, "enabled (ns)")]
-        for op, t, off_ns, on_ns in zip(ops, threads, disabled, enabled):
+        baseline = [float(v) for v in column(table, "baseline (ns)")]
+        recorded = [float(v) for v in column(table, "recorded (ns)")]
+        for op, t, base_ns, rec_ns in zip(ops, threads, baseline, recorded):
             checks_run += 1
             label = f"{op} threads={t:.0f}"
-            if on_ns > off_ns + OBS_OVERHEAD_SLACK_NS:
+            if rec_ns > base_ns + OBS_OVERHEAD_SLACK_NS:
                 fail(
-                    f"{path.name} [{section}] {label}: enabled recording "
-                    f"{on_ns:.2f}ns vs disabled {off_ns:.2f}ns exceeds "
+                    f"{path.name} [{section}] {label}: recording "
+                    f"{rec_ns:.2f}ns vs baseline {base_ns:.2f}ns exceeds "
                     f"+{OBS_OVERHEAD_SLACK_NS:g}ns slack"
                 )
             else:
-                ok(f"{section} {label}: disabled {off_ns:.2f}ns, enabled {on_ns:.2f}ns")
+                ok(f"{section} {label}: baseline {base_ns:.2f}ns, recorded {rec_ns:.2f}ns")
     # Percentile sanity: the quantile chain from any snapshot is monotone.
     pct_tables = tables_with_headers(
         doc, ["hist", "count", "p50 ns", "p90 ns", "p99 ns", "max ns"]
@@ -515,15 +510,12 @@ def check_obs(path):
                     f"{section} {row['hist']}: p50 {chain[0]:.0f}ns <= "
                     f"p99 {chain[2]:.0f}ns <= max {chain[3]:.0f}ns"
                 )
-    # Serve pass: metrics on within a small factor of metrics off, and the
-    # server-side percentiles it recorded are monotone.
+    # Serve pass: the server-side percentiles it recorded are monotone.
     serve_tables = tables_with_headers(
-        doc,
-        ["threads", "requests", "metrics off (s)", "metrics on (s)",
-         "srv p50 ms", "srv p99 ms"],
+        doc, ["threads", "requests", "pass (s)", "srv p50 ms", "srv p99 ms"]
     )
     if not serve_tables:
-        fail(f"{path.name}: no metrics-on-vs-off serve table")
+        fail(f"{path.name}: no serve-pass table")
     for table in serve_tables:
         section = table.get("section", "?")
         rows = [
@@ -531,17 +523,6 @@ def check_obs(path):
         ]
         for row in rows:
             label = f"threads={float(row['threads']):.0f}"
-            off_s = float(row["metrics off (s)"])
-            on_s = float(row["metrics on (s)"])
-            checks_run += 1
-            bound = off_s * OBS_SERVE_TOLERANCE + OBS_SERVE_SLACK_SECONDS
-            if on_s > bound:
-                fail(
-                    f"{path.name} [{section}] {label}: serve with metrics on "
-                    f"{on_s:.4f}s vs off {off_s:.4f}s beyond tolerance"
-                )
-            else:
-                ok(f"{section} {label}: metrics off {off_s:.4f}s, on {on_s:.4f}s")
             checks_run += 1
             if float(row["srv p50 ms"]) > float(row["srv p99 ms"]):
                 fail(

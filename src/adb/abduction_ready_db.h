@@ -48,13 +48,6 @@ struct AdbOptions {
   size_t threads = 0;
 };
 
-/// Options for loading an αDB snapshot file.
-struct AdbSnapshotOptions {
-  /// Map the file read-only and parse in place where the platform supports
-  /// it; false streams the file through one heap buffer instead.
-  bool use_mmap = true;
-};
-
 /// Build-time and size report (feeds the dataset description tables).
 struct AdbReport {
   double build_seconds = 0;
@@ -117,7 +110,7 @@ class AbductionReadyDb {
   /// (allocation-history dependent at build time) is recomputed from the
   /// restored pool and base tables. Defined in adb/adb_snapshot.cpp.
   static Result<std::unique_ptr<AbductionReadyDb>> LoadSnapshot(
-      const std::string& path, const AdbSnapshotOptions& options = {});
+      const std::string& path);
 
   /// Same load over an already-validated in-memory image. This is the layer
   /// the fuzz harness drives (SnapshotFile::FromBytes -> LoadSnapshot)

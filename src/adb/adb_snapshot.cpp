@@ -410,8 +410,8 @@ Status AbductionReadyDb::SaveSnapshot(const std::string& path) const {
 }
 
 Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
-    const std::string& path, const AdbSnapshotOptions& options) {
-  SQUID_ASSIGN_OR_RETURN(SnapshotFile file, SnapshotFile::Open(path, options.use_mmap));
+    const std::string& path) {
+  SQUID_ASSIGN_OR_RETURN(SnapshotFile file, SnapshotFile::Open(path));
   return LoadSnapshot(file);
 }
 

@@ -132,16 +132,22 @@ Result<AbducedQuery> Squid::ReduceCandidates(
 }
 
 Result<AbducedQuery> Squid::Discover(const std::vector<std::string>& examples,
-                                     obs::RequestTrace* trace) const {
+                                     obs::RequestTrace* trace,
+                                     ThreadPool* pool) const {
   std::vector<EntityMatch> matches;
   {
     obs::ScopedPhaseTimer timer(trace, obs::Phase::kEntityLookup);
     SQUID_ASSIGN_OR_RETURN(matches, LookupExamples(*adb_, examples));
   }
-  std::vector<Result<AbducedQuery>> candidates;
-  candidates.reserve(matches.size());
-  for (const EntityMatch& match : matches) {
-    candidates.push_back(AbduceCandidate(match, trace));
+  // Each candidate lands in its match-index slot, so the reduction sees
+  // them in canonical order however the fan-out ran.
+  std::vector<Result<AbducedQuery>> candidates(
+      matches.size(), Result<AbducedQuery>(Status::Internal("candidate not run")));
+  auto abduce = [&](size_t i) { candidates[i] = AbduceCandidate(matches[i], trace); };
+  if (pool != nullptr) {
+    pool->ParallelFor(matches.size(), abduce);
+  } else {
+    for (size_t i = 0; i < matches.size(); ++i) abduce(i);
   }
   return ReduceCandidates(std::move(candidates));
 }

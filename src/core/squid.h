@@ -19,6 +19,7 @@
 
 #include "adb/abduction_ready_db.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/abduction_model.h"
 #include "core/config.h"
 #include "core/context_discovery.h"
@@ -102,8 +103,14 @@ class Squid {
   /// discovery, abduction, query build) adds its wall time to it. Tracing
   /// is observational only — answers are byte-identical with trace set or
   /// null (the serve parity suite enforces this).
+  ///
+  /// With `pool`, the candidates are abduced in parallel (ParallelFor), each
+  /// into its own slot, and reduced in the same canonical order as the
+  /// serial loop, so the answer is bit-identical. The trace's phase cells
+  /// are atomic, so every fan-out thread adds into the same span.
   Result<AbducedQuery> Discover(const std::vector<std::string>& examples,
-                                obs::RequestTrace* trace = nullptr) const;
+                                obs::RequestTrace* trace = nullptr,
+                                ThreadPool* pool = nullptr) const;
 
   /// Abduces for an already-resolved example set: entities `entity_keys` of
   /// `entity_relation`, projecting `projection_attr`.
@@ -113,22 +120,18 @@ class Squid {
       obs::RequestTrace* trace = nullptr) const;
 
   /// One candidate base query end to end: disambiguates `match` (keeping
-  /// the postings-resolved rows) and abduces. Discover runs this per match
-  /// serially; serve mode fans it out and reduces with ReduceCandidates.
-  /// The trace's phase cells are atomic, so the fan-out may pass the same
-  /// trace from every pool thread.
+  /// the postings-resolved rows) and abduces — the unit Discover runs per
+  /// match.
   Result<AbducedQuery> AbduceCandidate(const EntityMatch& match,
                                        obs::RequestTrace* trace = nullptr) const;
 
+ private:
   /// Picks the winner among per-candidate results, in slot order — the one
   /// canonical ranking (highest log posterior; ties favor the earlier
-  /// match) shared by the serial loop and serve mode's parallel fan-out,
-  /// so both produce bit-identical answers. Totals the per-candidate stats
-  /// into the winner's.
+  /// match). Totals the per-candidate stats into the winner's.
   static Result<AbducedQuery> ReduceCandidates(
       std::vector<Result<AbducedQuery>> candidates);
 
- private:
   /// DiscoverForEntities for a ResolveEntities result: `resolved.rows`
   /// (hoisted from the candidate's postings) must parallel `resolved.keys`
   /// or be empty, and profiles disambiguation already fetched are merged

@@ -8,8 +8,6 @@
 #include "exec/group_table.h"
 #include "exec/join_hash.h"
 #include "exec/tuple_buffer.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace squid {
 
@@ -42,33 +40,17 @@ Result<ResultSet> Executor::Execute(const Query& query) {
   if (query.branches.empty()) {
     return Status::InvalidArgument("query with no branches");
   }
-  // Every full-query run feeds the global executor histogram, so any layer
-  // that executes abduced queries (quickstart, eval harness, benches) shows
-  // up in DumpMetricsText as squid_exec_run_ns. One clock pair per query —
-  // noise next to the run itself — and skipped when metrics are disabled.
-  const uint64_t start_ns =
-      obs::MetricsEnabled() ? obs::MonotonicNowNs() : 0;
   join_hash_cache_.clear();
-  auto run = [&]() -> Result<ResultSet> {
-    SQUID_ASSIGN_OR_RETURN(ResultSet out, ExecuteSelectImpl(query.branches[0]));
-    if (query.branches.size() > 1) {
-      out.Deduplicate();  // INTERSECT has set semantics
-      for (size_t i = 1; i < query.branches.size(); ++i) {
-        SQUID_ASSIGN_OR_RETURN(ResultSet other,
-                               ExecuteSelectImpl(query.branches[i]));
-        out.IntersectWith(other.ToSet());
-      }
+  SQUID_ASSIGN_OR_RETURN(ResultSet out, ExecuteSelectImpl(query.branches[0]));
+  if (query.branches.size() > 1) {
+    out.Deduplicate();  // INTERSECT has set semantics
+    for (size_t i = 1; i < query.branches.size(); ++i) {
+      SQUID_ASSIGN_OR_RETURN(ResultSet other,
+                             ExecuteSelectImpl(query.branches[i]));
+      out.IntersectWith(other.ToSet());
     }
-    return out;
-  };
-  Result<ResultSet> result = run();
-  if (start_ns != 0) {
-    static obs::LatencyHistogram* hist =
-        obs::MetricsRegistry::Global().GetHistogram("squid_exec_run_ns");
-    const uint64_t now = obs::MonotonicNowNs();
-    hist->Record(now >= start_ns ? now - start_ns : 0);
   }
-  return result;
+  return out;
 }
 
 Result<ResultSet> Executor::ExecuteSelect(const SelectQuery& query) {

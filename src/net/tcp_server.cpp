@@ -124,34 +124,33 @@ struct TcpServer::Impl {
   /// consumed from the hub; drain waits for this to hit zero.
   std::atomic<uint64_t> inflight{0};
 
-  // Counters mirroring TcpServerStats (relaxed; stats() snapshots them).
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_refused{0};
-  std::atomic<uint64_t> connections_open{0};
-  std::atomic<uint64_t> frames_received{0};
-  std::atomic<uint64_t> frames_sent{0};
-  std::atomic<uint64_t> requests_admitted{0};
-  std::atomic<uint64_t> rejected_overload{0};
-  std::atomic<uint64_t> rejected_rate_limited{0};
-  std::atomic<uint64_t> rejected_shutdown{0};
-  std::atomic<uint64_t> protocol_errors{0};
-  std::atomic<uint64_t> bytes_received{0};
-  std::atomic<uint64_t> bytes_sent{0};
-
   std::map<uint64_t, Conn> conns;
   uint64_t next_conn_id = 1;
 
+  // TcpServerStats' metrics, in the service's registry so that its stats,
+  // the StatsResponse frame and the text exposition read one store.
+  obs::MetricsRegistry& metrics;
+  obs::Counter* connections_accepted = metrics.GetCounter("connections_accepted");
+  obs::Counter* connections_refused = metrics.GetCounter("connections_refused");
+  obs::Gauge* connections_open = metrics.GetGauge("connections_open");
+  obs::Counter* frames_received = metrics.GetCounter("frames_received");
+  obs::Counter* frames_sent = metrics.GetCounter("frames_sent");
+  obs::Counter* requests_admitted = metrics.GetCounter("requests_admitted");
+  obs::Counter* rejected_overload = metrics.GetCounter("rejected_overload");
+  obs::Counter* rejected_rate_limited = metrics.GetCounter("rejected_rate_limited");
+  obs::Counter* rejected_shutdown = metrics.GetCounter("rejected_shutdown");
+  obs::Counter* protocol_errors = metrics.GetCounter("protocol_errors");
+  obs::Counter* bytes_received = metrics.GetCounter("bytes_received");
+  obs::Counter* bytes_sent = metrics.GetCounter("bytes_sent");
   /// Answer-encoding latency (WireAnswer + frame bytes), recorded in the
-  /// completion callback on whichever thread runs it — the service's
-  /// registry so the exposition shows it next to queue_wait/request.
-  obs::LatencyHistogram* encode_hist;
+  /// completion callback on whichever thread runs it.
+  obs::LatencyHistogram* encode_hist =
+      metrics.GetHistogram("squid_net_result_encode_ns");
 
   Impl(SquidService* service_in, TcpServerOptions options_in)
       : service(service_in),
         options(std::move(options_in)),
-        encode_hist(
-            service_in->metrics().GetHistogram("squid_net_result_encode_ns")) {
-  }
+        metrics(service_in->metrics()) {}
 
   Status Bind();
   void Run();
@@ -161,7 +160,6 @@ struct TcpServer::Impl {
   void FlushConn(Conn& conn);
   void SendFrame(Conn& conn, std::string frame);
   void ConsumeCompletions();
-  std::vector<std::pair<std::string, uint64_t>> CollectCounters() const;
 };
 
 Status TcpServer::Impl::Bind() {
@@ -210,7 +208,7 @@ void TcpServer::Impl::Accept() {
     if (conns.size() >= options.max_connections) {
       // Count before closing: the peer observes the close (EOF) instantly,
       // and a stats() racing in behind it must already see the refusal.
-      connections_refused.fetch_add(1, std::memory_order_relaxed);
+      connections_refused->Add();
       ::close(cfd);
       continue;
     }
@@ -225,19 +223,19 @@ void TcpServer::Impl::Accept() {
     conn.decoder = FrameDecoder(options.max_frame_payload);
     conn.bucket = TokenBucket(options.session_rate, options.session_burst);
     conns.emplace(next_conn_id++, std::move(conn));
-    connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    connections_open.store(conns.size(), std::memory_order_relaxed);
+    connections_accepted->Add();
+    connections_open->Set(static_cast<int64_t>(conns.size()));
   }
 }
 
 void TcpServer::Impl::SendFrame(Conn& conn, std::string frame) {
   conn.out += frame;
-  frames_sent.fetch_add(1, std::memory_order_relaxed);
+  frames_sent->Add();
 }
 
 void TcpServer::Impl::HandleFrame(uint64_t conn_id, Conn& conn, Frame frame,
                                   bool draining) {
-  frames_received.fetch_add(1, std::memory_order_relaxed);
+  frames_received->Add();
   switch (frame.type) {
     case FrameType::kDiscoverRequest: {
       uint64_t request_id = 0;
@@ -245,13 +243,13 @@ void TcpServer::Impl::HandleFrame(uint64_t conn_id, Conn& conn, Frame frame,
       Status decoded =
           DecodeDiscoverRequest(frame.payload, &request_id, &examples);
       if (!decoded.ok()) {
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors->Add();
         SendFrame(conn, EncodeDiscoverErrorFrame(0, decoded));
         conn.close_after_flush = true;
         return;
       }
       if (draining) {
-        rejected_shutdown.fetch_add(1, std::memory_order_relaxed);
+        rejected_shutdown->Add();
         SendFrame(conn, EncodeOverloadedFrame(request_id,
                                               options.retry_after_ms,
                                               "shutting down"));
@@ -259,7 +257,7 @@ void TcpServer::Impl::HandleFrame(uint64_t conn_id, Conn& conn, Frame frame,
       }
       uint32_t retry_ms = options.retry_after_ms;
       if (!conn.bucket.TryAcquire(Clock::now(), &retry_ms)) {
-        rejected_rate_limited.fetch_add(1, std::memory_order_relaxed);
+        rejected_rate_limited->Add();
         SendFrame(conn,
                   EncodeOverloadedFrame(request_id, retry_ms, "rate limited"));
         return;
@@ -274,28 +272,25 @@ void TcpServer::Impl::HandleFrame(uint64_t conn_id, Conn& conn, Frame frame,
           std::move(examples),
           [hub_ref, encode_hist_ref, conn_id,
            request_id](Result<AbducedQuery> result) {
-            const uint64_t start_ns =
-                obs::MetricsEnabled() ? obs::MonotonicNowNs() : 0;
+            const uint64_t start_ns = obs::MonotonicNowNs();
             std::string reply =
                 result.ok()
                     ? EncodeDiscoverOkFrame(request_id,
                                             WireAnswer::FromQuery(
                                                 result.value()))
                     : EncodeDiscoverErrorFrame(request_id, result.status());
-            if (start_ns != 0) {
-              encode_hist_ref->Record(obs::MonotonicNowNs() - start_ns);
-            }
+            encode_hist_ref->Record(obs::MonotonicNowNs() - start_ns);
             hub_ref->Push(conn_id, std::move(reply));
           });
       if (!admitted) {
         inflight.fetch_sub(1, std::memory_order_relaxed);
-        rejected_overload.fetch_add(1, std::memory_order_relaxed);
+        rejected_overload->Add();
         SendFrame(conn, EncodeOverloadedFrame(request_id,
                                               options.retry_after_ms,
                                               "server overloaded"));
         return;
       }
-      requests_admitted.fetch_add(1, std::memory_order_relaxed);
+      requests_admitted->Add();
       return;
     }
     case FrameType::kStatsRequest: {
@@ -303,29 +298,34 @@ void TcpServer::Impl::HandleFrame(uint64_t conn_id, Conn& conn, Frame frame,
       uint64_t request_id = 0;
       Status decoded = reader.ReadU64(&request_id);
       if (!decoded.ok() || !reader.AtEnd()) {
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors->Add();
         SendFrame(conn, EncodeDiscoverErrorFrame(
                             0, Status::Corruption(
                                    "net: malformed stats request")));
         conn.close_after_flush = true;
         return;
       }
-      // Counters plus the versioned histogram section: the service's
-      // queue-wait and end-to-end latency snapshots, so a remote client
-      // derives server-side percentiles from the reply alone.
+      // Every counter and gauge of the registry, plus the versioned
+      // histogram section: the service's queue-wait and end-to-end latency
+      // snapshots, so a remote client derives server-side percentiles from
+      // the reply alone.
+      std::vector<std::pair<std::string, uint64_t>> counters =
+          metrics.CounterValues();
+      for (const auto& [name, value] : metrics.GaugeValues()) {
+        counters.emplace_back(name, value < 0 ? 0 : static_cast<uint64_t>(value));
+      }
       ServeStats service_stats = service->stats();
       std::vector<WireHistogram> histograms;
       histograms.push_back({"queue_wait_ns", service_stats.queue_wait_ns});
       histograms.push_back({"request_ns", service_stats.request_ns});
-      SendFrame(conn, EncodeStatsResponseFrame(request_id, CollectCounters(),
-                                               histograms));
+      SendFrame(conn, EncodeStatsResponseFrame(request_id, counters, histograms));
       return;
     }
     case FrameType::kDiscoverOk:
     case FrameType::kDiscoverError:
     case FrameType::kOverloaded:
     case FrameType::kStatsResponse: {
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors->Add();
       SendFrame(conn, EncodeDiscoverErrorFrame(
                           0, Status::Corruption(
                                  "net: client sent a response frame")));
@@ -340,8 +340,7 @@ void TcpServer::Impl::ReadConn(uint64_t conn_id, Conn& conn, bool draining) {
   for (;;) {
     ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      bytes_received.fetch_add(static_cast<uint64_t>(n),
-                               std::memory_order_relaxed);
+      bytes_received->Add(static_cast<uint64_t>(n));
       conn.decoder.Feed(buf, static_cast<size_t>(n));
       if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
@@ -359,7 +358,7 @@ void TcpServer::Impl::ReadConn(uint64_t conn_id, Conn& conn, bool draining) {
   for (;;) {
     Result<std::optional<Frame>> next = conn.decoder.Next();
     if (!next.ok()) {
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors->Add();
       SendFrame(conn, EncodeDiscoverErrorFrame(0, next.status()));
       conn.close_after_flush = true;
       break;
@@ -376,8 +375,7 @@ void TcpServer::Impl::FlushConn(Conn& conn) {
                        conn.out.size() - conn.out_off, MSG_NOSIGNAL);
     if (n > 0) {
       conn.out_off += static_cast<size_t>(n);
-      bytes_sent.fetch_add(static_cast<uint64_t>(n),
-                           std::memory_order_relaxed);
+      bytes_sent->Add(static_cast<uint64_t>(n));
       continue;
     }
     if (errno == EINTR) continue;
@@ -403,33 +401,6 @@ void TcpServer::Impl::ConsumeCompletions() {
     SendFrame(it->second, std::move(completion.frame));
     FlushConn(it->second);  // opportunistic: usually completes in one send
   }
-}
-
-std::vector<std::pair<std::string, uint64_t>> TcpServer::Impl::CollectCounters()
-    const {
-  ServeStats service_stats = service->stats();
-  return {
-      {"connections_accepted",
-       connections_accepted.load(std::memory_order_relaxed)},
-      {"connections_open", static_cast<uint64_t>(conns.size())},
-      {"frames_received", frames_received.load(std::memory_order_relaxed)},
-      {"frames_sent", frames_sent.load(std::memory_order_relaxed)},
-      {"requests_admitted",
-       requests_admitted.load(std::memory_order_relaxed)},
-      {"rejected_overload",
-       rejected_overload.load(std::memory_order_relaxed)},
-      {"rejected_rate_limited",
-       rejected_rate_limited.load(std::memory_order_relaxed)},
-      {"rejected_shutdown",
-       rejected_shutdown.load(std::memory_order_relaxed)},
-      {"protocol_errors", protocol_errors.load(std::memory_order_relaxed)},
-      {"service_requests", service_stats.requests},
-      {"service_completed", service_stats.completed},
-      {"service_failed", service_stats.failed},
-      {"service_rejected", service_stats.rejected},
-      {"cache_hits", service_stats.hits},
-      {"cache_misses", service_stats.misses},
-  };
 }
 
 void TcpServer::Impl::Run() {
@@ -507,11 +478,11 @@ void TcpServer::Impl::Run() {
         ++it;
       }
     }
-    connections_open.store(conns.size(), std::memory_order_relaxed);
+    connections_open->Set(static_cast<int64_t>(conns.size()));
   }
   for (auto& [id, conn] : conns) ::close(conn.fd);
   conns.clear();
-  connections_open.store(0, std::memory_order_relaxed);
+  connections_open->Set(0);
   if (listen_fd >= 0) {
     ::close(listen_fd);
     listen_fd = -1;
@@ -577,26 +548,20 @@ uint16_t TcpServer::port() const {
 }
 
 TcpServerStats TcpServer::stats() const {
+  const Impl& m = *impl_;
   TcpServerStats out;
-  out.connections_accepted =
-      impl_->connections_accepted.load(std::memory_order_relaxed);
-  out.connections_refused =
-      impl_->connections_refused.load(std::memory_order_relaxed);
-  out.connections_open =
-      impl_->connections_open.load(std::memory_order_relaxed);
-  out.frames_received = impl_->frames_received.load(std::memory_order_relaxed);
-  out.frames_sent = impl_->frames_sent.load(std::memory_order_relaxed);
-  out.requests_admitted =
-      impl_->requests_admitted.load(std::memory_order_relaxed);
-  out.rejected_overload =
-      impl_->rejected_overload.load(std::memory_order_relaxed);
-  out.rejected_rate_limited =
-      impl_->rejected_rate_limited.load(std::memory_order_relaxed);
-  out.rejected_shutdown =
-      impl_->rejected_shutdown.load(std::memory_order_relaxed);
-  out.protocol_errors = impl_->protocol_errors.load(std::memory_order_relaxed);
-  out.bytes_received = impl_->bytes_received.load(std::memory_order_relaxed);
-  out.bytes_sent = impl_->bytes_sent.load(std::memory_order_relaxed);
+  out.connections_accepted = m.connections_accepted->Value();
+  out.connections_refused = m.connections_refused->Value();
+  out.connections_open = static_cast<uint64_t>(m.connections_open->Value());
+  out.frames_received = m.frames_received->Value();
+  out.frames_sent = m.frames_sent->Value();
+  out.requests_admitted = m.requests_admitted->Value();
+  out.rejected_overload = m.rejected_overload->Value();
+  out.rejected_rate_limited = m.rejected_rate_limited->Value();
+  out.rejected_shutdown = m.rejected_shutdown->Value();
+  out.protocol_errors = m.protocol_errors->Value();
+  out.bytes_received = m.bytes_received->Value();
+  out.bytes_sent = m.bytes_sent->Value();
   return out;
 }
 

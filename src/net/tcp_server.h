@@ -66,7 +66,9 @@ struct TcpServerOptions {
   uint32_t drain_timeout_ms = 5000;
 };
 
-/// Monotonic counters of one server (all loads are relaxed snapshots).
+/// The server's counters, read from the service's registry (metric names
+/// as the fields; connections_open is a gauge). Servers over one service
+/// count together.
 struct TcpServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_refused = 0;  ///< over max_connections

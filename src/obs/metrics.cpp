@@ -1,38 +1,9 @@
 #include "obs/metrics.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 namespace squid {
 namespace obs {
-
-namespace {
-
-bool InitialEnabled() {
-  const char* env = std::getenv("SQUID_METRICS");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-           std::strcmp(env, "false") == 0);
-}
-
-std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> enabled{InitialEnabled()};
-  return enabled;
-}
-
-}  // namespace
-
-// relaxed: the kill switch is an independent flag — a recorder racing the
-// toggle drops or keeps one sample, which the metrics contract permits; no
-// other state is published through it.
-void SetMetricsEnabled(bool enabled) {
-  EnabledFlag().store(enabled, std::memory_order_relaxed);
-}
-
-bool MetricsEnabled() {
-  return EnabledFlag().load(std::memory_order_relaxed);  // relaxed: see above
-}
 
 // --- snapshots ------------------------------------------------------------
 
@@ -91,11 +62,6 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
 }
 
 // --- registry -------------------------------------------------------------
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* global = new MetricsRegistry();
-  return *global;
-}
 
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -188,12 +154,6 @@ std::string MetricsRegistry::DumpText() const {
     os << name << "_count " << snap.count << "\n";
   }
   return os.str();
-}
-
-std::string DumpMetricsText() { return MetricsRegistry::Global().DumpText(); }
-
-std::string DumpMetricsText(const MetricsRegistry& registry) {
-  return registry.DumpText();
 }
 
 }  // namespace obs

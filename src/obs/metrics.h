@@ -2,26 +2,28 @@
 #define SQUID_OBS_METRICS_H_
 
 /// \file metrics.h
-/// \brief Process-wide metrics substrate for the serve path: named counters,
-/// gauges, and log-bucketed latency histograms behind a MetricsRegistry,
-/// plus a Prometheus-style text exposition (DumpMetricsText).
+/// \brief Metrics substrate for the serve path: named counters, gauges, and
+/// log-bucketed latency histograms behind a MetricsRegistry, plus a
+/// Prometheus-style text exposition (MetricsRegistry::DumpText).
 ///
 /// Design constraints (the observability contract, see docs/ARCHITECTURE.md):
-///  - recording is lock-free and sharded: a histogram keeps kShards
-///    cache-line-separated bucket arrays and a recording thread touches only
-///    its own shard with relaxed atomics — safe from any number of threads,
-///    TSan-clean, and cheap enough (low tens of ns) to leave on in the serve
-///    hot path. bench_obs measures it and scripts/check_bench_trends.py
-///    gates it (check_obs);
+///  - one store: every counter of a service lives in that service's own
+///    registry (SquidService owns one unless ServeOptions::metrics names
+///    another), and its stats structs, the StatsResponse wire frame, the
+///    REPL and the text exposition all read the same metrics. There is no
+///    process-global registry;
+///  - always on: recording is lock-free and sharded: a histogram keeps
+///    kShards cache-line-separated bucket arrays and a recording thread
+///    touches only its own shard with relaxed atomics — safe from any number
+///    of threads, TSan-clean, and cheap enough (low tens of ns) to leave on
+///    in the serve hot path. bench_obs measures it against an empty loop
+///    and scripts/check_bench_trends.py gates it (check_obs);
 ///  - recording NEVER changes answers: metrics code only observes durations
-///    and counts. The serve parity suites run with metrics/tracing on and
-///    off and byte-compare the answers;
+///    and counts. The serve parity suites byte-compare answers with tracing
+///    on and off;
 ///  - snapshots are plain mergeable data: merge(a, b) == merge(b, a)
 ///    bucket-for-bucket, and any snapshot yields p50/p90/p99/max without
-///    touching the live histogram again;
-///  - a disabled registry (SetMetricsEnabled(false), or SQUID_METRICS=off in
-///    the environment) reduces Record()/Add() to one relaxed load and a
-///    branch.
+///    touching the live histogram again.
 ///
 /// Bucketing is log-linear: values below kSubBuckets map exactly, above
 /// that each power-of-two octave splits into kSubBuckets equal sub-buckets
@@ -44,11 +46,9 @@
 namespace squid {
 namespace obs {
 
-/// Global kill switch (default: enabled, unless the SQUID_METRICS env var
-/// says 0/off/false at first use). Disabled, every Record/Add is a relaxed
-/// load + branch and histograms/counters stop changing.
-void SetMetricsEnabled(bool enabled);
-bool MetricsEnabled();
+/// Always true: metrics have no off switch. Kept for callers that print
+/// the effective configuration.
+constexpr bool MetricsEnabled() { return true; }
 
 // --- log-linear bucketing -------------------------------------------------
 
@@ -132,7 +132,6 @@ struct HistogramSnapshot {
 class Counter {
  public:
   void Add(uint64_t n = 1) {
-    if (!MetricsEnabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
@@ -143,15 +142,13 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// \brief Point-in-time signed value (queue depth, config knobs).
+/// \brief Point-in-time signed value (open connections, cached bytes).
 class Gauge {
  public:
   void Set(int64_t v) {
-    if (!MetricsEnabled()) return;
     value_.store(v, std::memory_order_relaxed);
   }
   void Add(int64_t n) {
-    if (!MetricsEnabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
@@ -176,7 +173,6 @@ class LatencyHistogram {
   LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
   void Record(uint64_t value) {
-    if (!MetricsEnabled()) return;
     Shard& shard = shards_[ShardIndex()];
     shard.buckets[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     shard.sum.fetch_add(value, std::memory_order_relaxed);
@@ -209,16 +205,12 @@ class LatencyHistogram {
 /// \brief Named metric registry. Get* is get-or-create: the first caller
 /// creates the metric, every later caller gets the same stable pointer
 /// (metrics are never removed), so hot paths resolve a name once and keep
-/// the pointer. Instantiable for isolation (each SquidService can carry its
-/// own); Global() is the process-wide default that DumpMetricsText and the
-/// CLIs read.
+/// the pointer. Each SquidService records into its own registry.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  static MetricsRegistry& Global();
 
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
@@ -244,10 +236,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       histograms_;
 };
-
-/// DumpText of the given registry (default: the process-global one).
-std::string DumpMetricsText();
-std::string DumpMetricsText(const MetricsRegistry& registry);
 
 }  // namespace obs
 }  // namespace squid

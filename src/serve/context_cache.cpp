@@ -19,13 +19,25 @@ size_t PowerOfTwoAtLeast(size_t n) {
 ContextCache::ContextCache(const AbductionReadyDb* adb)
     : ContextCache(adb, Options{}) {}
 
-ContextCache::ContextCache(const AbductionReadyDb* adb, Options options)
+ContextCache::ContextCache(const AbductionReadyDb* adb, Options options,
+                           obs::MetricsRegistry* metrics)
     : adb_(adb),
       pool_(adb->inverted_index().pool_shared()),
       max_bytes_(options.max_bytes),
       shard_mask_(PowerOfTwoAtLeast(options.shards == 0 ? 1 : options.shards) - 1),
       shards_(shard_mask_ + 1) {
   shard_budget_ = max_bytes_ / (shard_mask_ + 1);
+  if (metrics == nullptr) {
+    own_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics = own_metrics_.get();
+  }
+  hits_ = metrics->GetCounter("cache_hits");
+  misses_ = metrics->GetCounter("cache_misses");
+  evictions_ = metrics->GetCounter("cache_evictions");
+  inserts_ = metrics->GetCounter("cache_inserts");
+  uncacheable_ = metrics->GetCounter("cache_uncacheable");
+  entries_ = metrics->GetGauge("cache_entries");
+  bytes_ = metrics->GetGauge("cache_bytes");
 }
 
 ContextCache::~ContextCache() = default;
@@ -74,14 +86,14 @@ Result<std::shared_ptr<const EntityContextProfile>> ContextCache::Profile(
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      ++shard.hits;
+      hits_->Add();
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       if (from_cache != nullptr) *from_cache = true;
       return it->second->profile;
     }
-    ++shard.misses;
+    misses_->Add();
   } else {
-    uncacheable_.fetch_add(1, std::memory_order_relaxed);
+    uncacheable_->Add();
   }
 
   // Build outside any lock (array reads against the immutable αDB).
@@ -108,7 +120,9 @@ Result<std::shared_ptr<const EntityContextProfile>> ContextCache::Profile(
   shard.lru.push_front(std::move(entry));
   shard.map.emplace(key, shard.lru.begin());
   shard.bytes += shard.lru.front().bytes;
-  ++shard.inserts;
+  inserts_->Add();
+  entries_->Add(1);
+  bytes_->Add(static_cast<int64_t>(shard.lru.front().bytes));
   // Evict least-recently-used entries down to the shard budget, always
   // keeping the entry just inserted (a single oversized profile would
   // otherwise thrash on every touch).
@@ -116,8 +130,10 @@ Result<std::shared_ptr<const EntityContextProfile>> ContextCache::Profile(
     Entry& victim = shard.lru.back();
     shard.bytes -= victim.bytes;
     shard.map.erase(victim.key);
+    evictions_->Add();
+    entries_->Add(-1);
+    bytes_->Add(-static_cast<int64_t>(victim.bytes));
     shard.lru.pop_back();
-    ++shard.evictions;
   }
   return profile;
 }
@@ -134,6 +150,8 @@ bool ContextCache::Contains(const std::string& entity_relation,
 void ContextCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
+    entries_->Add(-static_cast<int64_t>(shard.lru.size()));
+    bytes_->Add(-static_cast<int64_t>(shard.bytes));
     shard.lru.clear();
     shard.map.clear();
     shard.bytes = 0;
@@ -143,16 +161,13 @@ void ContextCache::Clear() {
 ServeStats ContextCache::stats() const {
   ServeStats out;
   out.capacity_bytes = max_bytes_;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out.hits += shard.hits;
-    out.misses += shard.misses;
-    out.evictions += shard.evictions;
-    out.inserts += shard.inserts;
-    out.entries += shard.lru.size();
-    out.bytes += shard.bytes;
-  }
-  out.uncacheable = uncacheable_.load(std::memory_order_relaxed);
+  out.hits = hits_->Value();
+  out.misses = misses_->Value();
+  out.evictions = evictions_->Value();
+  out.inserts = inserts_->Value();
+  out.uncacheable = uncacheable_->Value();
+  out.entries = static_cast<size_t>(entries_->Value());
+  out.bytes = static_cast<size_t>(bytes_->Value());
   return out;
 }
 

@@ -24,6 +24,11 @@
 /// race on the same missing key both build (deterministically identical)
 /// profiles and the insert dedupes.
 ///
+/// Counters (hits, misses, inserts, evictions, uncacheable probes) and the
+/// live entry/byte gauges are metrics of the registry the cache is given —
+/// the serving SquidService's — so stats() and every exposition read one
+/// store.
+///
 /// Byte accounting: each entry charges its profile's ApproxBytes plus
 /// kEntryOverheadBytes, the list node, hash-map node and shared_ptr control
 /// block that hold it (serve_test checks the latter against what the
@@ -36,7 +41,6 @@
 /// provider (uncached profile builds). serve_test asserts this down to
 /// posteriors.
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -48,6 +52,7 @@
 #include "adb/abduction_ready_db.h"
 #include "common/status.h"
 #include "core/context_discovery.h"
+#include "obs/metrics.h"
 #include "serve/serve_stats.h"
 #include "storage/string_pool.h"
 
@@ -66,7 +71,10 @@ class ContextCache : public ContextProvider {
   };
 
   explicit ContextCache(const AbductionReadyDb* adb);
-  ContextCache(const AbductionReadyDb* adb, Options options);
+  /// Records into `metrics` (not owned; must outlive the cache), or into a
+  /// registry of the cache's own when it is null.
+  ContextCache(const AbductionReadyDb* adb, Options options,
+               obs::MetricsRegistry* metrics = nullptr);
   ~ContextCache() override;
 
   ContextCache(const ContextCache&) = delete;
@@ -87,7 +95,8 @@ class ContextCache : public ContextProvider {
   /// Drops every entry (counters are retained).
   void Clear();
 
-  /// Counter snapshot (cache fields only; the service overlays its own).
+  /// The cache fields of a ServeStats, read from the registry (the service
+  /// overlays its own).
   ServeStats stats() const;
 
   size_t ApproxBytes() const;
@@ -143,10 +152,6 @@ class ContextCache : public ContextProvider {
     std::list<Entry> lru;
     std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash> map;
     size_t bytes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t inserts = 0;
   };
 
   /// Resolves (relation, key) to a symbol key; false when either string is
@@ -164,8 +169,15 @@ class ContextCache : public ContextProvider {
   size_t shard_budget_;
   size_t shard_mask_;
   mutable std::vector<Shard> shards_;
-  // relaxed: standalone stats counter; no reader orders other state on it.
-  mutable std::atomic<uint64_t> uncacheable_{0};
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;  // when none is given
+  // Resolved once at construction (stable registry pointers).
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* evictions_;
+  obs::Counter* inserts_;
+  obs::Counter* uncacheable_;
+  obs::Gauge* entries_;
+  obs::Gauge* bytes_;
 };
 
 }  // namespace squid

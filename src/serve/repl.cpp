@@ -54,7 +54,7 @@ void Repl::HandleCommand(const std::string& command) {
     const std::streamsize saved_precision = out_->precision(3);
     *out_ << s.HitRate() << "\n";
     // Latency percentiles from the server-side histograms (empty until a
-    // request completes, or while metrics are disabled).
+    // request completes).
     if (!s.request_ns.Empty()) {
       *out_ << "latency p50=" << static_cast<double>(s.RequestP50Ns()) / 1e6
             << "ms p90=" << static_cast<double>(s.RequestP90Ns()) / 1e6

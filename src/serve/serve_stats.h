@@ -4,9 +4,10 @@
 /// \file serve_stats.h
 /// \brief Observable counters of the serve subsystem: context-cache
 /// hit/miss/evict traffic and request-level service counters. A ServeStats
-/// is a consistent-enough snapshot (counters are read per shard under its
-/// mutex, service counters from atomics); it is plain data, safe to copy
-/// out of the service and print from any thread.
+/// is a view of the service's MetricsRegistry (each field read from its
+/// metric with a relaxed load, so fields may be mid-update relative to each
+/// other while requests run); it is plain data, safe to copy out of the
+/// service and print from any thread.
 
 #include <cstddef>
 #include <cstdint>
@@ -16,7 +17,9 @@
 namespace squid {
 
 /// \brief Snapshot of serve-mode counters (see ContextCache::stats and
-/// SquidService::stats).
+/// SquidService::stats). The cache fields are the registry metrics
+/// `cache_<field>` and the service counters `service_<field>`; queue_depth,
+/// threads and capacity_bytes come from the service itself.
 struct ServeStats {
   // --- context cache ---
   uint64_t hits = 0;         ///< profile found in the cache
@@ -40,8 +43,7 @@ struct ServeStats {
   size_t threads = 0;      ///< worker threads serving requests
 
   // --- latency distributions (nanoseconds; see obs/metrics.h) ---
-  /// Admission to task start, per completed request. Empty when metrics are
-  /// disabled (SQUID_METRICS=0 / SetMetricsEnabled(false)).
+  /// Admission to task start, per completed request.
   obs::HistogramSnapshot queue_wait_ns;
   /// Admission to completion delivery (end-to-end), per completed request.
   obs::HistogramSnapshot request_ns;

@@ -8,20 +8,21 @@
 /// Request path (submit -> fan-out -> cache):
 ///
 ///   clients --Submit(examples, done)--> one ThreadPool task per request:
-///       LookupExamples, then the candidate base queries fan out in
-///       parallel (ParallelFor), each candidate's per-entity profiles (for
-///       disambiguation and context discovery alike) resolving through the
-///       shared ContextCache; the winning abduction
-///       is handed to the request's `done` callback.
+///       Squid::Discover with the pool, so the candidate base queries fan
+///       out in parallel (ParallelFor), each candidate's per-entity profiles
+///       (for disambiguation and context discovery alike) resolving through
+///       the shared ContextCache; the winning abduction is handed to the
+///       request's `done` callback.
 ///
 /// Submit never blocks: it sheds a request (returns false) when the
 /// service is closed or `queue_capacity` admitted requests are still
 /// waiting for a worker. The pool bounds concurrency, and the cache turns
 /// repeat entities across sessions into pure merges. Identity contract:
 /// for any thread count and any cache budget (including forced evictions),
-/// answers are bit-identical to a cold serial Squid::Discover — candidate
-/// results land in per-match slots reduced in the same canonical order with
-/// the same tie-breaking, and cached profiles are pure functions of the αDB.
+/// answers are bit-identical to a cold serial Squid::Discover — it is the
+/// same Discover, whose candidate results land in per-match slots reduced
+/// in one canonical order, and cached profiles are pure functions of the
+/// αDB.
 
 #include <atomic>
 #include <functional>
@@ -54,10 +55,11 @@ struct ServeOptions {
   size_t cache_bytes = 8u << 20;
   /// Context-cache shard count.
   size_t cache_shards = 8;
-  /// Metrics registry the service records into (queue-wait and end-to-end
-  /// request histograms, surfaced through stats() and DumpMetricsText).
-  /// nullptr = the process-global registry; tests pass their own for
-  /// isolation. Not owned; must outlive the service.
+  /// Metrics registry the service, its context cache and a TcpServer over
+  /// it record every counter and histogram into (read back by stats(), the
+  /// StatsResponse frame and the text exposition). nullptr = a registry the
+  /// service owns. Not owned otherwise; must outlive the service. Services
+  /// given the same registry count into the same metrics.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -97,8 +99,8 @@ class SquidService {
   /// to completion before any member it uses is destroyed.
   void Close();
 
-  /// Cache + service counter snapshot, including the queue-wait and
-  /// end-to-end latency histogram snapshots.
+  /// Cache + service counters read from the registry, including the
+  /// queue-wait and end-to-end latency histogram snapshots.
   ServeStats stats() const;
 
   /// The shared per-entity context cache (null when cache_bytes == 0).
@@ -120,32 +122,30 @@ class SquidService {
   std::shared_ptr<const obs::RequestTrace> last_trace() const;
 
   /// The registry this service records into (ServeOptions::metrics or the
-  /// process-global one).
+  /// service's own).
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
   struct Request {
     std::vector<std::string> examples;
     CompletionFn done;
-    /// Admission timestamp (MonotonicNowNs in Submit; 0 when metrics were
-    /// disabled at admission). Queue wait = task start minus this;
-    /// end-to-end = completion minus this.
+    /// Admission timestamp (MonotonicNowNs in Submit). Queue wait = task
+    /// start minus this; end-to-end = completion minus this.
     uint64_t admitted_ns = 0;
     /// Per-request span, allocated only when tracing is on at admission.
     std::shared_ptr<obs::RequestTrace> trace;
   };
 
-  /// Answers one admitted request (the body of its pool task).
+  /// Answers one admitted request (the body of its pool task): Squid's
+  /// Discover with the candidate loop fanned out over the pool.
   void Run(Request& request);
-
-  /// The Discover pipeline with the candidate loop fanned out; bit-identical
-  /// reduction order to Squid::Discover. `trace` (may be null) accumulates
-  /// per-phase timings, shared by every fan-out worker.
-  Result<AbducedQuery> Process(const std::vector<std::string>& examples,
-                               obs::RequestTrace* trace);
 
   const AbductionReadyDb* adb_;
   ServeOptions options_;
+  /// The registry when ServeOptions::metrics is null; declared before the
+  /// cache, which records into it.
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::MetricsRegistry* metrics_;
   std::unique_ptr<ContextCache> cache_;
   Squid squid_;
   /// Set by Close(); Submit sheds once it reads true. A Submit racing
@@ -156,16 +156,14 @@ class SquidService {
   /// and ServeStats::queue_depth. Submit reserves a slot with a CAS, so
   /// concurrent Submits cannot overshoot queue_capacity.
   std::atomic<size_t> waiting_{0};
-  /// relaxed: monotonic service counters, read only as a stats() snapshot.
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> rejected_{0};
-  /// Observability: registry plus the two service histograms resolved from
-  /// it once at construction (stable pointers — see MetricsRegistry).
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::LatencyHistogram* queue_wait_hist_ = nullptr;
-  obs::LatencyHistogram* request_hist_ = nullptr;
+  /// The service's counters and histograms, resolved from the registry once
+  /// at construction (stable pointers — see MetricsRegistry).
+  obs::Counter* requests_;
+  obs::Counter* completed_;
+  obs::Counter* failed_;
+  obs::Counter* rejected_;
+  obs::LatencyHistogram* queue_wait_hist_;
+  obs::LatencyHistogram* request_hist_;
   std::atomic<bool> tracing_{false};
   mutable std::mutex trace_mu_;
   std::shared_ptr<obs::RequestTrace> last_trace_;  // guarded by trace_mu_
@@ -195,8 +193,7 @@ struct SnapshotBootedService {
 /// freshly built αDB (the snapshot round-trip preserves the αDB down to
 /// symbol level). Malformed snapshots yield a Status error, never UB.
 Result<std::unique_ptr<SnapshotBootedService>> BootServiceFromSnapshot(
-    const std::string& snapshot_path, ServeOptions options = {},
-    const AdbSnapshotOptions& snapshot_options = {});
+    const std::string& snapshot_path, ServeOptions options = {});
 
 }  // namespace squid
 

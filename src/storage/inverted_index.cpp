@@ -42,42 +42,47 @@ Result<InvertedColumnIndex> InvertedColumnIndex::Build(const Database& db) {
 
   // Pass 2: counting sort by key into the flat CSR arrays. Slots are
   // assigned in first-occurrence order; postings keep scan order per key.
-  // Sized by IdBound(): the sharded pool's symbol space is not dense.
-  index.slot_of_folded_.assign(pool->IdBound(), kNoSlot);
+  // The symbol->slot table lives only for the sort; it is sized by
+  // IdBound() because the sharded pool's symbol space is not dense.
+  std::vector<uint32_t> slot_of(pool->IdBound(), kNoSlot);
   for (const auto& [folded, _] : raw) {
-    if (index.slot_of_folded_[folded] == kNoSlot) {
-      index.slot_of_folded_[folded] = static_cast<uint32_t>(index.num_keys_++);
+    if (slot_of[folded] == kNoSlot) {
+      slot_of[folded] = static_cast<uint32_t>(index.key_of_slot_.size());
+      index.key_of_slot_.push_back(folded);
     }
   }
-  index.offsets_.assign(index.num_keys_ + 1, 0);
+  const size_t num_keys = index.key_of_slot_.size();
+  index.offsets_.assign(num_keys + 1, 0);
   for (const auto& [folded, _] : raw) {
-    ++index.offsets_[index.slot_of_folded_[folded] + 1];
+    ++index.offsets_[slot_of[folded] + 1];
   }
-  for (size_t s = 1; s <= index.num_keys_; ++s) {
+  for (size_t s = 1; s <= num_keys; ++s) {
     index.offsets_[s] += index.offsets_[s - 1];
   }
   index.postings_.resize(raw.size());
   std::vector<uint32_t> cursor(index.offsets_.begin(), index.offsets_.end() - 1);
   for (const auto& [folded, posting] : raw) {
-    index.postings_[cursor[index.slot_of_folded_[folded]]++] = posting;
-  }
-
-  // Flat probe table at <= 50% load (power-of-two capacity).
-  size_t capacity = 8;
-  while (capacity < index.num_keys_ * 2) capacity *= 2;
-  index.probe_table_.assign(capacity, ProbeEntry{});
-  index.probe_mask_ = capacity - 1;
-  for (Symbol folded = 0; folded < index.slot_of_folded_.size(); ++folded) {
-    uint32_t slot = index.slot_of_folded_[folded];
-    if (slot == kNoSlot) continue;
-    uint64_t hash = StringPool::FoldHashOf(pool->View(folded));
-    size_t i = hash & index.probe_mask_;
-    while (index.probe_table_[i].slot != kNoSlot) i = (i + 1) & index.probe_mask_;
-    index.probe_table_[i] = ProbeEntry{hash, folded, slot};
+    index.postings_[cursor[slot_of[folded]]++] = posting;
   }
 
   index.pool_ = std::move(pool);
+  index.BuildProbeTable();
   return index;
+}
+
+void InvertedColumnIndex::BuildProbeTable() {
+  // Flat probe table at <= 50% load (power-of-two capacity).
+  size_t capacity = 8;
+  while (capacity < key_of_slot_.size() * 2) capacity *= 2;
+  probe_table_.assign(capacity, ProbeEntry{});
+  probe_mask_ = capacity - 1;
+  for (uint32_t slot = 0; slot < key_of_slot_.size(); ++slot) {
+    const Symbol folded = key_of_slot_[slot];
+    const uint64_t hash = StringPool::FoldHashOf(pool_->View(folded));
+    size_t i = hash & probe_mask_;
+    while (probe_table_[i].slot != kNoSlot) i = (i + 1) & probe_mask_;
+    probe_table_[i] = ProbeEntry{hash, folded, slot};
+  }
 }
 
 const InvertedColumnIndex::ProbeEntry* InvertedColumnIndex::FindProbeEntry(

@@ -8,12 +8,11 @@
 /// match user-provided example strings to candidate entities.
 ///
 /// Layout: one contiguous postings array in CSR form. Keys are case-folded
-/// StringPool symbols; a symbol->slot table (sized by StringPool::IdBound(),
-/// the sharded pool's id space is not dense) plus a slot offset array
-/// locate each key's posting span. Lookup is a single case-folding hash of
-/// the probe text, a short linear probe of a flat table and two array reads
-/// — no per-lookup allocation, no string materialization. All four arrays
-/// are plain vectors.
+/// StringPool symbols, one per dense slot; a flat probe table maps a key to
+/// its slot, and a slot offset array locates the slot's posting span. Lookup
+/// is a single case-folding hash of the probe text, a short linear probe of
+/// the table and two array reads — no per-lookup allocation, no string
+/// materialization. All four arrays are plain vectors.
 
 #include <cstdint>
 #include <memory>
@@ -89,14 +88,14 @@ class InvertedColumnIndex {
   /// symbols through one shared instance.
   const std::shared_ptr<const StringPool>& pool_shared() const { return pool_; }
 
-  size_t NumKeys() const { return num_keys_; }
+  size_t NumKeys() const { return key_of_slot_.size(); }
   size_t NumPostings() const { return postings_.size(); }
 
-  /// Bytes of the four arrays' elements (symbol->slot table, probe table,
-  /// offsets, postings). Depends only on the indexed content, so a built
-  /// and a snapshot-loaded index agree; feeds AdbReport::index_bytes.
+  /// Bytes of the four arrays' elements (slot keys, probe table, offsets,
+  /// postings). Depends only on the indexed content, so a built and a
+  /// snapshot-loaded index agree; feeds AdbReport::index_bytes.
   size_t ApproxBytes() const {
-    return slot_of_folded_.size() * sizeof(uint32_t) +
+    return key_of_slot_.size() * sizeof(Symbol) +
            probe_table_.size() * sizeof(ProbeEntry) +
            offsets_.size() * sizeof(uint32_t) +
            postings_.size() * sizeof(Posting);
@@ -130,9 +129,12 @@ class InvertedColumnIndex {
 
   const ProbeEntry* FindProbeEntry(std::string_view text) const;
 
+  /// Fills the probe table from the slot keys (Build and SnapshotLoad).
+  void BuildProbeTable();
+
   std::shared_ptr<const StringPool> pool_;
-  // Folded symbol -> dense slot (kNoSlot when the symbol has no postings).
-  std::vector<uint32_t> slot_of_folded_;
+  // Slot -> its folded key symbol (slots in first-occurrence order).
+  std::vector<Symbol> key_of_slot_;
   // Open-addressing (linear probing) table over the folded keys, sized to
   // a power of two at <= 50% load.
   std::vector<ProbeEntry> probe_table_;
@@ -140,7 +142,6 @@ class InvertedColumnIndex {
   // Slot s owns postings_[offsets_[s], offsets_[s + 1]).
   std::vector<uint32_t> offsets_;
   std::vector<Posting> postings_;
-  size_t num_keys_ = 0;
 };
 
 }  // namespace squid

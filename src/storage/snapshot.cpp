@@ -4,13 +4,10 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define SQUID_SNAPSHOT_HAS_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace squid {
 
@@ -108,47 +105,30 @@ Status SnapshotWriter::WriteToFile(const std::string& path) const {
 // SnapshotFile
 // ---------------------------------------------------------------------------
 
-Result<SnapshotFile> SnapshotFile::Open(const std::string& path, bool use_mmap) {
-#if defined(SQUID_SNAPSHOT_HAS_MMAP)
-  if (use_mmap) {
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return Status::IoError("cannot open snapshot '" + path + "'");
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      return Status::IoError("cannot stat snapshot '" + path + "'");
-    }
-    const size_t size = static_cast<size_t>(st.st_size);
-    SnapshotFile f;
-    if (size > 0) {
-      void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (map == MAP_FAILED) {
-        return Status::IoError("mmap failed for snapshot '" + path + "'");
-      }
-      f.mapping_ = std::shared_ptr<void>(map, [size](void* p) { ::munmap(p, size); });
-      f.data_ = static_cast<const uint8_t*>(map);
-      f.size_ = size;
-      f.mapped_ = true;
-    } else {
-      ::close(fd);
-    }
-    SQUID_RETURN_NOT_OK(f.Validate());
-    return f;
+Result<SnapshotFile> SnapshotFile::Open(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IoError("cannot open snapshot '" + path + "'");
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IoError("cannot stat snapshot '" + path + "'");
   }
-#else
-  (void)use_mmap;
-#endif
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open snapshot '" + path + "'");
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
+  const size_t size = static_cast<size_t>(st.st_size);
+  SnapshotFile f;
   if (size > 0) {
-    in.read(reinterpret_cast<char*>(bytes.data()), size);
-    if (!in.good()) return Status::IoError("short read from snapshot '" + path + "'");
+    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    if (map == MAP_FAILED) {
+      return Status::IoError("mmap failed for snapshot '" + path + "'");
+    }
+    f.mapping_ = std::shared_ptr<void>(map, [size](void* p) { ::munmap(p, size); });
+    f.data_ = static_cast<const uint8_t*>(map);
+    f.size_ = size;
+  } else {
+    ::close(fd);
   }
-  return FromBytes(std::move(bytes));
+  SQUID_RETURN_NOT_OK(f.Validate());
+  return f;
 }
 
 Result<SnapshotFile> SnapshotFile::FromBytes(std::vector<uint8_t> bytes) {
@@ -532,13 +512,8 @@ Status SnapshotLoadTableData(ExtentReader* in, Table* table) {
 static_assert(sizeof(Posting) == 12, "Posting layout is part of the snapshot format");
 
 void InvertedColumnIndex::SnapshotSave(ExtentWriter* out) const {
-  std::vector<Symbol> key_of_slot(num_keys_, kNoSymbol);
-  for (Symbol folded = 0; folded < slot_of_folded_.size(); ++folded) {
-    const uint32_t slot = slot_of_folded_[folded];
-    if (slot != kNoSlot) key_of_slot[slot] = folded;
-  }
-  out->U64(num_keys_);
-  out->Array(key_of_slot);
+  out->U64(key_of_slot_.size());
+  out->Array(key_of_slot_);
   out->Array(offsets_);
   out->Array(postings_);
 }
@@ -547,27 +522,25 @@ Result<InvertedColumnIndex> InvertedColumnIndex::SnapshotLoad(
     ExtentReader* in, std::shared_ptr<const StringPool> pool, const Database& db) {
   InvertedColumnIndex index;
   SQUID_ASSIGN_OR_RETURN(uint64_t num_keys, in->U64());
-  std::vector<Symbol> key_of_slot;
-  SQUID_RETURN_NOT_OK(in->Array(&key_of_slot));
+  SQUID_RETURN_NOT_OK(in->Array(&index.key_of_slot_));
   SQUID_RETURN_NOT_OK(in->Array(&index.offsets_));
   SQUID_RETURN_NOT_OK(in->Array(&index.postings_));
-  if (key_of_slot.size() != num_keys ||
-      index.offsets_.size() != key_of_slot.size() + 1) {
+  if (index.key_of_slot_.size() != num_keys ||
+      index.offsets_.size() != index.key_of_slot_.size() + 1) {
     return Status::Corruption("snapshot inverted index: CSR array sizes disagree");
   }
-  index.num_keys_ = key_of_slot.size();
 
-  index.slot_of_folded_.assign(pool->IdBound(), kNoSlot);
-  for (uint32_t slot = 0; slot < key_of_slot.size(); ++slot) {
-    const Symbol folded = key_of_slot[slot];
+  std::vector<bool> seen(pool->IdBound(), false);
+  for (uint32_t slot = 0; slot < index.key_of_slot_.size(); ++slot) {
+    const Symbol folded = index.key_of_slot_[slot];
     if (!pool->IsValidSymbol(folded) || pool->FoldedOf(folded) != folded) {
       return Status::Corruption("snapshot inverted index: slot " + std::to_string(slot) +
                                 " key is not a valid folded symbol");
     }
-    if (index.slot_of_folded_[folded] != kNoSlot) {
+    if (seen[folded]) {
       return Status::Corruption("snapshot inverted index: duplicate slot key");
     }
-    index.slot_of_folded_[folded] = slot;
+    seen[folded] = true;
   }
 
   uint32_t prev = 0;
@@ -612,21 +585,9 @@ Result<InvertedColumnIndex> InvertedColumnIndex::SnapshotLoad(
     }
   }
 
-  // The probe table is derived state: rebuild it exactly as Build() does.
-  size_t capacity = 8;
-  while (capacity < index.num_keys_ * 2) capacity *= 2;
-  index.probe_table_.assign(capacity, ProbeEntry{});
-  index.probe_mask_ = capacity - 1;
-  for (Symbol folded = 0; folded < index.slot_of_folded_.size(); ++folded) {
-    const uint32_t slot = index.slot_of_folded_[folded];
-    if (slot == kNoSlot) continue;
-    const uint64_t hash = StringPool::FoldHashOf(pool->View(folded));
-    size_t i = hash & index.probe_mask_;
-    while (index.probe_table_[i].slot != kNoSlot) i = (i + 1) & index.probe_mask_;
-    index.probe_table_[i] = ProbeEntry{hash, folded, slot};
-  }
-
+  // The probe table is derived state: rebuild it as Build() does.
   index.pool_ = std::move(pool);
+  index.BuildProbeTable();
   return index;
 }
 

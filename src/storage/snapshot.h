@@ -20,9 +20,9 @@
 ///
 /// Writing is sequential and near-memcpy: each extent is a flat byte buffer
 /// assembled by ExtentWriter (scalars + trivially-copyable arrays), flushed
-/// once. Reading goes through SnapshotFile, which either mmaps the file or
-/// streams it into one heap buffer, then validates header, directory, and
-/// every extent checksum before handing out bounds-checked ExtentReaders.
+/// once. Reading goes through SnapshotFile, which maps the file read-only,
+/// then validates header, directory, and every extent checksum before
+/// handing out bounds-checked ExtentReaders.
 ///
 /// Integrity: every byte of the file is covered by exactly one checksum —
 /// bytes [0, 56) by the header checksum, the directory by the directory
@@ -241,8 +241,8 @@ class SnapshotWriter {
   std::vector<std::pair<ExtentType, std::unique_ptr<ExtentWriter>>> extents_;
 };
 
-/// \brief A validated, read-only snapshot image. Open() maps (or streams)
-/// the file and verifies magic, version, byte order, sizes, alignment,
+/// \brief A validated, read-only snapshot image. Open() maps the file
+/// read-only and verifies magic, version, byte order, sizes, alignment,
 /// extent tiling, and every checksum before returning; a SnapshotFile in
 /// hand means the raw container is structurally sound (extent payload
 /// contents are validated by their loaders).
@@ -254,10 +254,10 @@ class SnapshotFile {
     uint64_t length = 0;
   };
 
-  /// Opens and fully validates `path`. `use_mmap` maps the file read-only
-  /// where the platform supports it; otherwise (or on request) the file is
-  /// streamed into a heap buffer.
-  static Result<SnapshotFile> Open(const std::string& path, bool use_mmap = true);
+  /// Maps `path` read-only and validates it exactly as FromBytes does. A
+  /// mapping, unlike a heap copy of the file, leaves no freed file-sized
+  /// buffer behind in the serving process.
+  static Result<SnapshotFile> Open(const std::string& path);
 
   /// Validates an in-memory image (corruption tests, fuzzing).
   static Result<SnapshotFile> FromBytes(std::vector<uint8_t> bytes);
@@ -269,7 +269,6 @@ class SnapshotFile {
   const std::vector<ExtentInfo>& extents() const { return extents_; }
   uint64_t file_bytes() const { return size_; }
   uint32_t format_version() const { return format_version_; }
-  bool mapped() const { return mapped_; }
 
  private:
   SnapshotFile() = default;
@@ -280,9 +279,8 @@ class SnapshotFile {
   const uint8_t* data_ = nullptr;
   uint64_t size_ = 0;
   uint32_t format_version_ = 0;
-  bool mapped_ = false;
-  std::vector<uint8_t> owned_;     // streaming path (heap buffer)
-  std::shared_ptr<void> mapping_;  // mmap path (unmaps on destruction)
+  std::vector<uint8_t> owned_;     // FromBytes: the image data_ points into
+  std::shared_ptr<void> mapping_;  // Open: the mapping (unmaps on destruction)
   std::vector<ExtentInfo> extents_;
 };
 

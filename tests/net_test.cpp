@@ -546,6 +546,93 @@ TEST_F(NetServeFixture, ProtocolErrorsAnswerThenClose) {
   EXPECT_EQ(service.stats().requests, 0u);
 }
 
+TEST_F(NetServeFixture, StatsResponseCarriesEveryRegistryCounter) {
+  // One stats surface: the StatsResponse counters are the counters and
+  // gauges of the service's registry, and TcpServerStats and ServeStats
+  // read those same metrics. A tiny cache budget forces evictions, so the
+  // cache counters move too.
+  obs::MetricsRegistry registry;  // declared first: outlives the service
+  ServeOptions options;
+  options.threads = 1;
+  options.cache_bytes = 1024;
+  options.metrics = &registry;
+  SquidService service(bench_->adb.get(), options);
+  net::TcpServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = net::TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (const auto& examples : *workload_) {
+    auto reply = client.value().Discover(examples);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply.value().kind, net::Reply::Kind::kOk);
+  }
+  auto stats_reply = client.value().Stats();
+  ASSERT_TRUE(stats_reply.ok()) << stats_reply.status().ToString();
+  ASSERT_EQ(stats_reply.value().kind, net::Reply::Kind::kStats);
+  server.Stop();  // joins the event loop: every metric is final
+
+  const std::map<std::string, uint64_t> wire(stats_reply.value().counters.begin(),
+                                             stats_reply.value().counters.end());
+  std::map<std::string, uint64_t> now;
+  for (const auto& [name, value] : registry.CounterValues()) now[name] = value;
+  for (const auto& [name, value] : registry.GaugeValues()) {
+    ASSERT_GE(value, 0) << name;
+    now[name] = static_cast<uint64_t>(value);
+  }
+  EXPECT_EQ(wire.size(), now.size());
+  // The reply was counted before it was sent: the registry has since added
+  // its frame and bytes, and Stop closed the connection.
+  const size_t reply_bytes =
+      net::EncodeStatsResponseFrame(stats_reply.value().request_id,
+                                    stats_reply.value().counters,
+                                    stats_reply.value().histograms)
+          .size();
+  EXPECT_EQ(wire.at("connections_open"), 1u);
+  for (const auto& [name, value] : now) {
+    ASSERT_EQ(wire.count(name), 1u) << name << " missing from StatsResponse";
+    uint64_t expected = wire.at(name);
+    if (name == "frames_sent") expected += 1;
+    if (name == "bytes_sent") expected += reply_bytes;
+    if (name == "connections_open") expected = 0;
+    EXPECT_EQ(value, expected) << name;
+  }
+
+  const net::TcpServerStats net_stats = server.stats();
+  EXPECT_EQ(net_stats.connections_accepted, now.at("connections_accepted"));
+  EXPECT_EQ(net_stats.connections_refused, now.at("connections_refused"));
+  EXPECT_EQ(net_stats.connections_open, now.at("connections_open"));
+  EXPECT_EQ(net_stats.frames_received, now.at("frames_received"));
+  EXPECT_EQ(net_stats.frames_sent, now.at("frames_sent"));
+  EXPECT_EQ(net_stats.requests_admitted, now.at("requests_admitted"));
+  EXPECT_EQ(net_stats.rejected_overload, now.at("rejected_overload"));
+  EXPECT_EQ(net_stats.rejected_rate_limited, now.at("rejected_rate_limited"));
+  EXPECT_EQ(net_stats.rejected_shutdown, now.at("rejected_shutdown"));
+  EXPECT_EQ(net_stats.protocol_errors, now.at("protocol_errors"));
+  EXPECT_EQ(net_stats.bytes_received, now.at("bytes_received"));
+  EXPECT_EQ(net_stats.bytes_sent, now.at("bytes_sent"));
+  EXPECT_EQ(net_stats.requests_admitted, workload_->size());
+  EXPECT_EQ(net_stats.frames_sent, workload_->size() + 1);
+  EXPECT_GT(net_stats.bytes_received, 0u);
+  EXPECT_GT(net_stats.bytes_sent, reply_bytes);
+
+  const ServeStats serve_stats = service.stats();
+  EXPECT_EQ(serve_stats.hits, now.at("cache_hits"));
+  EXPECT_EQ(serve_stats.misses, now.at("cache_misses"));
+  EXPECT_EQ(serve_stats.evictions, now.at("cache_evictions"));
+  EXPECT_EQ(serve_stats.inserts, now.at("cache_inserts"));
+  EXPECT_EQ(serve_stats.uncacheable, now.at("cache_uncacheable"));
+  EXPECT_EQ(serve_stats.entries, now.at("cache_entries"));
+  EXPECT_EQ(serve_stats.bytes, now.at("cache_bytes"));
+  EXPECT_EQ(serve_stats.requests, now.at("service_requests"));
+  EXPECT_EQ(serve_stats.completed, now.at("service_completed"));
+  EXPECT_EQ(serve_stats.failed, now.at("service_failed"));
+  EXPECT_EQ(serve_stats.rejected, now.at("service_rejected"));
+  EXPECT_EQ(serve_stats.completed, workload_->size());
+  EXPECT_GT(serve_stats.evictions, 0u);
+  EXPECT_EQ(serve_stats.bytes, service.cache()->ApproxBytes());
+  EXPECT_EQ(serve_stats.entries, service.cache()->num_entries());
+}
+
 TEST_F(NetServeFixture, StatsFrameAndConnectionCapWork) {
   obs::MetricsRegistry registry;  // isolated histograms, declared first
   ServeOptions options;
@@ -576,17 +663,15 @@ TEST_F(NetServeFixture, StatsFrameAndConnectionCapWork) {
   // The versioned histogram section rides along: both server-side latency
   // distributions, with exactly the one completed request in them (the
   // decoder already enforced count == sum of buckets).
-  if (obs::MetricsEnabled()) {
-    std::map<std::string, obs::HistogramSnapshot> histograms;
-    for (const auto& hist : stats_reply.value().histograms) {
-      histograms[hist.name] = hist.snapshot;
-    }
-    ASSERT_EQ(histograms.size(), 2u);
-    EXPECT_EQ(histograms.at("queue_wait_ns").count, 1u);
-    EXPECT_EQ(histograms.at("request_ns").count, 1u);
-    EXPECT_LE(histograms.at("request_ns").ValueAtQuantile(0.5),
-              histograms.at("request_ns").max);
+  std::map<std::string, obs::HistogramSnapshot> histograms;
+  for (const auto& hist : stats_reply.value().histograms) {
+    histograms[hist.name] = hist.snapshot;
   }
+  ASSERT_EQ(histograms.size(), 2u);
+  EXPECT_EQ(histograms.at("queue_wait_ns").count, 1u);
+  EXPECT_EQ(histograms.at("request_ns").count, 1u);
+  EXPECT_LE(histograms.at("request_ns").ValueAtQuantile(0.5),
+            histograms.at("request_ns").max);
 
   // Over the cap: the TCP handshake may succeed (backlog), but the server
   // closes immediately — the first read sees EOF.

@@ -31,18 +31,6 @@ using obs::kSubBuckets;
 using obs::LatencyHistogram;
 using obs::MetricsRegistry;
 
-/// RAII: force metrics on/off for a test, restore the prior state after.
-class ScopedMetricsEnabled {
- public:
-  explicit ScopedMetricsEnabled(bool enabled) : saved_(obs::MetricsEnabled()) {
-    obs::SetMetricsEnabled(enabled);
-  }
-  ~ScopedMetricsEnabled() { obs::SetMetricsEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 // ---------- bucket math ----------
 
 TEST(ObsBucketTest, SmallValuesMapExactly) {
@@ -83,7 +71,6 @@ TEST(ObsBucketTest, KnownBoundariesAndExtremes) {
 // ---------- recording and snapshots ----------
 
 TEST(ObsHistogramTest, SerialRecordingMatchesAReference) {
-  ScopedMetricsEnabled on(true);
   Rng rng(20260808);
   LatencyHistogram hist;
   std::vector<uint64_t> values;
@@ -130,7 +117,6 @@ TEST(ObsHistogramTest, SerialRecordingMatchesAReference) {
 }
 
 TEST(ObsHistogramTest, EmptyAndOverflowBuckets) {
-  ScopedMetricsEnabled on(true);
   LatencyHistogram hist;
   HistogramSnapshot empty = hist.Snapshot();
   EXPECT_TRUE(empty.Empty());
@@ -148,7 +134,6 @@ TEST(ObsHistogramTest, EmptyAndOverflowBuckets) {
 }
 
 TEST(ObsHistogramTest, MergeIsCommutative) {
-  ScopedMetricsEnabled on(true);
   Rng rng(7);
   LatencyHistogram ha, hb;
   for (int i = 0; i < 2000; ++i) {
@@ -168,7 +153,6 @@ TEST(ObsHistogramTest, MergeIsCommutative) {
 }
 
 TEST(ObsHistogramTest, ConcurrentRecordingMatchesSerialTotals) {
-  ScopedMetricsEnabled on(true);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   LatencyHistogram concurrent;
@@ -199,23 +183,9 @@ TEST(ObsHistogramTest, ConcurrentRecordingMatchesSerialTotals) {
   EXPECT_EQ(concurrent.Snapshot(), serial.Snapshot());
 }
 
-TEST(ObsHistogramTest, DisabledRecordingIsInert) {
-  ScopedMetricsEnabled off(false);
-  LatencyHistogram hist;
-  hist.Record(123456);
-  EXPECT_TRUE(hist.Snapshot().Empty());
-  obs::Counter counter;
-  counter.Add(7);
-  EXPECT_EQ(counter.Value(), 0u);
-  obs::Gauge gauge;
-  gauge.Set(-3);
-  EXPECT_EQ(gauge.Value(), 0);
-}
-
 // ---------- registry ----------
 
 TEST(ObsRegistryTest, GetOrCreateReturnsStablePointers) {
-  ScopedMetricsEnabled on(true);
   MetricsRegistry registry;
   obs::Counter* c1 = registry.GetCounter("requests");
   obs::Counter* c2 = registry.GetCounter("requests");
@@ -238,7 +208,6 @@ TEST(ObsRegistryTest, GetOrCreateReturnsStablePointers) {
 }
 
 TEST(ObsRegistryTest, DumpTextIsPrometheusShaped) {
-  ScopedMetricsEnabled on(true);
   MetricsRegistry registry;
   registry.GetCounter("squid_requests_total")->Add(5);
   registry.GetGauge("squid_queue_depth")->Set(2);
@@ -309,7 +278,6 @@ TEST(ObsTraceTest, NullTraceTimerIsANoOp) {
 // ---------- wire section ----------
 
 HistogramSnapshot SampleSnapshot(uint64_t seed) {
-  ScopedMetricsEnabled on(true);
   Rng rng(seed);
   LatencyHistogram hist;
   for (int i = 0; i < 500; ++i) {

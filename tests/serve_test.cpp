@@ -347,6 +347,32 @@ TEST_F(ServeFixture, CacheHitsAndCountersTrackProbes) {
   EXPECT_EQ(cache.stats().hits, 3u);  // counters survive Clear
 }
 
+TEST_F(ServeFixture, CacheRecordsIntoTheGivenRegistry) {
+  obs::MetricsRegistry registry;  // declared first: outlives the cache
+  ContextCache::Options options;
+  options.shards = 2;
+  ContextCache cache(bench_->adb.get(), options, &registry);
+  const std::vector<Value> keys = PersonKeys(4);
+  ASSERT_EQ(keys.size(), 4u);
+  for (const Value& key : keys) {
+    ASSERT_TRUE(cache.Profile("person", key, nullptr, nullptr).ok());
+  }
+  ASSERT_TRUE(cache.Profile("person", keys[0], nullptr, nullptr).ok());
+  EXPECT_EQ(registry.GetCounter("cache_misses")->Value(), 4u);
+  EXPECT_EQ(registry.GetCounter("cache_inserts")->Value(), 4u);
+  EXPECT_EQ(registry.GetCounter("cache_hits")->Value(), 1u);
+  EXPECT_EQ(registry.GetGauge("cache_entries")->Value(), 4);
+  EXPECT_EQ(registry.GetGauge("cache_bytes")->Value(),
+            static_cast<int64_t>(cache.ApproxBytes()));
+
+  // Clear empties the gauges; the counters keep their totals.
+  cache.Clear();
+  EXPECT_EQ(registry.GetGauge("cache_entries")->Value(), 0);
+  EXPECT_EQ(registry.GetGauge("cache_bytes")->Value(), 0);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  EXPECT_EQ(cache.stats().misses, 4u);
+}
+
 TEST_F(ServeFixture, CachedProfileMatchesDirectBuild) {
   ContextCache cache(bench_->adb.get());
   std::vector<Value> keys = PersonKeys(2);
@@ -741,13 +767,57 @@ TEST_F(ServeFixture, StatsPartitionRequestsIntoCompletedAndRejected) {
   // The latency histograms partition the same way: exactly the completed
   // requests were measured (rejected ones never reach a worker), and the
   // percentile chain is ordered.
-  if (obs::MetricsEnabled()) {
-    EXPECT_EQ(stats.queue_wait_ns.count, stats.completed);
-    EXPECT_EQ(stats.request_ns.count, stats.completed);
-    EXPECT_LE(stats.RequestP50Ns(), stats.RequestP99Ns());
-    EXPECT_LE(stats.RequestP99Ns(), stats.RequestMaxNs());
-    EXPECT_LE(stats.QueueWaitP50Ns(), stats.QueueWaitP99Ns());
-  }
+  EXPECT_EQ(stats.queue_wait_ns.count, stats.completed);
+  EXPECT_EQ(stats.request_ns.count, stats.completed);
+  EXPECT_LE(stats.RequestP50Ns(), stats.RequestP99Ns());
+  EXPECT_LE(stats.RequestP99Ns(), stats.RequestMaxNs());
+  EXPECT_LE(stats.QueueWaitP50Ns(), stats.QueueWaitP99Ns());
+}
+
+TEST_F(ServeFixture, ServicesWithoutARegistryCountIndependently) {
+  // Each service built without ServeOptions::metrics owns its registry, so
+  // one service's traffic never shows in another's stats.
+  ServeOptions options;
+  options.threads = 1;
+  SquidService a(bench_->adb.get(), options);
+  SquidService b(bench_->adb.get(), options);
+  SquidService reference(bench_->adb.get(), options);
+  EXPECT_NE(&a.metrics(), &b.metrics());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(a.DiscoverSync(Set(0)).ok());
+  ASSERT_TRUE(b.DiscoverSync(Set(1)).ok());
+  ASSERT_TRUE(reference.DiscoverSync(Set(1)).ok());
+
+  const ServeStats sa = a.stats();
+  const ServeStats sb = b.stats();
+  const ServeStats sr = reference.stats();
+  EXPECT_EQ(sa.requests, 3u);
+  EXPECT_EQ(sa.request_ns.count, 3u);
+  EXPECT_GT(sa.hits, 0u);  // the repeats were served from a's cache
+  EXPECT_EQ(sb.requests, 1u);
+  EXPECT_EQ(sb.completed, 1u);
+  EXPECT_EQ(sb.request_ns.count, 1u);
+  EXPECT_EQ(sb.queue_wait_ns.count, 1u);
+  // b counts exactly what a cold service answering the same set counts.
+  EXPECT_EQ(sb.hits, sr.hits);
+  EXPECT_EQ(sb.misses, sr.misses);
+  EXPECT_EQ(sb.inserts, sr.inserts);
+  EXPECT_EQ(sb.entries, sr.entries);
+  EXPECT_EQ(sb.bytes, sr.bytes);
+
+  // The stats fields are the registry's metrics.
+  obs::MetricsRegistry& m = a.metrics();
+  EXPECT_EQ(sa.hits, m.GetCounter("cache_hits")->Value());
+  EXPECT_EQ(sa.misses, m.GetCounter("cache_misses")->Value());
+  EXPECT_EQ(sa.evictions, m.GetCounter("cache_evictions")->Value());
+  EXPECT_EQ(sa.inserts, m.GetCounter("cache_inserts")->Value());
+  EXPECT_EQ(sa.uncacheable, m.GetCounter("cache_uncacheable")->Value());
+  EXPECT_EQ(sa.entries, static_cast<size_t>(m.GetGauge("cache_entries")->Value()));
+  EXPECT_EQ(sa.bytes, static_cast<size_t>(m.GetGauge("cache_bytes")->Value()));
+  EXPECT_EQ(sa.requests, m.GetCounter("service_requests")->Value());
+  EXPECT_EQ(sa.completed, m.GetCounter("service_completed")->Value());
+  EXPECT_EQ(sa.failed, m.GetCounter("service_failed")->Value());
+  EXPECT_EQ(sa.rejected, m.GetCounter("service_rejected")->Value());
+  EXPECT_EQ(sa.request_ns, m.GetHistogram("squid_serve_request_ns")->Snapshot());
 }
 
 /// A gate the test opens once: callbacks that enter it block until Open().
@@ -903,60 +973,29 @@ TEST_F(ServeFixture, CloseRacingConcurrentAdmissionsNeverLosesARequest) {
 
 // ---------- observability: byte identity and phase traces ----------
 
-/// RAII: force metrics on/off for a test, restore the prior state after.
-class ScopedMetricsEnabled {
- public:
-  explicit ScopedMetricsEnabled(bool enabled) : saved_(obs::MetricsEnabled()) {
-    obs::SetMetricsEnabled(enabled);
-  }
-  ~ScopedMetricsEnabled() { obs::SetMetricsEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-TEST_F(ServeFixture, AnswersAreByteIdenticalWithTracingAndMetricsOnOrOff) {
+TEST_F(ServeFixture, AnswersAreByteIdenticalWithTracingOnOrOff) {
   // The observability contract: tracing and metrics only watch the
-  // pipeline. Every combination of {metrics on/off} x {tracing on/off} at
-  // threads {1, 8} must fingerprint identically to the cold serial
-  // reference.
+  // pipeline. Tracing on and off at threads {1, 8} must fingerprint
+  // identically to the cold serial reference.
   const std::vector<std::string> expected = SerialFingerprints();
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    for (bool metrics_on : {false, true}) {
-      for (bool trace_on : {false, true}) {
-        ScopedMetricsEnabled scoped(metrics_on);
-        obs::MetricsRegistry registry;
-        ServeOptions options;
-        options.threads = threads;
-        options.metrics = &registry;
-        SquidService service(bench_->adb.get(), options);
-        service.set_tracing(trace_on);
-        for (size_t i = 0; i < workload_->size(); ++i) {
-          EXPECT_EQ(Fingerprint(service.DiscoverSync((*workload_)[i])),
-                    expected[i])
-              << "threads=" << threads << " metrics=" << metrics_on
-              << " trace=" << trace_on << " set=" << i;
-        }
+    for (bool trace_on : {false, true}) {
+      obs::MetricsRegistry registry;
+      ServeOptions options;
+      options.threads = threads;
+      options.metrics = &registry;
+      SquidService service(bench_->adb.get(), options);
+      service.set_tracing(trace_on);
+      for (size_t i = 0; i < workload_->size(); ++i) {
+        EXPECT_EQ(Fingerprint(service.DiscoverSync((*workload_)[i])),
+                  expected[i])
+            << "threads=" << threads << " trace=" << trace_on << " set=" << i;
       }
     }
   }
 }
 
-TEST_F(ServeFixture, MetricsDisabledLeavesHistogramsEmpty) {
-  ScopedMetricsEnabled scoped(false);
-  obs::MetricsRegistry registry;
-  ServeOptions options;
-  options.threads = 1;
-  options.metrics = &registry;
-  SquidService service(bench_->adb.get(), options);
-  EXPECT_TRUE(service.DiscoverSync((*workload_)[0]).ok());
-  ServeStats stats = service.stats();
-  EXPECT_TRUE(stats.queue_wait_ns.Empty());
-  EXPECT_TRUE(stats.request_ns.Empty());
-}
-
 TEST_F(ServeFixture, LastTraceBreaksTheRequestIntoPipelinePhases) {
-  ScopedMetricsEnabled scoped(true);
   obs::MetricsRegistry registry;
   ServeOptions options;
   options.threads = 4;
@@ -984,7 +1023,6 @@ TEST_F(ServeFixture, LastTraceBreaksTheRequestIntoPipelinePhases) {
 }
 
 TEST_F(ServeFixture, ReplMetricsAndTraceCommandsWork) {
-  ScopedMetricsEnabled scoped(true);
   obs::MetricsRegistry registry;
   ServeOptions options;
   options.threads = 1;

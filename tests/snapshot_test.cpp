@@ -323,21 +323,16 @@ class SnapshotFixtureTest : public ::testing::Test {
     const std::string path = TempPath(name + ".sqsnap");
     ASSERT_TRUE(fresh.value()->SaveSnapshot(path).ok());
 
-    // Load twice: once mmapped, once streamed — identical either way.
-    for (bool use_mmap : {true, false}) {
-      AdbSnapshotOptions options;
-      options.use_mmap = use_mmap;
-      auto loaded = AbductionReadyDb::LoadSnapshot(path, options);
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      ExpectDatabasesIdentical(fresh.value()->database(),
-                               loaded.value()->database());
-      Squid fresh_squid(fresh.value().get());
-      Squid loaded_squid(loaded.value().get());
-      for (const auto& examples : workload) {
-        EXPECT_EQ(Fingerprint(loaded_squid.Discover(examples)),
-                  Fingerprint(fresh_squid.Discover(examples)))
-            << name << " mmap=" << use_mmap;
-      }
+    auto loaded = AbductionReadyDb::LoadSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectDatabasesIdentical(fresh.value()->database(),
+                             loaded.value()->database());
+    Squid fresh_squid(fresh.value().get());
+    Squid loaded_squid(loaded.value().get());
+    for (const auto& examples : workload) {
+      EXPECT_EQ(Fingerprint(loaded_squid.Discover(examples)),
+                Fingerprint(fresh_squid.Discover(examples)))
+          << name;
     }
     std::remove(path.c_str());
   }
