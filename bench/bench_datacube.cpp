@@ -7,13 +7,33 @@
 // non-meaningful person-to-movie dimension that the αDB aggregates out.
 
 #include <map>
+#include <numeric>
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
-#include "storage/column_index.h"
+#include "storage/join_hash.h"
 
 using namespace squid;
 using namespace squid::bench;
+
+namespace {
+
+/// A column and a FlatJoinHash over all of its rows, probed by Value.
+struct ColumnHash {
+  const Column* column;
+  FlatJoinHash hash;
+
+  FlatJoinHash::RowSpan Lookup(const Value& v) const { return hash.Lookup(*column, v); }
+};
+
+ColumnHash HashColumn(const Table& table, const std::string& attr) {
+  const Column* column = table.ColumnByName(attr).value();
+  std::vector<uint32_t> rows(table.num_rows());
+  std::iota(rows.begin(), rows.end(), 0u);
+  return ColumnHash{column, FlatJoinHash::Build(*column, rows)};
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   squid::bench::InitBenchIo(argc, argv, "bench_datacube");
@@ -47,24 +67,20 @@ int main(int argc, char** argv) {
                               {"genre_id", ValueType::kInt64}});
   Table cube(cube_schema);
   {
-    auto mtg_index = HashColumnIndex::Build(*movietogenre.value(), "movie_id");
-    SQUID_CHECK(mtg_index.ok());
+    const ColumnHash mtg_index = HashColumn(*movietogenre.value(), "movie_id");
     const Column* person = castinfo.value()->ColumnByName("person_id").value();
     const Column* movie = castinfo.value()->ColumnByName("movie_id").value();
     const Column* genre = movietogenre.value()->ColumnByName("genre_id").value();
     for (size_t r = 0; r < castinfo.value()->num_rows(); ++r) {
-      const auto* links = mtg_index.value().Lookup(movie->ValueAt(r));
-      if (links == nullptr) continue;
-      for (size_t lr : *links) {
+      for (uint32_t lr : mtg_index.Lookup(movie->ValueAt(r))) {
         SQUID_CHECK(cube.AppendRow({person->ValueAt(r), movie->ValueAt(r),
                                     genre->ValueAt(lr)})
                         .ok());
       }
     }
   }
-  auto cube_index = HashColumnIndex::Build(cube, "person_id");
-  auto derived_index = HashColumnIndex::Build(*derived.value(), "entity_id");
-  SQUID_CHECK(cube_index.ok() && derived_index.ok());
+  const ColumnHash cube_index = HashColumn(cube, "person_id");
+  const ColumnHash derived_index = HashColumn(*derived.value(), "entity_id");
 
   const Column* cube_genre = cube.ColumnByName("genre_id").value();
   const Column* derived_value = derived.value()->ColumnByName("value").value();
@@ -81,9 +97,7 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < lookups; ++i) {
     size_t r = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(persons.value()->num_rows()) - 1));
-    const auto* rows = derived_index.value().Lookup(person_id->ValueAt(r));
-    if (rows == nullptr) continue;
-    for (size_t dr : *rows) {
+    for (uint32_t dr : derived_index.Lookup(person_id->ValueAt(r))) {
       adb_checksum += static_cast<double>(derived_count->Int64At(dr));
       (void)derived_value->ValueAt(dr);
     }
@@ -97,10 +111,10 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < lookups; ++i) {
     size_t r = static_cast<size_t>(
         rng2.UniformInt(0, static_cast<int64_t>(persons.value()->num_rows()) - 1));
-    const auto* rows = cube_index.value().Lookup(person_id->ValueAt(r));
-    if (rows == nullptr) continue;
     std::map<int64_t, int64_t> counts;
-    for (size_t cr : *rows) ++counts[cube_genre->Int64At(cr)];
+    for (uint32_t cr : cube_index.Lookup(person_id->ValueAt(r))) {
+      ++counts[cube_genre->Int64At(cr)];
+    }
     for (const auto& [_, c] : counts) cube_checksum += static_cast<double>(c);
   }
   double cube_seconds = cube_timer.ElapsedSeconds();

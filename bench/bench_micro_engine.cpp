@@ -16,10 +16,10 @@
 #include "core/squid.h"
 #include "datagen/imdb_generator.h"
 #include "exec/executor.h"
-#include "exec/join_hash.h"
+#include "exec/expression.h"
 #include "exec/tuple_buffer.h"
 #include "sql/parser.h"
-#include "storage/column_index.h"
+#include "storage/join_hash.h"
 
 namespace squid {
 namespace {
@@ -65,28 +65,49 @@ void BM_ValueHashString(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueHashString);
 
+/// A Value point lookup on the flat PK index the αDB builds on `person`
+/// (the probe behind EntityRowByKey).
 void BM_HashIndexProbe(benchmark::State& state) {
   auto& f = MicroFixture::Get();
-  const Table* castinfo = f.data.db->GetTable("castinfo").value();
-  static auto index = HashColumnIndex::Build(*castinfo, "person_id").value();
+  const Table* person = f.adb->database().GetTable("person").value();
+  const FlatJoinHash* index = person->pk_index();
+  if (index == nullptr) std::abort();
+  const Column& key_column = *person->pk_column();
   int64_t key = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Lookup(Value(key)));
+    benchmark::DoNotOptimize(index->Lookup(key_column, Value(key)));
     key = key % 500 + 1;
   }
 }
 BENCHMARK(BM_HashIndexProbe);
 
-void BM_SortedIndexRange(benchmark::State& state) {
+/// An abduced query's derived-relation filter (`value = v AND count >= 2`)
+/// through FilterRows: a seek into the relation's value order plus a
+/// refine of the run.
+void BM_ValueOrderFilter(benchmark::State& state) {
   auto& f = MicroFixture::Get();
-  const Table* movie = f.data.db->GetTable("movie").value();
-  static auto index = SortedColumnIndex::Build(*movie, "year").value();
+  const PropertyDescriptor* desc = nullptr;
+  for (const PropertyDescriptor& d : f.adb->schema_graph().descriptors()) {
+    if (!d.hops.empty() && f.adb->Covers(d)) {
+      desc = &d;
+      break;
+    }
+  }
+  if (desc == nullptr) std::abort();
+  const Table* derived = f.adb->database().GetTable(desc->derived_table).value();
+  const Value value = derived->ValueAt(derived->num_rows() / 2, 1);
+  std::vector<BoundPredicate> preds;
+  for (const Predicate& p :
+       {Predicate::Compare({"d", "value"}, CompareOp::kEq, value),
+        Predicate::Compare({"d", "count"}, CompareOp::kGe,
+                           Value(static_cast<int64_t>(2)))}) {
+    preds.push_back(BindPredicate(*derived, p).value());
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Range(Value(static_cast<int64_t>(2000)),
-                                         Value(static_cast<int64_t>(2010))));
+    benchmark::DoNotOptimize(FilterRows(*derived, preds));
   }
 }
-BENCHMARK(BM_SortedIndexRange);
+BENCHMARK(BM_ValueOrderFilter);
 
 void BM_InvertedIndexLookup(benchmark::State& state) {
   auto& f = MicroFixture::Get();

@@ -8,6 +8,7 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "storage/join_hash.h"
 
 namespace squid {
 
@@ -85,33 +86,23 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
   adb->report_.num_descriptors = adb->graph_.descriptors().size();
   adb->report_.schema_graph_s = stage.ElapsedSeconds();
 
-  // Primary-key indexes for every keyed relation (entities for context
-  // discovery, dimensions for display resolution and IQ7-style base queries
-  // over property relations). Each index reads one base table and lands in
-  // its own slot; the merge below keeps (sorted) name order.
-  std::vector<std::string> keyed_names;
-  for (const std::string& name : base.TableNames()) {
-    SQUID_ASSIGN_OR_RETURN(const Table* table, base.GetTable(name));
-    if (table->schema().primary_key()) keyed_names.push_back(name);
-  }
+  // Primary-key indexes on the relations descriptors read by key. Each
+  // index reads and lands in its own base table (shared with `base`, so a
+  // later Build over the same tables finds them current and keeps them).
+  SQUID_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<Table>> keyed,
+                         PkIndexedTables(base, adb->graph_));
 
   // The widest fan-out is one task per keyed relation or per descriptor;
   // cap the worker count so wide machines don't spawn threads that can
   // never receive work.
-  const size_t max_tasks = std::max<size_t>(
-      {keyed_names.size(), adb->graph_.descriptors().size(), 1});
+  const size_t max_tasks =
+      std::max<size_t>({keyed.size(), adb->graph_.descriptors().size(), 1});
   ThreadPool pool(std::min(adb->report_.threads_used, max_tasks));
 
   stage.Reset();
-  std::vector<std::optional<Result<HashColumnIndex>>> pk_results(keyed_names.size());
-  pool.ParallelFor(keyed_names.size(), [&](size_t i) {
-    const Table* table = base.GetTable(keyed_names[i]).value();
-    pk_results[i].emplace(HashColumnIndex::Build(*table, *table->schema().primary_key()));
-  });
-  for (size_t i = 0; i < keyed_names.size(); ++i) {
-    if (!pk_results[i]->ok()) return pk_results[i]->status();
-    adb->entity_pk_index_.emplace(keyed_names[i], std::move(*pk_results[i]).value());
-  }
+  std::vector<Status> pk_status(keyed.size(), Status::OK());
+  pool.ParallelFor(keyed.size(), [&](size_t i) { pk_status[i] = keyed[i]->BuildPkIndex(); });
+  for (const Status& status : pk_status) SQUID_RETURN_NOT_OK(status);
   adb->report_.pk_index_s = stage.ElapsedSeconds();
 
   // Materialize derived relations and compute statistics — embarrassingly
@@ -141,6 +132,8 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
     DescriptorWork& w = work[i];
     w = BuildDescriptor(base, adjacencies, descriptors[i], options);
     if (!w.status.ok() || w.derived == nullptr) return;
+    w.status = w.derived->BuildValueOrder("value");
+    if (!w.status.ok()) return;
     // Reads only the PK indexes and base tables, complete before the fan-out.
     auto ranges = adb->IndexEntities(descriptors[i], *w.derived);
     if (ranges.ok()) {
@@ -207,14 +200,39 @@ Status AbductionReadyDb::AttachDerived(size_t ordinal, const Table& derived,
 
 Result<std::vector<EntityRows>> AbductionReadyDb::IndexEntities(
     const PropertyDescriptor& desc, const Table& derived) const {
-  auto pk = entity_pk_index_.find(desc.entity_relation);
-  if (pk == entity_pk_index_.end()) {
+  SQUID_ASSIGN_OR_RETURN(const Table* entity, db_.GetTable(desc.entity_relation));
+  if (entity->pk_index() == nullptr) {
     return Status::InvalidArgument("entity relation '" + desc.entity_relation +
                                    "' of descriptor '" + desc.id +
                                    "' has no primary key");
   }
-  SQUID_ASSIGN_OR_RETURN(const Table* entity, db_.GetTable(desc.entity_relation));
-  return IndexDerivedEntities(derived, pk->second, entity->num_rows());
+  return IndexDerivedEntities(derived, *entity);
+}
+
+Result<std::vector<std::shared_ptr<Table>>> AbductionReadyDb::PkIndexedTables(
+    const Database& db, const SchemaGraph& graph) {
+  std::set<std::string> names;
+  for (const PropertyDescriptor& desc : graph.descriptors()) {
+    names.insert(desc.entity_relation);
+    names.insert(desc.terminal_relation);
+    for (const DimHop& dim : desc.dims) names.insert(dim.dim_relation);
+  }
+  std::vector<std::shared_ptr<Table>> tables;
+  for (const std::string& name : names) {
+    if (!db.HasTable(name)) continue;  // ResolveRecords reports what is missing
+    SQUID_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, db.GetShared(name));
+    if (table->schema().primary_key().has_value()) tables.push_back(std::move(table));
+  }
+  return tables;
+}
+
+std::optional<uint32_t> AbductionReadyDb::FirstRowWithKey(const Table& table,
+                                                          const Value& key) {
+  const FlatJoinHash* pk = table.pk_index();
+  if (pk == nullptr) return std::nullopt;
+  const FlatJoinHash::RowSpan rows = pk->Lookup(*table.pk_column(), key);
+  if (rows.empty()) return std::nullopt;
+  return rows.data[0];
 }
 
 Status AbductionReadyDb::ResolveRecords() {
@@ -235,15 +253,14 @@ Status AbductionReadyDb::ResolveRecords() {
     for (const DimHop& dim : desc.dims) {
       DescriptorRecord::DimStep step;
       SQUID_ASSIGN_OR_RETURN(step.from, current->ColumnByName(dim.from_attr));
-      auto pk = entity_pk_index_.find(dim.dim_relation);
-      if (pk == entity_pk_index_.end()) {
+      SQUID_ASSIGN_OR_RETURN(step.dim, db_.GetTable(dim.dim_relation));
+      if (step.dim->pk_index() == nullptr) {
         return Status::InvalidArgument("descriptor '" + desc.id +
                                        "' dereferences unkeyed relation '" +
                                        dim.dim_relation + "'");
       }
-      step.dim_pk = &pk->second;
       rec.dims.push_back(step);
-      SQUID_ASSIGN_OR_RETURN(current, db_.GetTable(dim.dim_relation));
+      current = step.dim;
     }
     SQUID_ASSIGN_OR_RETURN(rec.terminal, current->ColumnByName(desc.terminal_attr));
   }
@@ -274,15 +291,15 @@ bool AbductionReadyDb::Covers(const PropertyDescriptor& desc) const {
 
 Result<size_t> AbductionReadyDb::EntityRowByKey(const std::string& relation,
                                                 const Value& key) const {
-  auto it = entity_pk_index_.find(relation);
-  if (it == entity_pk_index_.end()) {
+  auto table = db_.GetTable(relation);
+  if (!table.ok() || table.value()->pk_index() == nullptr) {
     return Status::NotFound("no PK index for entity relation '" + relation + "'");
   }
-  const std::vector<size_t>* rows = it->second.Lookup(key);
-  if (rows == nullptr || rows->empty()) {
+  const std::optional<uint32_t> row = FirstRowWithKey(*table.value(), key);
+  if (!row.has_value()) {
     return Status::NotFound("no " + relation + " row with key " + key.ToString());
   }
-  return (*rows)[0];
+  return *row;
 }
 
 Result<Value> AbductionReadyDb::BasicValue(const PropertyDescriptor& desc,
@@ -303,13 +320,17 @@ Result<Value> AbductionReadyDb::BasicValue(const PropertyDescriptor& desc,
   for (size_t i = 0; i < rec->dims.size(); ++i) {
     const DescriptorRecord::DimStep& step = rec->dims[i];
     if (step.from->IsNull(current_row)) return Value::Null();
-    const Value key = step.from->ValueAt(current_row);
-    const std::vector<size_t>* rows = step.dim_pk->Lookup(key);
-    if (rows == nullptr || rows->empty()) {
+    const FlatJoinHash* pk = step.dim->pk_index();
+    uint64_t key = 0;
+    const FlatJoinHash::RowSpan rows =
+        pk != nullptr && PackProbeKey(*step.dim->pk_column(), *step.from, current_row, &key)
+            ? pk->Probe(key)
+            : FlatJoinHash::RowSpan{};
+    if (rows.empty()) {
       return Status::NotFound("no " + desc.dims[i].dim_relation + " row with key " +
-                              key.ToString());
+                              step.from->ValueAt(current_row).ToString());
     }
-    current_row = (*rows)[0];
+    current_row = rows.data[0];
   }
   return rec->terminal->ValueAt(current_row);
 }
@@ -390,14 +411,9 @@ std::string AbductionReadyDb::DisplayValue(const PropertyDescriptor& desc,
         }
       }
       if (!display_attr.empty()) {
-        auto it = entity_pk_index_.find(desc.terminal_relation);
-        if (it != entity_pk_index_.end()) {
-          const std::vector<size_t>* rows = it->second.Lookup(v);
-          if (rows != nullptr && !rows->empty()) {
-            auto col = table.value()->ColumnByName(display_attr);
-            if (col.ok()) return col.value()->ValueAt((*rows)[0]).ToString();
-          }
-        }
+        const std::optional<uint32_t> row = FirstRowWithKey(*table.value(), v);
+        auto col = table.value()->ColumnByName(display_attr);
+        if (row.has_value() && col.ok()) return col.value()->ValueAt(*row).ToString();
       }
     }
   }

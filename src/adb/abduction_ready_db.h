@@ -11,11 +11,17 @@
 /// Per-descriptor state lives in one record per descriptor, in a vector
 /// indexed by PropertyDescriptor::ordinal. Build and LoadSnapshot resolve
 /// every record once (stats, derived columns and per-entity row ranges,
-/// dim-hop PK indexes), so the serve path (profile builds, merges,
-/// abduction) indexes by ordinal and never looks a descriptor up by its id
-/// string.
+/// dim-hop tables), so the serve path (profile builds, merges, abduction)
+/// indexes by ordinal and never looks a descriptor up by its id string.
+///
+/// Build and LoadSnapshot also give the tables their access paths
+/// (storage/table.h), rebuilt at every load and never serialized: a flat
+/// PK index on each relation a descriptor reads by key (entity, dim and
+/// terminal relations), which serves both the point lookups below and the
+/// executor's PK joins, and a value order on each derived relation's
+/// `value` column, which lets the executor seek an abduced query's
+/// `d.value = v` filter instead of scanning.
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,7 +31,6 @@
 #include "adb/schema_graph.h"
 #include "adb/statistics.h"
 #include "common/status.h"
-#include "storage/column_index.h"
 #include "storage/database.h"
 #include "storage/inverted_index.h"
 
@@ -81,7 +86,9 @@ class AbductionReadyDb {
  public:
   /// Runs the full offline module of Fig. 4: schema-graph analysis, hop
   /// adjacencies, derived relation materialization, selectivity
-  /// precomputation, inverted-index construction.
+  /// precomputation, inverted-index construction. The base tables are
+  /// shared, not copied, so the PK indexes built on them are `base`'s too
+  /// (a later Build over the same tables finds them current).
   static Result<std::unique_ptr<AbductionReadyDb>> Build(
       const Database& base, const AdbOptions& options = {});
 
@@ -95,9 +102,10 @@ class AbductionReadyDb {
 
   /// Boots an αDB from a snapshot file without touching the original data:
   /// tables, pool, inverted index, schema graph, and statistics are
-  /// restored from the extents; PK hash indexes, the inverted index's probe
-  /// table, and each derived relation's per-entity row ranges and totals
-  /// are rebuilt in-memory (cheap and deterministic), and every descriptor
+  /// restored from the extents; the tables' access paths (PK indexes and
+  /// value orders), the inverted index's probe table, and each derived
+  /// relation's per-entity row ranges and totals are rebuilt in-memory
+  /// (cheap and deterministic), and every descriptor
   /// record is resolved as Build resolves it. So a derived relation without
   /// a `value` column or an int64 `count` column, or one that splits an
   /// entity's rows or lists its values out of order (IndexDerivedEntities),
@@ -143,7 +151,10 @@ class AbductionReadyDb {
   /// another graph.
   bool Covers(const PropertyDescriptor& desc) const;
 
-  /// Row id of the entity with primary key `key` in `relation`.
+  /// Row id of the entity with primary key `key` in `relation` (the first,
+  /// should the key repeat), through the relation's PK index. NotFound for
+  /// a relation without one: only relations some descriptor reads by key
+  /// are indexed.
   Result<size_t> EntityRowByKey(const std::string& relation, const Value& key) const;
 
   /// Value of an inline / dim-chain descriptor for the entity row `row`:
@@ -193,11 +204,11 @@ class AbductionReadyDb {
     std::vector<EntityRows> entity_rows;
 
     // Basic descriptors: the entity table, each dim hop's FK column (in the
-    // relation the hop leaves) with the PK index of the dim it enters, and
-    // the terminal column.
+    // relation the hop leaves) with the dim table it enters (read through
+    // its PK index), and the terminal column.
     struct DimStep {
       const Column* from = nullptr;
-      const HashColumnIndex* dim_pk = nullptr;
+      const Table* dim = nullptr;
     };
     const Table* entity_table = nullptr;
     std::vector<DimStep> dims;
@@ -220,12 +231,21 @@ class AbductionReadyDb {
   Status AttachDerived(size_t ordinal, const Table& derived,
                        std::vector<EntityRows> entity_rows);
 
-  /// IndexDerivedEntities of `derived` against the PK index of `desc`'s
-  /// entity relation.
+  /// IndexDerivedEntities of `derived` against `desc`'s entity relation.
   Result<std::vector<EntityRows>> IndexEntities(const PropertyDescriptor& desc,
                                                 const Table& derived) const;
 
-  /// Resolves every record's basic-descriptor columns and PK indexes and
+  /// The relations of `db` whose PK index the αDB reads: every descriptor's
+  /// entity, dim and terminal relation that declares a primary key, once
+  /// each, in name order.
+  static Result<std::vector<std::shared_ptr<Table>>> PkIndexedTables(
+      const Database& db, const SchemaGraph& graph);
+
+  /// The first row of `table` whose PK index holds `key` (nullopt when the
+  /// table has no current index or no such row).
+  static std::optional<uint32_t> FirstRowWithKey(const Table& table, const Value& key);
+
+  /// Resolves every record's basic-descriptor columns and dim tables and
   /// checks each record is whole: stats present exactly when a hop
   /// descriptor has its derived relation. Last step of Build and
   /// LoadSnapshot.
@@ -236,8 +256,6 @@ class AbductionReadyDb {
   InvertedColumnIndex inverted_index_;
   AdbReport report_;
 
-  // Per keyed relation: PK hash index.
-  std::map<std::string, HashColumnIndex> entity_pk_index_;
   // Per descriptor, indexed by PropertyDescriptor::ordinal.
   std::vector<DescriptorRecord> records_;
 };

@@ -502,22 +502,18 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
   }
   adb->report_.index_bytes = adb->inverted_index_.ApproxBytes();
 
-  // Rebuilt (not serialized) derived state, mirroring Build() exactly:
-  // PK hash indexes over every keyed base relation...
-  for (const AdbSnapshotTableInfo& meta : manifest.tables) {
-    if (meta.derived) continue;
-    SQUID_ASSIGN_OR_RETURN(const Table* table, adb->db_.GetTable(meta.name));
-    if (!table->schema().primary_key().has_value()) continue;
-    SQUID_ASSIGN_OR_RETURN(
-        HashColumnIndex index,
-        HashColumnIndex::Build(*table, *table->schema().primary_key()));
-    adb->entity_pk_index_.emplace(meta.name, std::move(index));
+  // Rebuilt (not serialized) derived state, mirroring Build() exactly: the
+  // PK indexes of the relations descriptors read by key...
+  SQUID_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<Table>> keyed,
+                         PkIndexedTables(adb->db_, adb->graph_));
+  for (const std::shared_ptr<Table>& table : keyed) {
+    SQUID_RETURN_NOT_OK(table->BuildPkIndex());
   }
 
-  // ... and, per derived relation, its per-entity row ranges and exact
-  // totals (IndexDerivedEntities, shared with Build, which also checks the
-  // layout the ranges rely on). Then every record is resolved as Build
-  // resolves it.
+  // ... and, per derived relation, its value order, its per-entity row
+  // ranges and exact totals (IndexDerivedEntities, shared with Build, which
+  // also checks the layout the ranges rely on). Then every record is
+  // resolved as Build resolves it.
   for (const AdbSnapshotTableInfo& meta : manifest.tables) {
     if (!meta.derived) continue;
     const PropertyDescriptor* desc = nullptr;
@@ -535,9 +531,11 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
       return Status::Corruption("snapshot: two derived tables map to descriptor '" +
                                 desc->id + "'");
     }
-    SQUID_ASSIGN_OR_RETURN(const Table* derived, adb->db_.GetTable(meta.name));
+    SQUID_ASSIGN_OR_RETURN(Table* derived, adb->db_.GetMutableTable(meta.name));
+    Status status = derived->BuildValueOrder("value");
+    if (!status.ok()) return Status::Corruption("snapshot: " + status.message());
     auto entity_rows = adb->IndexEntities(*desc, *derived);
-    Status status = entity_rows.status();
+    status = entity_rows.status();
     if (status.ok()) {
       status = adb->AttachDerived(desc->ordinal, *derived, std::move(entity_rows).value());
     }

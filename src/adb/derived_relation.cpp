@@ -7,7 +7,7 @@
 #include <numeric>
 
 #include "common/thread_pool.h"
-#include "exec/join_hash.h"
+#include "storage/join_hash.h"
 
 namespace squid {
 
@@ -423,8 +423,8 @@ Result<DerivedRelation> MaterializeDerivedRelation(const Database& db,
 
 namespace {
 
-/// True when rows `a` and `b` of `col` hold one key as a HashColumnIndex
-/// packs it: equal integers, equal double images (-0.0 is 0.0), one symbol,
+/// True when rows `a` and `b` of `col` hold one key as a PK index packs
+/// it: equal integers, equal double images (-0.0 is 0.0), one symbol,
 /// or both null.
 bool SameKey(const Column& col, size_t a, size_t b) {
   if (col.IsNull(a) || col.IsNull(b)) return col.IsNull(a) == col.IsNull(b);
@@ -443,8 +443,14 @@ bool SameKey(const Column& col, size_t a, size_t b) {
 
 }  // namespace
 
-Result<std::vector<EntityRows>> IndexDerivedEntities(
-    const Table& derived, const HashColumnIndex& entity_pk, size_t entity_rows) {
+Result<std::vector<EntityRows>> IndexDerivedEntities(const Table& derived,
+                                                     const Table& entity) {
+  const FlatJoinHash* entity_pk = entity.pk_index();
+  if (entity_pk == nullptr) {
+    return Status::InvalidArgument("entity relation '" + entity.name() +
+                                   "' has no primary-key index");
+  }
+  const Column* entity_key = entity.pk_column();
   SQUID_ASSIGN_OR_RETURN(const Column* entity_col, derived.ColumnByName("entity_id"));
   SQUID_ASSIGN_OR_RETURN(const Column* value_col, derived.ColumnByName("value"));
   SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived.ColumnByName("count"));
@@ -459,7 +465,7 @@ Result<std::vector<EntityRows>> IndexDerivedEntities(
   if (n >= kNoRow) return malformed("has too many rows for 32-bit row ranges");
 
   constexpr double kMaxExactTotal = 9007199254740992.0;  // 2^53
-  std::vector<EntityRows> ranges(entity_rows);
+  std::vector<EntityRows> ranges(entity.num_rows());
   for (size_t begin = 0, end = 0; begin < n; begin = end) {
     double total = 0;
     for (end = begin; end < n && SameKey(*entity_col, begin, end); ++end) {
@@ -473,10 +479,9 @@ Result<std::vector<EntityRows>> IndexDerivedEntities(
       const double quotient = count / frac;
       if (quotient <= kMaxExactTotal) total = static_cast<double>(std::llround(quotient));
     }
-    const std::vector<size_t>* rows = entity_pk.Lookup(entity_col->ValueAt(begin));
-    if (rows == nullptr) continue;  // no such entity: unreachable
-    for (size_t row : *rows) {
-      if (row >= entity_rows) return malformed("names an entity row out of range");
+    uint64_t key = 0;
+    if (!PackProbeKey(*entity_key, *entity_col, begin, &key)) continue;
+    for (uint32_t row : entity_pk->Probe(key)) {  // none: unreachable rows
       EntityRows& slot = ranges[row];
       if (slot.end != 0) {
         return malformed("splits the rows of one entity (row " + std::to_string(begin) +

@@ -24,7 +24,6 @@
 
 #include "adb/schema_graph.h"
 #include "common/status.h"
-#include "storage/column_index.h"
 #include "storage/database.h"
 
 namespace squid {
@@ -126,9 +125,10 @@ struct EntityRows {
 };
 
 /// \brief Indexes `derived` (a materialized relation) by entity row: slot r
-/// of the result holds the rows of the entity at row r of the entity
-/// relation, whose primary-key index is `entity_pk` and row count
-/// `entity_rows`. Entity rows that share a key share its rows.
+/// of the result holds the rows of the entity at row r of `entity`, the
+/// entity relation, found through its PK index (Table::BuildPkIndex; an
+/// entity relation without a current one is InvalidArgument). Entity rows
+/// that share a key share its rows.
 ///
 /// Checks the layout every reader of the ranges relies on: each entity's
 /// rows are contiguous, and their values are non-decreasing under
@@ -142,8 +142,8 @@ struct EntityRows {
 /// (9 / (9 / 14.0) is 13.999999999999998). It comes from the entity's last
 /// row whose (count, frac) a materializer can produce (both positive, the
 /// quotient at most 2^53); an entity with no such row totals 0.
-Result<std::vector<EntityRows>> IndexDerivedEntities(
-    const Table& derived, const HashColumnIndex& entity_pk, size_t entity_rows);
+Result<std::vector<EntityRows>> IndexDerivedEntities(const Table& derived,
+                                                     const Table& entity);
 
 }  // namespace squid
 

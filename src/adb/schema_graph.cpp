@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 
-#include "storage/column_index.h"
 
 namespace squid {
 

@@ -1,8 +1,9 @@
 #include "adb/statistics.h"
 
 #include <algorithm>
+#include <numeric>
 
-#include "storage/column_index.h"
+#include "storage/join_hash.h"
 
 namespace squid {
 
@@ -38,22 +39,30 @@ ValueKey PropertyStats::InternKey(const Value& v, StringPool* pool) {
 
 namespace {
 
+/// One dim hop's target: the dim relation, its key column, and a
+/// FlatJoinHash over every row of that column.
+struct DimIndex {
+  const Table* table = nullptr;
+  const Column* key = nullptr;
+  FlatJoinHash hash;
+};
+
 /// Resolves the dim-chain value of `desc` for entity row `row`, returning
-/// NULL when any link is missing. `pk_indexes[i]` indexes dims[i]'s relation.
-Result<Value> ResolveDims(const Database& db, const PropertyDescriptor& desc,
-                          const Table& entity, size_t row,
-                          const std::vector<HashColumnIndex>& pk_indexes) {
+/// NULL when any link is missing. `dims[i]` indexes dims[i]'s relation; keys
+/// match under Value equality (PackProbeKey).
+Result<Value> ResolveDims(const PropertyDescriptor& desc, const Table& entity,
+                          size_t row, const std::vector<DimIndex>& dims) {
   const Table* current = &entity;
   size_t current_row = row;
   for (size_t i = 0; i < desc.dims.size(); ++i) {
-    const DimHop& dim = desc.dims[i];
-    SQUID_ASSIGN_OR_RETURN(const Column* from, current->ColumnByName(dim.from_attr));
-    if (from->IsNull(current_row)) return Value::Null();
-    const std::vector<size_t>* rows = pk_indexes[i].Lookup(from->ValueAt(current_row));
-    if (rows == nullptr || rows->empty()) return Value::Null();
-    SQUID_ASSIGN_OR_RETURN(const Table* next, db.GetTable(dim.dim_relation));
-    current = next;
-    current_row = (*rows)[0];
+    SQUID_ASSIGN_OR_RETURN(const Column* from,
+                           current->ColumnByName(desc.dims[i].from_attr));
+    uint64_t key = 0;
+    if (!PackProbeKey(*dims[i].key, *from, current_row, &key)) return Value::Null();
+    const FlatJoinHash::RowSpan rows = dims[i].hash.Probe(key);
+    if (rows.empty()) return Value::Null();
+    current = dims[i].table;
+    current_row = rows.data[0];
   }
   SQUID_ASSIGN_OR_RETURN(const Column* terminal,
                          current->ColumnByName(desc.terminal_attr));
@@ -133,16 +142,17 @@ Result<PropertyStats> StatisticsBuilder::BuildBasic(const Database& db,
   stats.total_entities_ = entity->num_rows();
   stats.pool_ = db.pool();
 
-  std::vector<HashColumnIndex> pk_indexes;
-  for (const DimHop& dim : desc.dims) {
-    SQUID_ASSIGN_OR_RETURN(const Table* dt, db.GetTable(dim.dim_relation));
-    SQUID_ASSIGN_OR_RETURN(HashColumnIndex idx,
-                           HashColumnIndex::Build(*dt, dim.dim_key));
-    pk_indexes.push_back(std::move(idx));
+  std::vector<DimIndex> dims(desc.dims.size());
+  for (size_t i = 0; i < desc.dims.size(); ++i) {
+    SQUID_ASSIGN_OR_RETURN(dims[i].table, db.GetTable(desc.dims[i].dim_relation));
+    SQUID_ASSIGN_OR_RETURN(dims[i].key, dims[i].table->ColumnByName(desc.dims[i].dim_key));
+    std::vector<uint32_t> rows(dims[i].table->num_rows());
+    std::iota(rows.begin(), rows.end(), 0u);
+    dims[i].hash = FlatJoinHash::Build(*dims[i].key, rows);
   }
 
   for (size_t r = 0; r < entity->num_rows(); ++r) {
-    SQUID_ASSIGN_OR_RETURN(Value v, ResolveDims(db, desc, *entity, r, pk_indexes));
+    SQUID_ASSIGN_OR_RETURN(Value v, ResolveDims(desc, *entity, r, dims));
     if (v.is_null()) continue;
     if (desc.kind == PropertyKind::kInlineNumeric) {
       SQUID_ASSIGN_OR_RETURN(double num, v.ToNumeric());

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "storage/column_index.h"
 
 namespace squid {
 

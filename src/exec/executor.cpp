@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 
 #include "exec/expression.h"
 #include "exec/group_table.h"
-#include "exec/join_hash.h"
 #include "exec/tuple_buffer.h"
+#include "storage/join_hash.h"
 
 namespace squid {
 
@@ -205,27 +206,42 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
     const ColumnRef& new_col = pick_left_bound ? j.right : j.left;
     size_t bound_alias = *query.FindAlias(bound_col.table_alias);
 
-    // Build (or reuse) a FlatJoinHash over the new table's filtered rows,
-    // keyed by packed cell keys (symbols for strings). Unfiltered build
+    // The build side. A join on the new table's primary key probes the
+    // table's PK index (Table::BuildPkIndex) — built once with the αDB, not
+    // per query — and, when the alias is filtered, drops matches outside a
+    // membership bitmap of its surviving rows; index spans are ascending, so
+    // the matches equal a per-query build's. Any other join builds (or
+    // reuses) a FlatJoinHash over the new alias's rows. Unfiltered build
     // sides are cached on the Executor and shared across INTERSECT
     // branches, which repeat the same FK joins per branch.
+    const Table& new_table = *state.tables[next_alias];
     SQUID_ASSIGN_OR_RETURN(const Column* new_column,
-                           state.tables[next_alias]->ColumnByName(new_col.attribute));
-    const bool unfiltered =
-        state.rows[next_alias].size() == state.tables[next_alias]->num_rows();
-    std::shared_ptr<const FlatJoinHash> hash;
-    if (unfiltered) {
-      auto cached = join_hash_cache_.find(new_column);
-      if (cached != join_hash_cache_.end()) {
-        hash = cached->second;
+                           new_table.ColumnByName(new_col.attribute));
+    const bool unfiltered = state.rows[next_alias].size() == new_table.num_rows();
+    const FlatJoinHash* hash =
+        new_column == new_table.pk_column() ? new_table.pk_index() : nullptr;
+    std::vector<uint64_t> member;  // bitmap over new_table rows; empty = all
+    if (hash != nullptr) {
+      ++stats_.join_hashes_reused;
+      if (!unfiltered) {
+        member.assign((new_table.num_rows() + 63) / 64, 0);
+        for (uint32_t r : state.rows[next_alias]) member[r >> 6] |= uint64_t{1} << (r & 63);
+      }
+    } else if (unfiltered) {
+      auto [cached, inserted] = join_hash_cache_.try_emplace(new_column);
+      if (inserted) {
+        cached->second = FlatJoinHash::Build(*new_column, state.rows[next_alias]);
+        ++stats_.join_hashes_built;
+      } else {
         ++stats_.join_hashes_reused;
       }
+      hash = &cached->second;
     }
-    if (!hash) {
-      hash = std::make_shared<const FlatJoinHash>(
-          FlatJoinHash::Build(*new_column, state.rows[next_alias]));
+    std::optional<FlatJoinHash> filtered_hash;
+    if (hash == nullptr) {
+      filtered_hash.emplace(FlatJoinHash::Build(*new_column, state.rows[next_alias]));
       ++stats_.join_hashes_built;
-      if (unfiltered) join_hash_cache_.emplace(new_column, hash);
+      hash = &*filtered_hash;
     }
 
     // Probe side: locate the bound alias position within tuples.
@@ -304,6 +320,7 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
       out_rows.clear();
       for (size_t i = 0; i < n; ++i) {
         for (uint32_t nr : spans[i]) {
+          if (!member.empty() && !(member[nr >> 6] >> (nr & 63) & 1)) continue;
           bool ok = true;
           for (const auto& ex : extras) {
             if (!JoinCellsEqual(*ex.bound_column,
@@ -408,27 +425,17 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
     projections.push_back(proj);
   }
 
-  if (query.group_by.empty() && !query.having) {
-    for (size_t t = 0; t < state.tuples.size(); ++t) {
-      std::vector<Value> row;
-      row.reserve(projections.size());
-      for (const auto& [col, pos] : projections) {
-        row.push_back(col->ValueAt(state.tuples.At(t, pos)));
-      }
-      result.AddRow(std::move(row));
-    }
-  } else {
-    // Group-by (with count(*) HAVING). Projected columns must be functionally
-    // dependent on the grouping key in well-formed queries; we take the first
-    // tuple of each group (MySQL-style loose semantics).
-    std::vector<std::pair<const Column*, size_t>> keys;
-    for (const auto& g : query.group_by) {
-      SQUID_ASSIGN_OR_RETURN(auto key, column_of(g));
-      keys.push_back(key);
-    }
-    // Grouping keys are packed per column — (validity, symbol-or-bits)
-    // pairs — a chunk at a time into one flat scratch block, then folded
-    // into the GroupKeyTable (see exec/group_table.h).
+  auto emit = [&](uint32_t t) {
+    std::vector<Value> row;
+    row.reserve(projections.size());
+    for (const auto& [col, pos] : projections) row.push_back(col->ValueAt(state.tuples.At(t, pos)));
+    result.AddRow(std::move(row));
+  };
+  // Packs each tuple's `keys` cells — (validity, symbol-or-bits) pairs — a
+  // chunk at a time into one flat scratch block and folds them into a
+  // GroupKeyTable (see exec/group_table.h), whose groups keep
+  // first-occurrence order.
+  auto fold = [&](const std::vector<std::pair<const Column*, size_t>>& keys) {
     const size_t parts = keys.size() * 2;
     GroupKeyTable table(parts);
     std::vector<uint64_t> scratch(kProbeChunk * parts);
@@ -446,21 +453,48 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
       }
       table.AddBatch(scratch.data(), n, static_cast<uint32_t>(base));
     }
+    return table;
+  };
+
+  const bool plain = query.group_by.empty() && !query.having;
+  // DISTINCT over string and int64 columns drops duplicate tuples by their
+  // packed cells before any Value is built. Two such cells pack equal
+  // exactly when ResultSet::EncodeRow renders them equal, so each key's
+  // first tuple is the row Deduplicate would keep, in the same order.
+  // Doubles, whose "%g" rendering merges distinct values, take the Value
+  // path below.
+  const bool packed_distinct =
+      plain && query.distinct && !projections.empty() &&
+      std::all_of(projections.begin(), projections.end(), [](const auto& proj) {
+        return proj.first->type() == ValueType::kString ||
+               proj.first->type() == ValueType::kInt64;
+      });
+  if (packed_distinct) {
+    const GroupKeyTable table = fold(projections);
+    for (size_t gi = 0; gi < table.num_groups(); ++gi) emit(table.groups()[gi].first_tuple);
+    return result;
+  }
+  if (plain) {
+    for (size_t t = 0; t < state.tuples.size(); ++t) emit(static_cast<uint32_t>(t));
+  } else {
+    // Group-by (with count(*) HAVING). Projected columns must be functionally
+    // dependent on the grouping key in well-formed queries; we take the first
+    // tuple of each group (MySQL-style loose semantics).
+    std::vector<std::pair<const Column*, size_t>> keys;
+    for (const auto& g : query.group_by) {
+      SQUID_ASSIGN_OR_RETURN(auto key, column_of(g));
+      keys.push_back(key);
+    }
+    const GroupKeyTable table = fold(keys);
     stats_.groups += table.num_groups();
-    const GroupKeyTable::Group* group_list = table.groups();
     for (size_t gi = 0; gi < table.num_groups(); ++gi) {
-      const GroupKeyTable::Group& g = group_list[gi];
+      const GroupKeyTable::Group& g = table.groups()[gi];
       if (query.having) {
         Value count_val(static_cast<int64_t>(g.count));
         Value target(query.having->value);
         if (!EvalCompare(count_val, query.having->op, target)) continue;
       }
-      std::vector<Value> row;
-      row.reserve(projections.size());
-      for (const auto& [col, pos] : projections) {
-        row.push_back(col->ValueAt(state.tuples.At(g.first_tuple, pos)));
-      }
-      result.AddRow(std::move(row));
+      emit(g.first_tuple);
     }
     result.SortRows();  // group order must not leak into the output
   }

@@ -12,12 +12,24 @@
 /// compare in place, and each kernel refines one selection vector — no
 /// Value is built per scanned row. Intermediate tuples live in a columnar
 /// TupleBuffer (exec/tuple_buffer.h) and joins probe a flat open-addressing
-/// FlatJoinHash (exec/join_hash.h) in batches of packed keys — no per-tuple
-/// allocation anywhere on the pipeline. Invariant: neither kernels nor
-/// vectorization change results — for any given plan, every query result is
-/// byte-identical to a per-tuple executor of that plan that filters through
-/// Value comparisons (the golden-parity suite in tests/exec_parity_test.cpp
-/// pins this). Plan *choices* may intentionally differ from older releases (the
+/// FlatJoinHash (storage/join_hash.h) in batches of packed keys — no
+/// per-tuple allocation anywhere on the pipeline.
+///
+/// The executor uses a table's access paths (storage/table.h) when it has
+/// current ones, which the αDB builds on its tables: an `=` filter on a
+/// value-ordered column seeks its run instead of scanning (FilterRows), and
+/// a join on a table's primary key probes the table's PK index instead of
+/// building a hash, dropping matches outside a filtered alias's surviving
+/// rows. So an abduced αDB-form query — each derived alias filtered by
+/// `value = v AND count >= θ`, joined to the entity on its key — touches
+/// only its runs and probes indexes built once per αDB.
+///
+/// Invariant: neither kernels, access paths nor vectorization change
+/// results — for any given plan, every query result is byte-identical to a
+/// per-tuple executor of that plan that scans through Value comparisons and
+/// builds a hash per join (the golden-parity suite in
+/// tests/exec_parity_test.cpp pins this, on built and snapshot-loaded
+/// αDBs). Plan *choices* may intentionally differ from older releases (the
 /// start-alias fix reorders output for queries with join-disconnected FROM
 /// entries).
 ///
@@ -30,7 +42,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/join_hash.h"
+#include "storage/join_hash.h"
 #include "exec/result_set.h"
 #include "sql/ast.h"
 #include "storage/database.h"
@@ -39,13 +51,17 @@ namespace squid {
 
 /// Execution statistics (exposed for tests and micro-benchmarks).
 struct ExecStats {
-  /// Rows actually visited by predicate scans (aliases without predicates
-  /// prune the scan entirely and contribute 0).
+  /// Rows the predicate selections started from: a table's row count for a
+  /// scan, the run's length for a value-order seek (see FilterRows), and 0
+  /// for an alias without predicates (its scan is pruned entirely).
   size_t rows_scanned = 0;
   /// Matches emitted by hash-join expansion steps.
   size_t rows_joined = 0;
   size_t groups = 0;
+  /// Per-query FlatJoinHash builds.
   size_t join_hashes_built = 0;
+  /// Joins whose build side already existed: a table's PK index, or an
+  /// unfiltered build side cached earlier in the same query.
   size_t join_hashes_reused = 0;
   /// Probe-key chunks packed and probed through FlatJoinHash::ProbeBatch.
   size_t probe_batches = 0;
@@ -74,13 +90,14 @@ class Executor {
 
   const Database* db_;
   ExecStats stats_;
-  // Build-side FlatJoinHash tables over unfiltered columns, reused across
-  // the INTERSECT branches of one query (abduced queries repeat the same FK
-  // joins in every branch). Keyed by column identity; cleared at every
-  // top-level Execute/ExecuteSelect so table mutations between calls cannot
-  // leave stale entries.
-  std::unordered_map<const Column*, std::shared_ptr<const FlatJoinHash>>
-      join_hash_cache_;
+  // Build-side FlatJoinHash tables over unfiltered columns that are not a
+  // table's indexed primary key (PK joins probe Table::pk_index(), which
+  // outlives every query), reused across the INTERSECT branches of one
+  // query (abduced original-form queries repeat the same FK joins in every
+  // branch). Keyed by column identity; cleared at every top-level
+  // Execute/ExecuteSelect so table mutations between calls cannot leave
+  // stale entries. Map nodes are stable, so a probe holds a plain pointer.
+  std::unordered_map<const Column*, FlatJoinHash> join_hash_cache_;
 };
 
 /// Convenience wrapper: one-shot execution.

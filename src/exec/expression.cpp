@@ -4,6 +4,7 @@
 #include <iterator>
 #include <numeric>
 #include <string_view>
+#include <utility>
 
 namespace squid {
 
@@ -179,6 +180,42 @@ void ApplyKernel(const ScanKernel& k, const Column& col, size_t n, bool scan,
   }
 }
 
+/// True for the kernels a value order can seek: an `=` comparison against
+/// a string symbol or an int64 constant. IN lists, <>, orderings and
+/// numeric-widening compares scan.
+bool Seekable(const BoundPredicate& p, const ScanKernel& k) {
+  return p.predicate.kind == Predicate::Kind::kCompare && k.op == CompareOp::kEq &&
+         (k.kind == Kind::kSymbol || k.kind == Kind::kInt64);
+}
+
+/// The run of `order` (rows of `col` in Column::CompareRows order, nulls
+/// first) whose cells satisfy the seekable kernel `k`: two binary searches
+/// over a three-way compare of the cell against the constant.
+std::pair<const uint32_t*, const uint32_t*> EqualRun(const ScanKernel& k,
+                                                     const Column& col,
+                                                     const std::vector<uint32_t>& order) {
+  const uint8_t* valid = col.valid_raw().data();
+  auto run = [&](auto cmp) {
+    const uint32_t* lo = std::partition_point(
+        order.data(), order.data() + order.size(), [&](uint32_t r) {
+          return !valid[r] || cmp(r) < 0;
+        });
+    const uint32_t* hi = std::partition_point(
+        lo, order.data() + order.size(),
+        [&](uint32_t r) { return cmp(r) == 0; });
+    return std::make_pair(lo, hi);
+  };
+  if (k.kind == Kind::kSymbol) {
+    const Symbol* syms = col.syms_raw().data();
+    const std::string_view text = col.pool()->View(k.symbol);
+    return run([&](uint32_t r) {
+      return syms[r] == k.symbol ? 0 : ThreeWay(col.StringAt(r).compare(text), 0);
+    });
+  }
+  const int64_t* ints = col.ints_raw().data();
+  return run([&](uint32_t r) { return ThreeWay(ints[r], k.int_value); });
+}
+
 }  // namespace
 
 Result<BoundPredicate> BindPredicate(const Table& table, const Predicate& pred) {
@@ -230,10 +267,27 @@ std::vector<uint32_t> FilterRows(const Table& table,
     std::iota(sel.begin(), sel.end(), 0u);
     return sel;
   }
-  if (rows_visited) *rows_visited += n;
-  bool scan = true;
+  // An `=` kernel on the table's value-ordered column seeks its run (rows
+  // ascending) instead of scanning; every other kernel then refines it.
+  const ScanKernel* seek = nullptr;
+  for (const auto& p : preds) {
+    const std::vector<uint32_t>* order = table.ValueOrderOf(p.column);
+    if (order == nullptr) continue;
+    for (const ScanKernel& k : p.kernels) {
+      if (!Seekable(p, k)) continue;
+      seek = &k;
+      const auto [lo, hi] = EqualRun(k, *p.column, *order);
+      sel.assign(lo, hi);
+      break;
+    }
+    if (seek != nullptr) break;
+  }
+  if (rows_visited) *rows_visited += seek != nullptr ? sel.size() : n;
+  if (seek != nullptr && sel.empty()) return sel;
+  bool scan = seek == nullptr;
   for (const auto& p : preds) {
     for (const ScanKernel& k : p.kernels) {
+      if (&k == seek) continue;
       ApplyKernel(k, *p.column, n, scan, &sel);
       scan = false;
       if (sel.empty()) return sel;

@@ -63,11 +63,15 @@ struct BoundPredicate {
 Result<BoundPredicate> BindPredicate(const Table& table, const Predicate& pred);
 
 /// Returns, in ascending order, the row ids of `table` satisfying all of
-/// `preds`. The first kernel scans the table into a selection vector and
-/// each later one refines the surviving rows; without predicates this is
-/// the identity row list with no per-row work. `rows_visited`, when
-/// non-null, is incremented by the table's row count when there are
-/// predicates (0 on the no-predicate fast path) — this feeds
+/// `preds`. When the table has a current value order (Table::ValueOrderOf)
+/// and a predicate is an `=` comparison on that column whose kernel is
+/// kSymbol or kInt64, the selection starts as that value's run of the
+/// order (two binary searches; the run is ascending by row); otherwise the
+/// first kernel scans the table. Every remaining kernel refines the
+/// surviving rows. Without predicates this is the identity row list with no
+/// per-row work. `rows_visited`, when non-null, is incremented by the rows
+/// the selection started from — the run's length after a seek, the table's
+/// row count after a scan, 0 without predicates — this feeds
 /// ExecStats::rows_scanned, which counts work done, not table sizes.
 std::vector<uint32_t> FilterRows(const Table& table,
                                  const std::vector<BoundPredicate>& preds,

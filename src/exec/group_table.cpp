@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "exec/join_hash.h"
+#include "storage/join_hash.h"
 
 namespace squid {
 

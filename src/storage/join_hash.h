@@ -1,12 +1,15 @@
-#ifndef SQUID_EXEC_JOIN_HASH_H_
-#define SQUID_EXEC_JOIN_HASH_H_
+#ifndef SQUID_STORAGE_JOIN_HASH_H_
+#define SQUID_STORAGE_JOIN_HASH_H_
 
 /// \file join_hash.h
-/// \brief Flat build-side hash table for the executor's vectorized joins,
-/// plus the packed 64-bit cell-key helpers shared by joins, group-by, and
-/// the golden-parity reference executor in tests.
+/// \brief Flat hash table from packed cell keys to row spans, plus the
+/// packed 64-bit cell-key helpers shared by joins, group-by, PK lookups and
+/// the golden-parity reference executor in tests. It depends only on
+/// Column, so it lives in storage: the executor builds one per join build
+/// side, and a Table holds one over its primary key (Table::BuildPkIndex)
+/// that serves both the αDB's point lookups and the executor's PK joins.
 ///
-/// Layout mirrors the PR 2 inverted-index recipe: keys live in an
+/// Layout mirrors the inverted-index recipe: keys live in an
 /// open-addressing (linear probing) power-of-two table of 16-byte
 /// `{key, slot}` entries at <= 50% load, and each key's matching row ids are
 /// one contiguous span of a single CSR postings array. A probe is one mix of
@@ -35,6 +38,12 @@ bool PackCellKey(const Column& col, size_t row, uint64_t* key);
 /// integer).
 bool PackProbeKey(const Column& build, const Column& probe, size_t row,
                   uint64_t* key);
+
+/// Packs a Value into `build`'s key space with the same rules as
+/// PackProbeKey (1 == 1.0 across numeric types, strings through the build
+/// column's dictionary). Returns false for NULL and for values that cannot
+/// equal any build key.
+bool PackValueKey(const Column& build, const Value& v, uint64_t* key);
 
 /// Cell equality without materializing Values; nulls equal nothing.
 bool JoinCellsEqual(const Column& a, size_t ra, const Column& b, size_t rb);
@@ -67,12 +76,22 @@ class FlatJoinHash {
 
   /// Builds over `rows` of `column`; null cells are skipped. Within each
   /// key, row ids keep their order in `rows` (the executor's output order
-  /// contract depends on this).
+  /// contract depends on this). While no key repeats — a primary key, or
+  /// one value's run of a derived relation — the row array is `rows` itself
+  /// and each bucket points at its row, so the build is one insert pass;
+  /// a repeated key regroups the rows into per-key spans.
   static FlatJoinHash Build(const Column& column,
                             const std::vector<uint32_t>& rows);
 
   /// Rows whose cell packs to `key` (empty span on miss).
   RowSpan Probe(uint64_t key) const;
+
+  /// Rows whose cell equals `v` under Value equality, for a hash built
+  /// over `build` (PackValueKey; empty span for NULL or no match).
+  RowSpan Lookup(const Column& build, const Value& v) const {
+    uint64_t key = 0;
+    return PackValueKey(build, v, &key) ? Probe(key) : RowSpan{};
+  }
 
   /// Batched probe over a packed key chunk: out[i] = Probe(keys[i]) where
   /// valid[i] is non-zero, else the empty span.
@@ -102,6 +121,9 @@ class FlatJoinHash {
   };
   static_assert(sizeof(Entry) == 16, "bucket layout audited at 16 bytes");
 
+  /// The bucket holding `key`, or the empty bucket where it would go.
+  Entry& Slot(uint64_t key);
+
   /// One bucket probe touches one 16-byte entry — one cache line, by the
   /// alignment above — and a hit's row span is one contiguous read.
   std::vector<Entry> table_;  // power-of-two, <= 50% load
@@ -112,4 +134,4 @@ class FlatJoinHash {
 
 }  // namespace squid
 
-#endif  // SQUID_EXEC_JOIN_HASH_H_
+#endif  // SQUID_STORAGE_JOIN_HASH_H_

@@ -1,5 +1,11 @@
 #include "storage/table.h"
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+
+#include "storage/join_hash.h"
+
 namespace squid {
 
 Status Column::Append(const Value& v) {
@@ -249,6 +255,101 @@ size_t Table::ApproxBytes() const {
     }
   }
   return bytes;
+}
+
+namespace {
+
+/// Row ids are uint32 in both access paths.
+constexpr size_t kMaxAccessPathRows = 0xFFFFFFFFull;
+
+}  // namespace
+
+Status Table::BuildPkIndex() {
+  if (pk_index() != nullptr) return Status::OK();
+  const std::optional<std::string>& pk = schema_.primary_key();
+  if (!pk.has_value()) {
+    return Status::InvalidArgument("relation '" + name() + "' has no primary key");
+  }
+  SQUID_ASSIGN_OR_RETURN(const Column* col, ColumnByName(*pk));
+  if (num_rows_ > kMaxAccessPathRows) {
+    return Status::OutOfRange("relation '" + name() + "' is too large to index");
+  }
+  std::vector<uint32_t> rows(num_rows_);
+  std::iota(rows.begin(), rows.end(), 0u);
+  pk_index_ = std::make_shared<const FlatJoinHash>(FlatJoinHash::Build(*col, rows));
+  pk_column_ = col;
+  pk_rows_ = num_rows_;
+  return Status::OK();
+}
+
+Status Table::BuildValueOrder(const std::string& attr) {
+  SQUID_ASSIGN_OR_RETURN(const Column* col, ColumnByName(attr));
+  ordered_column_ = nullptr;
+  value_order_ = {};
+  if (col->type() != ValueType::kString && col->type() != ValueType::kInt64) {
+    return Status::OK();
+  }
+  const size_t n = num_rows_;
+  if (n > kMaxAccessPathRows) {
+    return Status::OutOfRange("relation '" + name() + "' is too large to order");
+  }
+
+  // Dense id per row: 0 for NULL, else its distinct value's first-appearance
+  // number. Distinct packed keys are distinct values (one symbol per string).
+  // The ids come from a small open-addressing map of {key, id} slots (id 0
+  // marks an empty slot) that doubles at half load: a relation has few
+  // distinct values, so every probe stays in cache.
+  std::vector<uint32_t> id(n);
+  std::vector<uint32_t> first_row;  // per value id - 1: a row holding it
+  std::vector<std::pair<uint64_t, uint32_t>> slots(64);
+  auto slot_of = [&](uint64_t key) -> std::pair<uint64_t, uint32_t>& {
+    const size_t mask = slots.size() - 1;
+    size_t i = MixJoinKey(key) & mask;
+    while (slots[i].second != 0 && slots[i].first != key) i = (i + 1) & mask;
+    return slots[i];
+  };
+  for (size_t r = 0; r < n; ++r) {
+    uint64_t key = 0;
+    if (!PackCellKey(*col, r, &key)) continue;
+    std::pair<uint64_t, uint32_t>* slot = &slot_of(key);
+    if (slot->second == 0) {
+      first_row.push_back(static_cast<uint32_t>(r));
+      *slot = {key, static_cast<uint32_t>(first_row.size())};
+      if (first_row.size() * 2 > slots.size()) {
+        std::vector<std::pair<uint64_t, uint32_t>> old(slots.size() * 2);
+        old.swap(slots);
+        for (const auto& kv : old) {
+          if (kv.second != 0) slot_of(kv.first) = kv;
+        }
+        slot = &slot_of(key);
+      }
+    }
+    id[r] = slot->second;
+  }
+
+  // Rank the few distinct values once; NULL ranks first.
+  std::vector<uint32_t> by_value(first_row.size());
+  std::iota(by_value.begin(), by_value.end(), 1u);
+  std::sort(by_value.begin(), by_value.end(), [&](uint32_t a, uint32_t b) {
+    return col->CompareRows(first_row[a - 1], first_row[b - 1]) < 0;
+  });
+  std::vector<uint32_t> rank(first_row.size() + 1, 0);
+  for (size_t i = 0; i < by_value.size(); ++i) {
+    rank[by_value[i]] = static_cast<uint32_t>(i + 1);
+  }
+
+  // Counting sort by rank; scattering rows in ascending order keeps each
+  // value's run ascending.
+  std::vector<uint32_t> begin(rank.size() + 1, 0);
+  for (size_t r = 0; r < n; ++r) {
+    id[r] = rank[id[r]];
+    ++begin[id[r] + 1];
+  }
+  for (size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
+  value_order_.resize(n);
+  for (size_t r = 0; r < n; ++r) value_order_[begin[id[r]]++] = static_cast<uint32_t>(r);
+  ordered_column_ = col;
+  return Status::OK();
 }
 
 }  // namespace squid

@@ -7,6 +7,13 @@
 /// dictionary-encoded: cells store StringPool symbols, so equal values share
 /// one arena copy and equality is integer comparison. This is the storage
 /// substrate under the executor, the αDB, and the data generators.
+///
+/// A table can also carry two immutable access paths, built on request
+/// (the αDB builds them at Build and at snapshot load) and never
+/// serialized: a flat hash index over its primary key, and a row
+/// permutation of one column in value order. Each covers the rows the
+/// table had when it was built; once AppendRow adds more, the path reads
+/// as absent until it is rebuilt, so no reader sees a stale one.
 
 #include <cstdint>
 #include <memory>
@@ -20,6 +27,8 @@
 #include "storage/value.h"
 
 namespace squid {
+
+class FlatJoinHash;  // storage/join_hash.h
 
 /// \brief One typed column with a validity (non-null) mask.
 ///
@@ -164,11 +173,54 @@ class Table {
   /// publishes the row count. The table must have been empty.
   Status FinishColumnFill(size_t num_rows);
 
+  // ---- Access paths (not part of ApproxBytes or of any snapshot) ----
+
+  /// Builds the PK index: a FlatJoinHash over every row of the primary-key
+  /// column, each key's rows ascending. A no-op while a current one exists.
+  /// InvalidArgument when the schema declares no primary key.
+  Status BuildPkIndex();
+
+  /// The PK index while it is current, else null. Its keys are
+  /// pk_column()'s packed cells (PackCellKey); FlatJoinHash::Lookup probes
+  /// it by Value.
+  const FlatJoinHash* pk_index() const {
+    return pk_rows_ == num_rows_ ? pk_index_.get() : nullptr;
+  }
+
+  /// The column the current PK index keys (null when none is current).
+  const Column* pk_column() const {
+    return pk_index() != nullptr ? pk_column_ : nullptr;
+  }
+
+  /// Builds the value order of column `attr`: every row id, ordered by
+  /// Column::CompareRows (nulls first) and by row id within one value, so
+  /// each value's rows are one ascending run. Linear time: the column's
+  /// distinct values are ranked once and the rows counting-sorted by rank.
+  /// Only string and int64 columns are ordered (a column of another type
+  /// leaves the table without one). Replaces any earlier order.
+  Status BuildValueOrder(const std::string& attr);
+
+  /// The value order when it is current and `col` is the ordered column,
+  /// else null.
+  const std::vector<uint32_t>* ValueOrderOf(const Column* col) const {
+    return col == ordered_column_ && value_order_.size() == num_rows_
+               ? &value_order_
+               : nullptr;
+  }
+
  private:
   Schema schema_;
   std::shared_ptr<StringPool> pool_;
   std::vector<std::unique_ptr<Column>> columns_;
   size_t num_rows_ = 0;
+
+  // PK index over column pk_column_, built when the table had pk_rows_ rows.
+  std::shared_ptr<const FlatJoinHash> pk_index_;
+  const Column* pk_column_ = nullptr;
+  size_t pk_rows_ = 0;
+  // Value order of ordered_column_; current while it covers every row.
+  const Column* ordered_column_ = nullptr;
+  std::vector<uint32_t> value_order_;
 };
 
 }  // namespace squid

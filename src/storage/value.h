@@ -78,8 +78,8 @@ struct ValueHash {
 
 /// Bit image of a double for packed 64-bit map keys, with -0.0 canonicalized
 /// to +0.0 (they compare equal). The one definition shared by every
-/// subsystem that keys on packed cells (executor joins, HashColumnIndex,
-/// PropertyStats) — their key spaces must agree.
+/// subsystem that keys on packed cells (FlatJoinHash build sides and PK
+/// indexes, PropertyStats) — their key spaces must agree.
 inline uint64_t PackedDoubleBits(double d) {
   if (d == 0.0) d = 0.0;
   uint64_t bits;

@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "datagen/dblp_generator.h"
 #include "datagen/imdb_generator.h"
-#include "storage/column_index.h"
 #include "tests/test_util.h"
 
 namespace squid {
@@ -644,9 +643,27 @@ TEST(AdbDeterminismTest, GeneratedImdbBuildIsThreadCountInvariant) {
 
 // ---------- Differential materializer suite ----------
 
+/// Rows of `table` by their `attr` cell, NULLs excluded. Keyed by Value, so
+/// lookups follow Value equality (1 == 1.0).
+using ValueIndex = std::map<Value, std::vector<size_t>>;
+Result<ValueIndex> IndexByValue(const Table& table, const std::string& attr) {
+  SQUID_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(attr));
+  ValueIndex index;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (!col->IsNull(r)) index[col->ValueAt(r)].push_back(r);
+  }
+  return index;
+}
+
+/// The rows `index` holds for `v` (null when none).
+const std::vector<size_t>* Find(const ValueIndex& index, const Value& v) {
+  auto it = index.find(v);
+  return it == index.end() ? nullptr : &it->second;
+}
+
 /// The Value-keyed materializer the row-id walk replaced, kept as the
 /// reference: a frontier of (entity key, row) arrivals expanded through
-/// per-hop HashColumnIndexes, aggregated in std::map<Value, ...>.
+/// per-hop Value-keyed indexes, aggregated in std::map<Value, ...>.
 Result<std::shared_ptr<Table>> ReferenceMaterialize(const Database& db,
                                                     const PropertyDescriptor& desc) {
   struct Arrival {
@@ -665,12 +682,10 @@ Result<std::shared_ptr<Table>> ReferenceMaterialize(const Database& db,
   }
   for (const FactHop& hop : desc.hops) {
     SQUID_ASSIGN_OR_RETURN(const Table* fact, db.GetTable(hop.fact_table));
-    SQUID_ASSIGN_OR_RETURN(HashColumnIndex fact_in,
-                           HashColumnIndex::Build(*fact, hop.in_attr));
+    SQUID_ASSIGN_OR_RETURN(ValueIndex fact_in, IndexByValue(*fact, hop.in_attr));
     SQUID_ASSIGN_OR_RETURN(const Column* fact_out, fact->ColumnByName(hop.out_attr));
     SQUID_ASSIGN_OR_RETURN(const Table* next, db.GetTable(hop.next_relation));
-    SQUID_ASSIGN_OR_RETURN(HashColumnIndex next_pk,
-                           HashColumnIndex::Build(*next, hop.next_key));
+    SQUID_ASSIGN_OR_RETURN(ValueIndex next_pk, IndexByValue(*next, hop.next_key));
     SQUID_ASSIGN_OR_RETURN(const Column* current_key,
                            current->ColumnByName(current_key_attr));
     const bool arrives_at_origin = hop.next_relation == desc.entity_relation;
@@ -678,13 +693,13 @@ Result<std::shared_ptr<Table>> ReferenceMaterialize(const Database& db,
     for (const Arrival& a : frontier) {
       Value key = current_key->ValueAt(a.row);
       if (key.is_null()) continue;
-      const std::vector<size_t>* fact_rows = fact_in.Lookup(key);
+      const std::vector<size_t>* fact_rows = Find(fact_in, key);
       if (fact_rows == nullptr) continue;
       for (size_t fr : *fact_rows) {
         if (fact_out->IsNull(fr)) continue;
         Value out_key = fact_out->ValueAt(fr);
         if (arrives_at_origin && out_key == a.entity_key) continue;
-        const std::vector<size_t>* next_rows = next_pk.Lookup(out_key);
+        const std::vector<size_t>* next_rows = Find(next_pk, out_key);
         if (next_rows == nullptr) continue;
         for (size_t nr : *next_rows) next_frontier.push_back(Arrival{a.entity_key, nr});
       }
@@ -696,12 +711,11 @@ Result<std::shared_ptr<Table>> ReferenceMaterialize(const Database& db,
   for (const DimHop& dim : desc.dims) {
     SQUID_ASSIGN_OR_RETURN(const Column* from, current->ColumnByName(dim.from_attr));
     SQUID_ASSIGN_OR_RETURN(const Table* next, db.GetTable(dim.dim_relation));
-    SQUID_ASSIGN_OR_RETURN(HashColumnIndex next_pk,
-                           HashColumnIndex::Build(*next, dim.dim_key));
+    SQUID_ASSIGN_OR_RETURN(ValueIndex next_pk, IndexByValue(*next, dim.dim_key));
     std::vector<Arrival> next_frontier;
     for (const Arrival& a : frontier) {
       if (from->IsNull(a.row)) continue;
-      const std::vector<size_t>* next_rows = next_pk.Lookup(from->ValueAt(a.row));
+      const std::vector<size_t>* next_rows = Find(next_pk, from->ValueAt(a.row));
       if (next_rows == nullptr) continue;
       for (size_t nr : *next_rows) next_frontier.push_back(Arrival{a.entity_key, nr});
     }

@@ -1,5 +1,5 @@
 // Golden-parity suite for the vectorized executor (exec/tuple_buffer.h +
-// exec/join_hash.h): a faithful copy of the historical per-tuple pipeline —
+// storage/join_hash.h): a faithful copy of the historical per-tuple pipeline —
 // one heap-allocated row-id vector per intermediate tuple, a chaining
 // std::unordered_map per join edge, an unordered_map<vector<uint64_t>,...>
 // group-by — runs every IMDb/DBLP benchmark query plus abduced SPJAI
@@ -8,10 +8,14 @@
 // pipelines share only the packed-key helpers (PackCellKey/PackProbeKey/
 // JoinCellsEqual) and the plan logic; everything vectorized is independent,
 // and the reference scans every row through Value comparisons
-// (BoundPredicate::Matches), so the typed scan kernels are checked too.
+// (BoundPredicate::Matches) and builds its own map per join, so the typed
+// scan kernels, the value-order seeks and the PK-index joins the αDB's
+// access paths enable are checked too.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <set>
 #include <unordered_map>
 
 #include "bench/bench_util.h"
@@ -19,8 +23,8 @@
 #include "eval/sampler.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
-#include "exec/join_hash.h"
 #include "sql/parser.h"
+#include "storage/join_hash.h"
 
 namespace squid {
 namespace {
@@ -401,29 +405,29 @@ void ExpectParityOverQueries(const Database& db,
 
 /// Abduced-query parity: discover from sampled examples, then execute both
 /// abduced forms (αDB SPJ and original-schema SPJAI with INTERSECT/HAVING)
-/// through both pipelines.
-void ExpectAbducedParity(const ImdbBench& bench, const BenchmarkQuery& bq,
-                         Coverage* coverage) {
-  auto truth = GroundTruth(*bench.data.db, bq);
+/// through both pipelines. `base` holds the original-schema relations.
+void ExpectAbducedParity(const Database& base, const AbductionReadyDb& adb,
+                         const BenchmarkQuery& bq, Coverage* coverage) {
+  auto truth = GroundTruth(base, bq);
   ASSERT_TRUE(truth.ok()) << bq.id;
   Rng rng(42);
   auto examples = SampleExamples(truth.value(), 10, &rng);
   if (examples.size() < 2) return;
-  Squid squid(bench.adb.get());
+  Squid squid(&adb);
   auto abduced = squid.Discover(examples);
   if (!abduced.ok()) return;
 
   coverage->Count(abduced.value().adb_query);
-  auto adb_expected = ReferenceExecute(bench.adb->database(), abduced.value().adb_query);
-  auto adb_actual = ExecuteQuery(bench.adb->database(), abduced.value().adb_query);
+  auto adb_expected = ReferenceExecute(adb.database(), abduced.value().adb_query);
+  auto adb_actual = ExecuteQuery(adb.database(), abduced.value().adb_query);
   ASSERT_EQ(adb_expected.ok(), adb_actual.ok()) << bq.id << " adb form";
   if (adb_expected.ok()) {
     ExpectByteIdentical(adb_expected.value(), adb_actual.value(), bq.id + " adb form");
   }
 
   coverage->Count(abduced.value().original_query);
-  auto orig_expected = ReferenceExecute(*bench.data.db, abduced.value().original_query);
-  auto orig_actual = ExecuteQuery(*bench.data.db, abduced.value().original_query);
+  auto orig_expected = ReferenceExecute(base, abduced.value().original_query);
+  auto orig_actual = ExecuteQuery(base, abduced.value().original_query);
   ASSERT_EQ(orig_expected.ok(), orig_actual.ok()) << bq.id << " original form";
   if (orig_expected.ok()) {
     ExpectByteIdentical(orig_expected.value(), orig_actual.value(),
@@ -431,23 +435,73 @@ void ExpectAbducedParity(const ImdbBench& bench, const BenchmarkQuery& bq,
   }
 }
 
+/// Definition 2.1 (E ⊆ Q(D)) over a workload: for every query, seeded
+/// example sets of sizes 2-7 are discovered and the αDB-form answer is
+/// executed; every example must be in the result, and the result must be
+/// byte-identical to the reference executor's. Returns the number of
+/// answers checked.
+size_t ExpectContainment(const Database& base, const AbductionReadyDb& adb,
+                         const std::vector<BenchmarkQuery>& queries) {
+  size_t checked = 0;
+  Squid squid(&adb);
+  for (const BenchmarkQuery& bq : queries) {
+    auto truth = GroundTruth(base, bq);
+    EXPECT_TRUE(truth.ok()) << bq.id;
+    if (!truth.ok()) continue;
+    for (size_t size = 2; size <= 7; ++size) {
+      Rng rng(1000 + size);
+      auto examples = SampleExamples(truth.value(), size, &rng);
+      if (examples.size() < 2) continue;
+      auto abduced = squid.Discover(examples);
+      if (!abduced.ok()) continue;
+      const std::string label = bq.id + " with " + std::to_string(size) + " examples";
+      auto actual = ExecuteQuery(adb.database(), abduced.value().adb_query);
+      auto expected = ReferenceExecute(adb.database(), abduced.value().adb_query);
+      EXPECT_TRUE(actual.ok() && expected.ok()) << label;
+      if (!actual.ok() || !expected.ok()) continue;
+      ExpectByteIdentical(expected.value(), actual.value(), label);
+      std::set<std::string> answer;
+      for (size_t i = 0; i < actual.value().num_rows(); ++i) {
+        answer.insert(actual.value().row(i)[0].ToString());
+      }
+      for (const std::string& e : examples) {
+        EXPECT_TRUE(answer.count(e)) << label << " lost example " << e;
+      }
+      ++checked;
+    }
+  }
+  return checked;
+}
+
 class ExecParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     imdb_ = new ImdbBench(BuildImdbBench(0.12));
     dblp_ = new DblpBench(BuildDblpBench(0.2));
+    // The IMDb αDB booted from its snapshot: load rebuilds the access paths
+    // (PK indexes, value orders) the executor runs on.
+    const std::string path = ::testing::TempDir() + "squid_exec_parity.sqsnap";
+    EXPECT_TRUE(imdb_->adb->SaveSnapshot(path).ok());
+    auto loaded = AbductionReadyDb::LoadSnapshot(path);
+    std::remove(path.c_str());
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    if (loaded.ok()) imdb_loaded_ = std::move(loaded).value().release();
   }
   static void TearDownTestSuite() {
     delete imdb_;
     delete dblp_;
+    delete imdb_loaded_;
     imdb_ = nullptr;
     dblp_ = nullptr;
+    imdb_loaded_ = nullptr;
   }
   static ImdbBench* imdb_;
   static DblpBench* dblp_;
+  static AbductionReadyDb* imdb_loaded_;
 };
 ImdbBench* ExecParityTest::imdb_ = nullptr;
 DblpBench* ExecParityTest::dblp_ = nullptr;
+AbductionReadyDb* ExecParityTest::imdb_loaded_ = nullptr;
 
 TEST_F(ExecParityTest, ImdbBenchmarkQueries) {
   Coverage coverage;
@@ -463,10 +517,25 @@ TEST_F(ExecParityTest, DblpBenchmarkQueries) {
 TEST_F(ExecParityTest, AbducedQueriesBothForms) {
   Coverage coverage;
   for (const auto& bq : imdb_->queries) {
-    ExpectAbducedParity(*imdb_, bq, &coverage);
+    ExpectAbducedParity(*imdb_->data.db, *imdb_->adb, bq, &coverage);
   }
   // Abduced SPJAI queries are where INTERSECT and HAVING branches live.
   EXPECT_GT(coverage.intersect + coverage.group_by, 0u);
+}
+
+TEST_F(ExecParityTest, AbducedQueriesBothFormsOnLoadedSnapshot) {
+  ASSERT_NE(imdb_loaded_, nullptr);
+  Coverage coverage;
+  // The loaded αDB's database holds the base relations too.
+  for (const auto& bq : imdb_->queries) {
+    ExpectAbducedParity(imdb_loaded_->database(), *imdb_loaded_, bq, &coverage);
+  }
+  EXPECT_GT(coverage.intersect + coverage.group_by, 0u);
+}
+
+TEST_F(ExecParityTest, AbducedAnswersContainTheirExamples) {
+  EXPECT_GT(ExpectContainment(*imdb_->data.db, *imdb_->adb, imdb_->queries), 40u);
+  EXPECT_GT(ExpectContainment(*dblp_->data.db, *dblp_->adb, dblp_->queries), 10u);
 }
 
 TEST_F(ExecParityTest, HandWrittenIntersectAntiJoinGroupBy) {

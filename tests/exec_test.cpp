@@ -6,12 +6,14 @@
 #include <map>
 #include <vector>
 
+#include "adb/abduction_ready_db.h"
+#include "bench/bench_util.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
 #include "exec/group_table.h"
-#include "exec/join_hash.h"
 #include "exec/tuple_buffer.h"
 #include "sql/parser.h"
+#include "storage/join_hash.h"
 #include "tests/test_util.h"
 
 namespace squid {
@@ -611,6 +613,271 @@ TEST(ScanKernelTest, RowsVisitedCountsTableRowsOnlyWithPredicates) {
   ASSERT_TRUE(p.ok());
   EXPECT_TRUE(FilterRows(table, {p.value()}, &visited).empty());
   EXPECT_EQ(visited, table.num_rows());
+}
+
+// ---------- Value-order seeks vs full scans ----------
+
+/// The rows of `table` satisfying every predicate, by Value comparisons
+/// over a full scan (BoundPredicate::Matches): the reference for seeks.
+std::vector<uint32_t> ScanReference(const Table& table,
+                                    const std::vector<BoundPredicate>& preds) {
+  std::vector<uint32_t> rows;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    bool keep = true;
+    for (const BoundPredicate& p : preds) keep = keep && p.Matches(r);
+    if (keep) rows.push_back(static_cast<uint32_t>(r));
+  }
+  return rows;
+}
+
+/// FilterRows over `preds` against ScanReference; returns the rows the
+/// selection started from (FilterRows' rows_visited).
+size_t ExpectFilterMatchesScan(const Table& table, const std::vector<Predicate>& preds,
+                               const std::string& label) {
+  std::vector<BoundPredicate> bound;
+  for (const Predicate& p : preds) {
+    auto b = BindPredicate(table, p);
+    EXPECT_TRUE(b.ok()) << label;
+    if (!b.ok()) return 0;
+    bound.push_back(std::move(b).value());
+  }
+  size_t visited = 0;
+  EXPECT_EQ(FilterRows(table, bound, &visited), ScanReference(table, bound)) << label;
+  return visited;
+}
+
+Predicate Eq(const std::string& attr, Value v) {
+  return Predicate::Compare({"d", attr}, CompareOp::kEq, std::move(v));
+}
+Predicate Ge(const std::string& attr, Value v) {
+  return Predicate::Compare({"d", attr}, CompareOp::kGe, std::move(v));
+}
+
+/// Every derived relation of `adb`: each distinct value's seek returns
+/// exactly its run, thresholds refine it as a scan would, constants that
+/// cannot seek (absent, NULL, mismatched type, numeric widening) and the
+/// `<>` / IN kernels scan, and all of it equals the Value-semantics scan.
+void ExpectSeeksMatchScans(const AbductionReadyDb& adb, const std::string& label) {
+  size_t relations = 0;
+  for (const PropertyDescriptor& desc : adb.schema_graph().descriptors()) {
+    if (desc.hops.empty() || !adb.Covers(desc)) continue;
+    const Table& t = *adb.database().GetTable(desc.derived_table).value();
+    const std::string where = label + " " + desc.derived_table;
+    const Column* value = t.ColumnByName("value").value();
+    ASSERT_NE(t.ValueOrderOf(value), nullptr) << where;
+    ++relations;
+    const size_t n = t.num_rows();
+
+    std::map<Value, std::vector<uint32_t>> runs;
+    for (size_t r = 0; r < n; ++r) {
+      if (!value->IsNull(r)) runs[value->ValueAt(r)].push_back(static_cast<uint32_t>(r));
+    }
+    if (runs.empty()) continue;  // a relation can be empty
+    const size_t stride = std::max<size_t>(1, runs.size() / 3);
+    size_t i = 0;
+    for (const auto& [v, rows] : runs) {
+      auto p = BindPredicate(t, Eq("value", v));
+      ASSERT_TRUE(p.ok()) << where;
+      size_t visited = 0;
+      ASSERT_EQ(FilterRows(t, {p.value()}, &visited), rows) << where << " = " << v.ToString();
+      EXPECT_EQ(visited, rows.size()) << where;  // a seek, not a scan
+      if (i++ % stride != 0) continue;
+      for (int64_t theta : {1, 2, 3, 5}) {
+        EXPECT_EQ(ExpectFilterMatchesScan(t, {Eq("value", v), Ge("count", Value(theta))},
+                                          where),
+                  rows.size());
+        // Predicate order does not decide which kernel seeks.
+        ExpectFilterMatchesScan(t, {Ge("count", Value(theta)), Eq("value", v)}, where);
+      }
+      for (double x : {0.05, 0.5, 1.0}) {
+        ExpectFilterMatchesScan(t, {Eq("value", v), Ge("frac", Value(x))}, where);
+      }
+    }
+
+    const Value first = runs.begin()->first;
+    const Value last = runs.rbegin()->first;
+    const bool strings = value->type() == ValueType::kString;
+    // Constants that cannot seek scan the relation (or select nothing).
+    EXPECT_EQ(ExpectFilterMatchesScan(t, {Eq("value", Value("no such value §"))}, where),
+              n);
+    ExpectFilterMatchesScan(t, {Eq("value", Value::Null())}, where);
+    ExpectFilterMatchesScan(
+        t, {Eq("value", strings ? Value(int64_t{7}) : Value("7"))}, where);
+    if (!strings) {
+      ExpectFilterMatchesScan(t, {Eq("value", Value(static_cast<double>(last.AsInt64())))},
+                              where);
+    }
+    // <> and IN fall back to the scan.
+    EXPECT_EQ(ExpectFilterMatchesScan(
+                  t, {Predicate::Compare({"d", "value"}, CompareOp::kNe, first)}, where),
+              n);
+    EXPECT_EQ(ExpectFilterMatchesScan(
+                  t, {Predicate::InList({"d", "value"}, {first, last}),
+                      Ge("count", Value(int64_t{2}))},
+                  where),
+              n);
+  }
+  EXPECT_GT(relations, 10u) << label;
+}
+
+class ValueOrderScanTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    imdb_ = new bench::ImdbBench(bench::BuildImdbBench(0.2));
+    dblp_ = new bench::DblpBench(bench::BuildDblpBench(0.2));
+  }
+  static void TearDownTestSuite() {
+    delete imdb_;
+    delete dblp_;
+    imdb_ = nullptr;
+    dblp_ = nullptr;
+  }
+
+  /// `adb` saved and booted again: load rebuilds the access paths.
+  static std::unique_ptr<AbductionReadyDb> Reload(const AbductionReadyDb& adb,
+                                                  const std::string& name) {
+    const std::string path = ::testing::TempDir() + "squid_exec_" + name + ".sqsnap";
+    EXPECT_TRUE(adb.SaveSnapshot(path).ok());
+    auto loaded = AbductionReadyDb::LoadSnapshot(path);
+    std::remove(path.c_str());
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    return loaded.ok() ? std::move(loaded).value() : nullptr;
+  }
+
+  static bench::ImdbBench* imdb_;
+  static bench::DblpBench* dblp_;
+};
+bench::ImdbBench* ValueOrderScanTest::imdb_ = nullptr;
+bench::DblpBench* ValueOrderScanTest::dblp_ = nullptr;
+
+TEST_F(ValueOrderScanTest, ImdbBuiltAndLoaded) {
+  ExpectSeeksMatchScans(*imdb_->adb, "imdb built");
+  auto loaded = Reload(*imdb_->adb, "imdb");
+  ASSERT_NE(loaded, nullptr);
+  ExpectSeeksMatchScans(*loaded, "imdb loaded");
+}
+
+TEST_F(ValueOrderScanTest, DblpBuiltAndLoaded) {
+  ExpectSeeksMatchScans(*dblp_->adb, "dblp built");
+  auto loaded = Reload(*dblp_->adb, "dblp");
+  ASSERT_NE(loaded, nullptr);
+  ExpectSeeksMatchScans(*loaded, "dblp loaded");
+}
+
+TEST(ValueOrderSeekTest, NullCellsAndAppendedRows) {
+  // MakeEdgeDb's string column holds NULLs (whose cells carry the empty
+  // string's symbol) beside a real '' cell; its int64 column NULLs and
+  // extremes.
+  auto db = MakeEdgeDb();
+  Table* t = db->GetMutableTable("e").value();
+  ASSERT_TRUE(t->BuildValueOrder("s").ok());
+  const std::vector<Value> constants = {
+      Value(""),  Value("a"),         Value("abc"), Value("B"),
+      Value("zz"), Value("absent"),   Value::Null(), Value(int64_t{5})};
+  auto check_all = [&](const std::string& label) {
+    for (const Value& c : constants) {
+      ExpectFilterMatchesScan(*t, {Predicate::Compare({"e", "s"}, CompareOp::kEq, c)},
+                              label + " s = " + c.ToString());
+      ExpectFilterMatchesScan(*t,
+                              {Predicate::Compare({"e", "s"}, CompareOp::kEq, c),
+                               Predicate::Compare({"e", "i"}, CompareOp::kGe,
+                                                  Value(int64_t{0}))},
+                              label + " s = " + c.ToString() + " and i >= 0");
+    }
+  };
+  check_all("ordered");
+  auto empty = BindPredicate(*t, Predicate::Compare({"e", "s"}, CompareOp::kEq, Value("")));
+  ASSERT_TRUE(empty.ok());
+  size_t visited = 0;
+  EXPECT_EQ(FilterRows(*t, {empty.value()}, &visited), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(visited, 1u);  // the run of '' only: NULL cells sort before it
+
+  // A row appended after the order was built is found (the stale order is
+  // not used), and rebuilding the order keeps every answer.
+  ASSERT_TRUE(t->AppendRow({Value(int64_t{3}), Value(1.0), Value("a")}).ok());
+  check_all("appended");
+  auto a = BindPredicate(*t, Predicate::Compare({"e", "s"}, CompareOp::kEq, Value("a")));
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(FilterRows(*t, {a.value()}, &visited).back(), t->num_rows() - 1);
+  ASSERT_TRUE(t->BuildValueOrder("s").ok());
+  check_all("reordered");
+
+  ASSERT_TRUE(t->BuildValueOrder("i").ok());
+  for (const Value& c : {Value(int64_t{5}), Value(int64_t{0}), Value(int64_t{-1}),
+                         Value(std::numeric_limits<int64_t>::max()),
+                         Value(std::numeric_limits<int64_t>::min()), Value(5.0),
+                         Value(int64_t{42}), Value::Null()}) {
+    ExpectFilterMatchesScan(*t, {Predicate::Compare({"e", "i"}, CompareOp::kEq, c)},
+                            "i = " + c.ToString());
+  }
+}
+
+// ---------- Joins on a table's PK index ----------
+
+TEST(PkIndexJoinTest, IndexedJoinsMatchPerQueryBuilds) {
+  const char* sqls[] = {
+      // Unfiltered PK side.
+      "SELECT p.name, c.movie_id FROM castinfo c, person p WHERE c.person_id = p.id",
+      // Filtered PK side: matches outside the surviving rows drop.
+      "SELECT p.name, m.title FROM castinfo c, person p, movie m "
+      "WHERE c.person_id = p.id AND c.movie_id = m.id AND p.gender = 'Female' "
+      "AND m.year >= 2000",
+      // Filter on the probe side only.
+      "SELECT DISTINCT p.name FROM person p, castinfo c WHERE c.person_id = p.id "
+      "AND c.movie_id = 12",
+  };
+  auto plain = MakeMoviesDb();
+  auto indexed = MakeMoviesDb();
+  for (const char* name : {"person", "movie"}) {
+    ASSERT_TRUE(indexed->GetMutableTable(name).value()->BuildPkIndex().ok());
+  }
+  size_t plain_builds = 0;
+  size_t indexed_builds = 0;
+  for (const char* sql : sqls) {
+    auto q = ParseQuery(sql);
+    ASSERT_TRUE(q.ok()) << sql;
+    Executor a(plain.get());
+    Executor b(indexed.get());
+    auto expected = a.Execute(q.value());
+    auto actual = b.Execute(q.value());
+    ASSERT_TRUE(expected.ok() && actual.ok()) << sql;
+    ASSERT_EQ(expected.value().num_rows(), actual.value().num_rows()) << sql;
+    for (size_t i = 0; i < expected.value().num_rows(); ++i) {
+      EXPECT_EQ(ResultSet::EncodeRow(expected.value().row(i)),
+                ResultSet::EncodeRow(actual.value().row(i)))
+          << sql << " row " << i;
+    }
+    EXPECT_LE(b.stats().join_hashes_built, a.stats().join_hashes_built) << sql;
+    plain_builds += a.stats().join_hashes_built;
+    indexed_builds += b.stats().join_hashes_built;
+  }
+  EXPECT_LT(indexed_builds, plain_builds);  // some joins probed a PK index
+}
+
+TEST(PkIndexJoinTest, StaleIndexIsNotProbed) {
+  auto db = MakeMoviesDb();
+  Table* person = db->GetMutableTable("person").value();
+  ASSERT_TRUE(person->BuildPkIndex().ok());
+  // A person appended after the index was built, and a cast row naming it.
+  ASSERT_TRUE(person->AppendRow({Value(int64_t{77}), Value("New Face"),
+                                 Value("Female"), Value(int64_t{30})})
+                  .ok());
+  Table* cast = db->GetMutableTable("castinfo").value();
+  std::vector<Value> row = cast->RowValues(0);
+  row[0] = Value(int64_t{9999});
+  row[1] = Value(int64_t{77});
+  ASSERT_TRUE(cast->AppendRow(row).ok());
+  // The one cast row starts the plan, so person (filtered or not) is the
+  // build side joined on its primary key.
+  for (const char* sql :
+       {"SELECT p.name FROM castinfo c, person p WHERE c.person_id = p.id "
+        "AND c.id = 9999",
+        "SELECT p.name FROM castinfo c, person p WHERE c.person_id = p.id "
+        "AND c.id = 9999 AND p.gender = 'Female'"}) {
+    auto rs = RunSql(*db, sql);
+    ASSERT_TRUE(rs.ok()) << sql;
+    EXPECT_EQ(NamesOf(rs.value()), std::vector<std::string>{"New Face"}) << sql;
+  }
 }
 
 // ---------- FlatJoinHash / TupleBuffer ----------

@@ -6,10 +6,10 @@
 #include <tuple>
 
 #include "common/strings.h"
-#include "storage/column_index.h"
 #include "storage/csv.h"
 #include "storage/database.h"
 #include "storage/inverted_index.h"
+#include "storage/join_hash.h"
 #include "tests/test_util.h"
 
 namespace squid {
@@ -199,45 +199,121 @@ TEST(DatabaseTest, TotalsAndNames) {
   EXPECT_GT(db->ApproxBytes(), 0u);
 }
 
-// ---------- Indexes ----------
+// ---------- Access paths ----------
 
-TEST(SortedIndexTest, PointAndRangeLookups) {
+TEST(PkIndexTest, ValueLookupsKeepNumericEquality) {
   auto db = testing::MakeMoviesDb();
-  const Table* movie = db->GetTable("movie").value();
-  auto index = SortedColumnIndex::Build(*movie, "year");
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index.value().NumRows(), 6u);
-  EXPECT_EQ(index.value().Lookup(Value(static_cast<int64_t>(2003))).size(), 1u);
-  EXPECT_TRUE(index.value().Lookup(Value(static_cast<int64_t>(1900))).empty());
-  // Range [1994, 2003]: 1994, 1996, 2001, 2003.
-  auto rows = index.value().Range(Value(static_cast<int64_t>(1994)),
-                                  Value(static_cast<int64_t>(2003)));
-  EXPECT_EQ(rows.size(), 4u);
-  // Unbounded range returns everything.
-  EXPECT_EQ(index.value().Range(Value::Null(), Value::Null()).size(), 6u);
-  EXPECT_EQ(index.value().MinValue().value().AsInt64(), 1994);
-  EXPECT_EQ(index.value().MaxValue().value().AsInt64(), 2014);
+  Table* movie = db->GetMutableTable("movie").value();
+  EXPECT_EQ(movie->pk_index(), nullptr);
+  EXPECT_EQ(movie->pk_column(), nullptr);
+  ASSERT_TRUE(movie->BuildPkIndex().ok());
+  const FlatJoinHash* pk = movie->pk_index();
+  ASSERT_NE(pk, nullptr);
+  const Column& id = *movie->pk_column();
+  EXPECT_EQ(&id, movie->ColumnByName("id").value());
+  EXPECT_EQ(pk->num_keys(), 6u);
+
+  auto rows = pk->Lookup(id, Value(static_cast<int64_t>(12)));
+  ASSERT_EQ(rows.size, 1u);
+  EXPECT_EQ(rows.data[0], 2u);
+  // 12.0 == 12 under Value equality; 12.5, strings and NULL match nothing.
+  rows = pk->Lookup(id, Value(12.0));
+  ASSERT_EQ(rows.size, 1u);
+  EXPECT_EQ(rows.data[0], 2u);
+  EXPECT_TRUE(pk->Lookup(id, Value(12.5)).empty());
+  EXPECT_TRUE(pk->Lookup(id, Value("12")).empty());
+  EXPECT_TRUE(pk->Lookup(id, Value::Null()).empty());
+  EXPECT_TRUE(pk->Lookup(id, Value(static_cast<int64_t>(42))).empty());
+
+  // Building again while current keeps the same index.
+  ASSERT_TRUE(movie->BuildPkIndex().ok());
+  EXPECT_EQ(movie->pk_index(), pk);
 }
 
-TEST(SortedIndexTest, ExcludesNulls) {
-  Schema s("t", {{"a", ValueType::kInt64}});
+TEST(PkIndexTest, DoubleKeysAndDuplicateKeys) {
+  Schema s("t", {{"k", ValueType::kDouble}, {"v", ValueType::kString}});
+  s.set_primary_key("k");
   Table t(s);
-  ASSERT_TRUE(t.AppendRow({Value(static_cast<int64_t>(1))}).ok());
-  ASSERT_TRUE(t.AppendRow({Value::Null()}).ok());
-  auto index = SortedColumnIndex::Build(t, "a");
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index.value().NumRows(), 1u);
+  for (double k : {2.0, -0.0, 2.0, 3.5}) {
+    ASSERT_TRUE(t.AppendRow({Value(k), Value("x")}).ok());
+  }
+  ASSERT_TRUE(t.AppendRow({Value::Null(), Value("x")}).ok());
+  ASSERT_TRUE(t.BuildPkIndex().ok());
+  const FlatJoinHash& pk = *t.pk_index();
+  const Column& k = *t.pk_column();
+  // A repeated key's rows form one ascending span; int64 2 finds them.
+  auto rows = pk.Lookup(k, Value(static_cast<int64_t>(2)));
+  ASSERT_EQ(rows.size, 2u);
+  EXPECT_EQ(rows.data[0], 0u);
+  EXPECT_EQ(rows.data[1], 2u);
+  EXPECT_EQ(pk.Lookup(k, Value(0.0)).size, 1u);  // -0.0 == 0.0
+  EXPECT_EQ(pk.Lookup(k, Value(3.5)).size, 1u);
+  EXPECT_EQ(pk.num_rows(), 4u);  // the NULL key is not indexed
 }
 
-TEST(HashIndexTest, LookupPostings) {
+TEST(PkIndexTest, UnkeyedRelationAndStaleIndex) {
+  Table unkeyed(Schema("u", {{"a", ValueType::kInt64}}));
+  EXPECT_FALSE(unkeyed.BuildPkIndex().ok());
+  EXPECT_EQ(unkeyed.pk_index(), nullptr);
+
   auto db = testing::MakeMoviesDb();
-  const Table* cast = db->GetTable("castinfo").value();
-  auto index = HashColumnIndex::Build(*cast, "person_id");
-  ASSERT_TRUE(index.ok());
-  const auto* rows = index.value().Lookup(Value(static_cast<int64_t>(2)));
-  ASSERT_NE(rows, nullptr);
-  EXPECT_EQ(rows->size(), 4u);  // Ewan appears in 4 movies
-  EXPECT_EQ(index.value().Lookup(Value(static_cast<int64_t>(42))), nullptr);
+  Table* genre = db->GetMutableTable("genre").value();
+  ASSERT_TRUE(genre->BuildPkIndex().ok());
+  ASSERT_NE(genre->pk_index(), nullptr);
+  // An appended row makes the index stale: it reads as absent until rebuilt,
+  // and the rebuild covers the new row.
+  ASSERT_TRUE(genre->AppendRow({Value(static_cast<int64_t>(99)), Value("Noir")}).ok());
+  EXPECT_EQ(genre->pk_index(), nullptr);
+  EXPECT_EQ(genre->pk_column(), nullptr);
+  ASSERT_TRUE(genre->BuildPkIndex().ok());
+  auto rows = genre->pk_index()->Lookup(*genre->pk_column(),
+                                        Value(static_cast<int64_t>(99)));
+  ASSERT_EQ(rows.size, 1u);
+  EXPECT_EQ(rows.data[0], genre->num_rows() - 1);
+}
+
+TEST(ValueOrderTest, RunsInCompareRowsOrderNullsFirst) {
+  Schema s("t", {{"value", ValueType::kString}, {"n", ValueType::kInt64}});
+  Table t(s);
+  const char* cells[] = {"pear", nullptr, "apple", "pear", "fig", nullptr, "apple", "pear"};
+  for (const char* c : cells) {
+    ASSERT_TRUE(t.AppendRow({c ? Value(c) : Value::Null(),
+                             Value(static_cast<int64_t>(c ? 1 : 0))})
+                    .ok());
+  }
+  const Column* value = t.ColumnByName("value").value();
+  EXPECT_EQ(t.ValueOrderOf(value), nullptr);
+  ASSERT_TRUE(t.BuildValueOrder("value").ok());
+  const std::vector<uint32_t>* order = t.ValueOrderOf(value);
+  ASSERT_NE(order, nullptr);
+  EXPECT_EQ(*order, (std::vector<uint32_t>{1, 5, 2, 6, 4, 0, 3, 7}));
+  // Only the ordered column answers.
+  EXPECT_EQ(t.ValueOrderOf(t.ColumnByName("n").value()), nullptr);
+  for (size_t i = 1; i < order->size(); ++i) {
+    const int c = value->CompareRows((*order)[i - 1], (*order)[i]);
+    EXPECT_TRUE(c < 0 || (c == 0 && (*order)[i - 1] < (*order)[i])) << i;
+  }
+  // An appended row makes the order stale until it is rebuilt.
+  ASSERT_TRUE(t.AppendRow({Value("banana"), Value(static_cast<int64_t>(1))}).ok());
+  EXPECT_EQ(t.ValueOrderOf(value), nullptr);
+  ASSERT_TRUE(t.BuildValueOrder("value").ok());
+  EXPECT_EQ(*t.ValueOrderOf(value), (std::vector<uint32_t>{1, 5, 2, 6, 8, 4, 0, 3, 7}));
+}
+
+TEST(ValueOrderTest, Int64OrderAndUnorderedTypes) {
+  Schema s("t", {{"i", ValueType::kInt64}, {"d", ValueType::kDouble}});
+  Table t(s);
+  for (int64_t v : {5, -3, 5, 0, -3, 7}) {
+    ASSERT_TRUE(t.AppendRow({Value(v), Value(static_cast<double>(v))}).ok());
+  }
+  ASSERT_TRUE(t.BuildValueOrder("i").ok());
+  EXPECT_EQ(*t.ValueOrderOf(t.ColumnByName("i").value()),
+            (std::vector<uint32_t>{1, 4, 3, 0, 2, 5}));
+  // A double column gets no order (and the earlier one is replaced).
+  ASSERT_TRUE(t.BuildValueOrder("d").ok());
+  EXPECT_EQ(t.ValueOrderOf(t.ColumnByName("d").value()), nullptr);
+  EXPECT_EQ(t.ValueOrderOf(t.ColumnByName("i").value()), nullptr);
+  EXPECT_FALSE(t.BuildValueOrder("missing").ok());
 }
 
 // ---------- Inverted index ----------
