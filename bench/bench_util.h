@@ -163,9 +163,9 @@ inline std::vector<Value> GroundTruthKeys(const Database& db,
     SQUID_CHECK(!alias.empty());
     branch.select_list = {SelectItem{{alias, *pk}}};
   }
+  keys_query.branches[0].distinct = true;
   auto rs = ExecuteQuery(db, keys_query);
   SQUID_CHECK(rs.ok()) << rs.status().ToString();
-  rs.value().Deduplicate();
   std::vector<Value> keys;
   for (const Value& v : rs.value().ColumnValues(0)) keys.push_back(v);
   return keys;

@@ -123,16 +123,19 @@ Result<HopAdjacencies::DimAdjacency> BuildDim(const Database& db,
   SQUID_ASSIGN_OR_RETURN(const Table* current, RowIdTable(db, current_relation));
   SQUID_ASSIGN_OR_RETURN(const Column* from, current->ColumnByName(dim.from_attr));
   SQUID_ASSIGN_OR_RETURN(const Table* target, RowIdTable(db, dim.dim_relation));
-  SQUID_ASSIGN_OR_RETURN(const Column* dim_key, target->ColumnByName(dim.dim_key));
+  const FlatJoinHash* pk = target->pk_index();
+  if (pk == nullptr || target->schema().primary_key() != dim.dim_key) {
+    return Status::InvalidArgument("dim hop does not key relation '" + dim.dim_relation +
+                                   "' by its indexed primary key");
+  }
 
-  const FlatJoinHash hash = HashAllRows(*dim_key);
   HopAdjacencies::DimAdjacency adj;
   adj.begin.reserve(current->num_rows() + 1);
   adj.begin.push_back(0);
   uint64_t packed = 0;
   for (size_t r = 0; r < current->num_rows(); ++r) {
-    if (PackProbeKey(*dim_key, *from, r, &packed)) {
-      FlatJoinHash::RowSpan span = hash.Probe(packed);
+    if (PackProbeKey(*target->pk_column(), *from, r, &packed)) {
+      FlatJoinHash::RowSpan span = pk->Probe(packed);
       adj.rows.insert(adj.rows.end(), span.begin(), span.end());
     }
     if (adj.rows.size() >= kNoRow) {
@@ -421,28 +424,6 @@ Result<DerivedRelation> MaterializeDerivedRelation(const Database& db,
   return result;
 }
 
-namespace {
-
-/// True when rows `a` and `b` of `col` hold one key as a PK index packs
-/// it: equal integers, equal double images (-0.0 is 0.0), one symbol,
-/// or both null.
-bool SameKey(const Column& col, size_t a, size_t b) {
-  if (col.IsNull(a) || col.IsNull(b)) return col.IsNull(a) == col.IsNull(b);
-  switch (col.type()) {
-    case ValueType::kInt64:
-      return col.Int64At(a) == col.Int64At(b);
-    case ValueType::kDouble:
-      return PackedDoubleBits(col.DoubleAt(a)) == PackedDoubleBits(col.DoubleAt(b));
-    case ValueType::kString:
-      return col.SymbolAt(a) == col.SymbolAt(b);
-    case ValueType::kNull:
-      return true;
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<std::vector<EntityRows>> IndexDerivedEntities(const Table& derived,
                                                      const Table& entity) {
   const FlatJoinHash* entity_pk = entity.pk_index();
@@ -464,11 +445,16 @@ Result<std::vector<EntityRows>> IndexDerivedEntities(const Table& derived,
   const size_t n = derived.num_rows();
   if (n >= kNoRow) return malformed("has too many rows for 32-bit row ranges");
 
+  // Rows `a` and `b` hold one entity key: equal packed cells, or both NULL.
+  auto same_key = [entity_col](size_t a, size_t b) {
+    uint64_t ka = 0, kb = 0;
+    return PackCellKey(*entity_col, a, &ka) == PackCellKey(*entity_col, b, &kb) && ka == kb;
+  };
   constexpr double kMaxExactTotal = 9007199254740992.0;  // 2^53
   std::vector<EntityRows> ranges(entity.num_rows());
   for (size_t begin = 0, end = 0; begin < n; begin = end) {
     double total = 0;
-    for (end = begin; end < n && SameKey(*entity_col, begin, end); ++end) {
+    for (end = begin; end < n && same_key(begin, end); ++end) {
       if (end > begin && value_col->CompareRows(end - 1, end) > 0) {
         return malformed("lists the values of one entity out of order (rows " +
                          std::to_string(end - 1) + ", " + std::to_string(end) + ")");

@@ -10,7 +10,8 @@
 /// Materialization runs on row ids. HopAdjacencies resolves every distinct
 /// hop of a build once — a fact hop to a CSR from a current-relation row to
 /// its (fact row, next row) pairs, a dim hop to a CSR from a row to its
-/// dimension rows — with keys packed by PackProbeKey / FlatJoinHash, so the
+/// dimension rows, probed in the dimension's PK index — with keys packed by
+/// PackProbeKey / FlatJoinHash, so the
 /// joins keep Value equality (1 == 1.0, -0.0 == 0.0; nulls and dangling FKs
 /// never join). Each descriptor then walks one entity at a time over those
 /// read-only adjacencies: the frontier is bounded by one entity's fan-out,
@@ -61,7 +62,9 @@ class HopAdjacencies {
   };
 
   /// Resolves every distinct hop and entity order `descriptors` traverse
-  /// against `db` (descriptors without fact hops contribute nothing). The
+  /// against `db` (descriptors without fact hops contribute nothing). A dim
+  /// hop reads the PK index of its dimension, which must be current and
+  /// key `dim_key` (InvalidArgument otherwise). The
   /// independent pieces build in parallel on `pool`; the result does not
   /// depend on its thread count.
   static Result<HopAdjacencies> Build(

@@ -192,6 +192,8 @@ Result<SchemaGraph> SchemaGraph::Analyze(const Database& db,
     for (const auto& fk : t->schema().foreign_keys()) {
       if (kind_of[fk.ref_relation] != RelationKind::kDimension) continue;
       SQUID_ASSIGN_OR_RETURN(const Table* dim, db.GetTable(fk.ref_relation));
+      // A dim hop is read through the dim's PK index, so it must key the PK.
+      if (dim->schema().primary_key() != fk.ref_attribute) continue;
       DimHop hop{fk.attribute, fk.ref_relation, fk.ref_attribute};
       for (const auto& attr : dim->schema().property_attributes()) {
         out.push_back(DimTarget{{hop}, fk.ref_relation, attr});

@@ -61,7 +61,10 @@ struct FactHop {
   std::string next_key;       // PK of next_relation
 };
 
-/// One FK-dereference into a dimension: current.from_attr -> dim.dim_key.
+/// One FK-dereference into a dimension: current.from_attr -> dim.dim_key,
+/// where dim_key is always the dimension's primary key (Analyze forms no
+/// hop through any other attribute), so the αDB follows it through the
+/// dimension's PK index.
 struct DimHop {
   std::string from_attr;
   std::string dim_relation;

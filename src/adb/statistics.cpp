@@ -1,7 +1,6 @@
 #include "adb/statistics.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "storage/join_hash.h"
 
@@ -38,36 +37,6 @@ ValueKey PropertyStats::InternKey(const Value& v, StringPool* pool) {
 }
 
 namespace {
-
-/// One dim hop's target: the dim relation, its key column, and a
-/// FlatJoinHash over every row of that column.
-struct DimIndex {
-  const Table* table = nullptr;
-  const Column* key = nullptr;
-  FlatJoinHash hash;
-};
-
-/// Resolves the dim-chain value of `desc` for entity row `row`, returning
-/// NULL when any link is missing. `dims[i]` indexes dims[i]'s relation; keys
-/// match under Value equality (PackProbeKey).
-Result<Value> ResolveDims(const PropertyDescriptor& desc, const Table& entity,
-                          size_t row, const std::vector<DimIndex>& dims) {
-  const Table* current = &entity;
-  size_t current_row = row;
-  for (size_t i = 0; i < desc.dims.size(); ++i) {
-    SQUID_ASSIGN_OR_RETURN(const Column* from,
-                           current->ColumnByName(desc.dims[i].from_attr));
-    uint64_t key = 0;
-    if (!PackProbeKey(*dims[i].key, *from, current_row, &key)) return Value::Null();
-    const FlatJoinHash::RowSpan rows = dims[i].hash.Probe(key);
-    if (rows.empty()) return Value::Null();
-    current = dims[i].table;
-    current_row = rows.data[0];
-  }
-  SQUID_ASSIGN_OR_RETURN(const Column* terminal,
-                         current->ColumnByName(desc.terminal_attr));
-  return terminal->ValueAt(current_row);
-}
 
 /// Fraction of `sorted` (ascending) that is >= theta.
 double SuffixFraction(const std::vector<double>& sorted, double theta, size_t total) {
@@ -142,17 +111,35 @@ Result<PropertyStats> StatisticsBuilder::BuildBasic(const Database& db,
   stats.total_entities_ = entity->num_rows();
   stats.pool_ = db.pool();
 
-  std::vector<DimIndex> dims(desc.dims.size());
-  for (size_t i = 0; i < desc.dims.size(); ++i) {
-    SQUID_ASSIGN_OR_RETURN(dims[i].table, db.GetTable(desc.dims[i].dim_relation));
-    SQUID_ASSIGN_OR_RETURN(dims[i].key, dims[i].table->ColumnByName(desc.dims[i].dim_key));
-    std::vector<uint32_t> rows(dims[i].table->num_rows());
-    std::iota(rows.begin(), rows.end(), 0u);
-    dims[i].hash = FlatJoinHash::Build(*dims[i].key, rows);
+  // The dim chain, resolved once: each hop's FK column and the dim relation
+  // whose PK index it probes (schema_graph.h: a dim hop keys the dim's PK).
+  std::vector<std::pair<const Column*, const Table*>> steps;
+  const Table* current = entity;
+  for (const DimHop& hop : desc.dims) {
+    SQUID_ASSIGN_OR_RETURN(const Column* from, current->ColumnByName(hop.from_attr));
+    SQUID_ASSIGN_OR_RETURN(current, db.GetTable(hop.dim_relation));
+    if (current->pk_index() == nullptr || current->schema().primary_key() != hop.dim_key) {
+      return Status::InvalidArgument("descriptor '" + desc.id + "' does not key relation '" +
+                                     hop.dim_relation + "' by its indexed primary key");
+    }
+    steps.emplace_back(from, current);
   }
+  SQUID_ASSIGN_OR_RETURN(const Column* terminal, current->ColumnByName(desc.terminal_attr));
 
+  constexpr size_t kUnlinked = ~size_t{0};
   for (size_t r = 0; r < entity->num_rows(); ++r) {
-    SQUID_ASSIGN_OR_RETURN(Value v, ResolveDims(desc, *entity, r, dims));
+    // A NULL or dangling link leaves the entity without a value.
+    size_t row = r;
+    for (size_t i = 0; i < steps.size() && row != kUnlinked; ++i) {
+      const auto& [from, dim] = steps[i];
+      uint64_t key = 0;
+      const FlatJoinHash::RowSpan rows = PackProbeKey(*dim->pk_column(), *from, row, &key)
+                                             ? dim->pk_index()->Probe(key)
+                                             : FlatJoinHash::RowSpan{};
+      row = rows.empty() ? kUnlinked : rows.data[0];
+    }
+    if (row == kUnlinked) continue;
+    Value v = terminal->ValueAt(row);
     if (v.is_null()) continue;
     if (desc.kind == PropertyKind::kInlineNumeric) {
       SQUID_ASSIGN_OR_RETURN(double num, v.ToNumeric());

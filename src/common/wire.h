@@ -2,12 +2,11 @@
 #define SQUID_COMMON_WIRE_H_
 
 /// \file wire.h
-/// \brief The self-delimiting binary primitive shared by row encoding and
-/// the network framing: a one-byte tag, a 32-bit little-endian length, and
-/// `length` payload bytes. ResultSet::EncodeRow writes values this way (so
-/// adversarial strings cannot forge value boundaries) and src/net/ frames
-/// whole messages the same way — one scheme, one set of bounds-checked
-/// readers.
+/// \brief The self-delimiting binary primitive of the network framing and
+/// its payloads: a one-byte tag, a 32-bit little-endian length, and
+/// `length` payload bytes. src/net/ frames whole messages this way and
+/// length-prefixes every string inside them (so adversarial strings cannot
+/// forge field boundaries) — one scheme, one set of bounds-checked readers.
 ///
 /// Writers append to a std::string and cannot fail. WireReader is the trust
 /// boundary for bytes that arrived from outside the process: every read is
@@ -35,8 +34,8 @@ void AppendDouble(std::string* out, double v);
 /// Appends a u32 length prefix followed by the bytes of `s`.
 void AppendString(std::string* out, std::string_view s);
 
-/// Appends `tag`, a u32 length prefix, and the payload bytes — the shared
-/// tag+length+payload cell scheme (EncodeRow cells and net frames).
+/// Appends `tag`, a u32 length prefix, and the payload bytes — the
+/// tag+length+payload cell scheme of net frames.
 void AppendTagged(std::string* out, uint8_t tag, std::string_view payload);
 
 /// \brief Bounds-checked sequential reader over untrusted bytes. Reads

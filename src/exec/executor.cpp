@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
+#include <numeric>
 #include <optional>
 
 #include "exec/expression.h"
@@ -35,31 +35,133 @@ struct JoinState {
   std::vector<bool> bound;
 };
 
+/// A column read from the tuple buffer: the column and its alias's bound
+/// position.
+using CellRef = std::pair<const Column*, size_t>;
+
+/// Packs the cell at `row` of `col` into key[0, 2) as the word pair every
+/// set operation compares: (0, 0) for NULL, else (1 + type, PackCellKey
+/// bits), so cells of different types never match and -0.0 matches 0.0.
+/// The key is in the key space of column `space`: a string from another
+/// pool is looked up in space's dictionary. Returns false when the cell
+/// can equal no cell of `space`.
+bool PackSetCell(const Column& col, uint32_t row, const Column& space, uint64_t* key) {
+  uint64_t bits = 0;
+  if (!PackCellKey(col, row, &bits)) {
+    key[0] = key[1] = 0;
+    return true;
+  }
+  if (col.type() == ValueType::kString && col.pool() != space.pool()) {
+    if (space.type() != ValueType::kString) return false;
+    bits = space.pool()->Find(col.StringAt(row));
+    if (bits == kNoSymbol) return false;
+  }
+  key[0] = 1 + static_cast<uint64_t>(col.type());
+  key[1] = bits;
+  return true;
+}
+
+/// Folds the `cells` of the tuples `rows`, a chunk at a time, into a
+/// GroupKeyTable (exec/group_table.h). A group's first_tuple is a position
+/// in `rows`.
+GroupKeyTable Fold(const TupleBuffer& tuples, const std::vector<CellRef>& cells,
+                   const std::vector<uint32_t>& rows) {
+  const size_t parts = cells.size() * 2;
+  GroupKeyTable table(parts);
+  std::vector<uint64_t> scratch(kProbeChunk * parts);
+  for (size_t base = 0; base < rows.size(); base += kProbeChunk) {
+    const size_t n = std::min(kProbeChunk, rows.size() - base);
+    for (size_t j = 0; j < n; ++j) {
+      for (size_t k = 0; k < cells.size(); ++k) {
+        const auto& [col, pos] = cells[k];
+        PackSetCell(*col, tuples.At(rows[base + j], pos), *col,
+                    &scratch[j * parts + 2 * k]);
+      }
+    }
+    table.AddBatch(scratch.data(), n, static_cast<uint32_t>(base));
+  }
+  return table;
+}
+
+/// The first of `rows` in each group of `table` (a Fold over `rows`) that
+/// `keep(group index, group)` accepts, in first-occurrence order.
+template <typename Keep>
+std::vector<uint32_t> FirstRows(const GroupKeyTable& table,
+                                const std::vector<uint32_t>& rows, Keep keep) {
+  std::vector<uint32_t> out;
+  out.reserve(table.num_groups());
+  for (size_t gi = 0; gi < table.num_groups(); ++gi) {
+    const GroupKeyTable::Group& g = table.groups()[gi];
+    if (keep(gi, g)) out.push_back(rows[g.first_tuple]);
+  }
+  return out;
+}
+
 }  // namespace
+
+/// One select block's output before any Value is built: its final tuple
+/// buffer, each select item's cell, and the output tuples in output order.
+struct Executor::Block {
+  std::vector<std::string> names;
+  TupleBuffer tuples;
+  std::vector<CellRef> projections;
+  std::vector<uint32_t> rows;
+
+  /// Builds the Values of the output rows.
+  ResultSet Emit() && {
+    ResultSet result(std::move(names));
+    for (uint32_t t : rows) {
+      std::vector<Value> row;
+      row.reserve(projections.size());
+      for (const auto& [col, pos] : projections) row.push_back(col->ValueAt(tuples.At(t, pos)));
+      result.AddRow(std::move(row));
+    }
+    return result;
+  }
+};
 
 Result<ResultSet> Executor::Execute(const Query& query) {
   if (query.branches.empty()) {
     return Status::InvalidArgument("query with no branches");
   }
   join_hash_cache_.clear();
-  SQUID_ASSIGN_OR_RETURN(ResultSet out, ExecuteSelectImpl(query.branches[0]));
+  SQUID_ASSIGN_OR_RETURN(Block out, ExecuteBlock(query.branches[0]));
   if (query.branches.size() > 1) {
-    out.Deduplicate();  // INTERSECT has set semantics
+    // INTERSECT has set semantics: branch 0's distinct rows, in its order,
+    // that every later branch also produces. A later branch's cells are
+    // packed in branch 0's key space and looked up among its groups; a
+    // branch of another width matches nothing.
+    const GroupKeyTable groups = Fold(out.tuples, out.projections, out.rows);
+    std::vector<size_t> found_through(groups.num_groups(), 0);  // last branch
+    std::vector<uint64_t> key(out.projections.size() * 2);
     for (size_t i = 1; i < query.branches.size(); ++i) {
-      SQUID_ASSIGN_OR_RETURN(ResultSet other,
-                             ExecuteSelectImpl(query.branches[i]));
-      out.IntersectWith(other.ToSet());
+      SQUID_ASSIGN_OR_RETURN(Block other, ExecuteBlock(query.branches[i]));
+      if (other.projections.size() != out.projections.size()) other.rows.clear();
+      for (uint32_t t : other.rows) {
+        bool packed = true;
+        for (size_t k = 0; k < other.projections.size() && packed; ++k) {
+          const auto& [col, pos] = other.projections[k];
+          packed = PackSetCell(*col, other.tuples.At(t, pos), *out.projections[k].first,
+                               &key[2 * k]);
+        }
+        const uint32_t g = packed ? groups.Find(key.data()) : GroupKeyTable::kNoGroup;
+        if (g != GroupKeyTable::kNoGroup && found_through[g] == i - 1) found_through[g] = i;
+      }
     }
+    out.rows = FirstRows(groups, out.rows, [&](size_t gi, const GroupKeyTable::Group&) {
+      return found_through[gi] == query.branches.size() - 1;
+    });
   }
-  return out;
+  return std::move(out).Emit();
 }
 
 Result<ResultSet> Executor::ExecuteSelect(const SelectQuery& query) {
   join_hash_cache_.clear();
-  return ExecuteSelectImpl(query);
+  SQUID_ASSIGN_OR_RETURN(Block block, ExecuteBlock(query));
+  return std::move(block).Emit();
 }
 
-Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
+Result<Executor::Block> Executor::ExecuteBlock(const SelectQuery& query) {
   if (query.from.empty()) return Status::InvalidArgument("empty FROM clause");
   const size_t num_aliases = query.from.size();
 
@@ -244,14 +346,13 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
       hash = &*filtered_hash;
     }
 
-    // Probe side: locate the bound alias position within tuples.
-    size_t bound_pos = 0;
-    for (size_t i = 0; i < state.bound_order.size(); ++i) {
-      if (state.bound_order[i] == bound_alias) {
-        bound_pos = i;
-        break;
-      }
-    }
+    // Probe side: the bound alias's position within tuples.
+    auto pos_of = [&state](size_t alias) {
+      return static_cast<size_t>(
+          std::find(state.bound_order.begin(), state.bound_order.end(), alias) -
+          state.bound_order.begin());
+    };
+    const size_t bound_pos = pos_of(bound_alias);
     SQUID_ASSIGN_OR_RETURN(const Column* bound_column,
                            state.tables[bound_alias]->ColumnByName(bound_col.attribute));
 
@@ -280,18 +381,11 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
         continue;
       }
       size_t balias = *query.FindAlias(bside->table_alias);
-      size_t bpos = 0;
-      for (size_t i = 0; i < state.bound_order.size(); ++i) {
-        if (state.bound_order[i] == balias) {
-          bpos = i;
-          break;
-        }
-      }
       SQUID_ASSIGN_OR_RETURN(const Column* bcol,
                              state.tables[balias]->ColumnByName(bside->attribute));
       SQUID_ASSIGN_OR_RETURN(const Column* ncol,
                              state.tables[next_alias]->ColumnByName(nside->attribute));
-      extras.push_back(ExtraEdge{bpos, bcol, ncol});
+      extras.push_back(ExtraEdge{pos_of(balias), bcol, ncol});
     }
 
     // Vectorized probe: per chunk, pack the probe keys of kProbeChunk
@@ -401,106 +495,60 @@ Result<ResultSet> Executor::ExecuteSelectImpl(const SelectQuery& query) {
     state.tuples.Keep(sel.data(), sel.size());
   }
 
-  auto column_of = [&](const ColumnRef& ref) -> Result<std::pair<const Column*, size_t>> {
+  auto column_of = [&](const ColumnRef& ref) -> Result<CellRef> {
     auto alias_idx = query.FindAlias(ref.table_alias);
     if (!alias_idx) {
       return Status::InvalidArgument("unknown alias '" + ref.table_alias + "'");
     }
     SQUID_ASSIGN_OR_RETURN(const Column* col,
                            state.tables[*alias_idx]->ColumnByName(ref.attribute));
-    return std::make_pair(col, alias_pos[*alias_idx]);
+    return CellRef{col, alias_pos[*alias_idx]};
   };
 
-  // Output column names.
-  std::vector<std::string> names;
-  names.reserve(query.select_list.size());
+  Block block;
   for (const auto& item : query.select_list) {
-    names.push_back(item.column.ToString());
+    block.names.push_back(item.column.ToString());
+    SQUID_ASSIGN_OR_RETURN(CellRef proj, column_of(item.column));
+    block.projections.push_back(proj);
   }
-  ResultSet result(std::move(names));
+  block.rows.resize(state.tuples.size());
+  std::iota(block.rows.begin(), block.rows.end(), 0u);
 
-  std::vector<std::pair<const Column*, size_t>> projections;
-  for (const auto& item : query.select_list) {
-    SQUID_ASSIGN_OR_RETURN(auto proj, column_of(item.column));
-    projections.push_back(proj);
-  }
-
-  auto emit = [&](uint32_t t) {
-    std::vector<Value> row;
-    row.reserve(projections.size());
-    for (const auto& [col, pos] : projections) row.push_back(col->ValueAt(state.tuples.At(t, pos)));
-    result.AddRow(std::move(row));
-  };
-  // Packs each tuple's `keys` cells — (validity, symbol-or-bits) pairs — a
-  // chunk at a time into one flat scratch block and folds them into a
-  // GroupKeyTable (see exec/group_table.h), whose groups keep
-  // first-occurrence order.
-  auto fold = [&](const std::vector<std::pair<const Column*, size_t>>& keys) {
-    const size_t parts = keys.size() * 2;
-    GroupKeyTable table(parts);
-    std::vector<uint64_t> scratch(kProbeChunk * parts);
-    for (size_t base = 0; base < state.tuples.size(); base += kProbeChunk) {
-      const size_t n = std::min(kProbeChunk, state.tuples.size() - base);
-      for (size_t j = 0; j < n; ++j) {
-        const size_t t = base + j;
-        for (size_t k = 0; k < keys.size(); ++k) {
-          uint64_t packed = 0;
-          bool valid = PackCellKey(*keys[k].first,
-                                   state.tuples.At(t, keys[k].second), &packed);
-          scratch[j * parts + 2 * k] = valid ? 1 : 0;
-          scratch[j * parts + 2 * k + 1] = valid ? packed : 0;
-        }
-      }
-      table.AddBatch(scratch.data(), n, static_cast<uint32_t>(base));
-    }
-    return table;
-  };
-
-  const bool plain = query.group_by.empty() && !query.having;
-  // DISTINCT over string and int64 columns drops duplicate tuples by their
-  // packed cells before any Value is built. Two such cells pack equal
-  // exactly when ResultSet::EncodeRow renders them equal, so each key's
-  // first tuple is the row Deduplicate would keep, in the same order.
-  // Doubles, whose "%g" rendering merges distinct values, take the Value
-  // path below.
-  const bool packed_distinct =
-      plain && query.distinct && !projections.empty() &&
-      std::all_of(projections.begin(), projections.end(), [](const auto& proj) {
-        return proj.first->type() == ValueType::kString ||
-               proj.first->type() == ValueType::kInt64;
-      });
-  if (packed_distinct) {
-    const GroupKeyTable table = fold(projections);
-    for (size_t gi = 0; gi < table.num_groups(); ++gi) emit(table.groups()[gi].first_tuple);
-    return result;
-  }
-  if (plain) {
-    for (size_t t = 0; t < state.tuples.size(); ++t) emit(static_cast<uint32_t>(t));
-  } else {
+  if (!query.group_by.empty() || query.having) {
     // Group-by (with count(*) HAVING). Projected columns must be functionally
     // dependent on the grouping key in well-formed queries; we take the first
     // tuple of each group (MySQL-style loose semantics).
-    std::vector<std::pair<const Column*, size_t>> keys;
+    std::vector<CellRef> keys;
     for (const auto& g : query.group_by) {
-      SQUID_ASSIGN_OR_RETURN(auto key, column_of(g));
+      SQUID_ASSIGN_OR_RETURN(CellRef key, column_of(g));
       keys.push_back(key);
     }
-    const GroupKeyTable table = fold(keys);
+    const GroupKeyTable table = Fold(state.tuples, keys, block.rows);
     stats_.groups += table.num_groups();
-    for (size_t gi = 0; gi < table.num_groups(); ++gi) {
-      const GroupKeyTable::Group& g = table.groups()[gi];
-      if (query.having) {
-        Value count_val(static_cast<int64_t>(g.count));
-        Value target(query.having->value);
-        if (!EvalCompare(count_val, query.having->op, target)) continue;
+    block.rows = FirstRows(table, block.rows, [&](size_t, const GroupKeyTable::Group& g) {
+      if (!query.having) return true;
+      return EvalCompare(Value(static_cast<int64_t>(g.count)), query.having->op,
+                         Value(query.having->value));
+    });
+    // Group order must not leak into the output: rows sort by their
+    // projected cells in Value order (Column::CompareRows).
+    std::sort(block.rows.begin(), block.rows.end(), [&](uint32_t a, uint32_t b) {
+      for (const auto& [col, pos] : block.projections) {
+        const int c = col->CompareRows(state.tuples.At(a, pos), state.tuples.At(b, pos));
+        if (c != 0) return c < 0;
       }
-      emit(g.first_tuple);
-    }
-    result.SortRows();  // group order must not leak into the output
+      return false;
+    });
   }
 
-  if (query.distinct) result.Deduplicate();
-  return result;
+  // DISTINCT keeps each row's first occurrence, compared on packed cells.
+  if (query.distinct) {
+    const GroupKeyTable table = Fold(state.tuples, block.projections, block.rows);
+    block.rows = FirstRows(table, block.rows,
+                           [](size_t, const GroupKeyTable::Group&) { return true; });
+  }
+  block.tuples = std::move(state.tuples);
+  return block;
 }
 
 Result<ResultSet> ExecuteQuery(const Database& db, const Query& query) {

@@ -6,6 +6,11 @@
 /// vectorized hash equi-joins in connectivity order, group-by count
 /// aggregation with HAVING, DISTINCT projection, and INTERSECT of blocks.
 ///
+/// GROUP BY, DISTINCT and INTERSECT share one row equality: packed
+/// (type tag, symbol-or-bits) cells folded into a GroupKeyTable
+/// (exec/group_table.h), so values of different column types never match
+/// and -0.0 matches 0.0. Values are built only for the emitted rows.
+///
 /// Pushed-down predicates are resolved once per query into typed scan
 /// kernels over the raw column vectors (exec/expression.h): string = / <>
 /// compare dictionary symbols, orderings compare string views, numerics
@@ -29,9 +34,7 @@
 /// per-tuple executor of that plan that scans through Value comparisons and
 /// builds a hash per join (the golden-parity suite in
 /// tests/exec_parity_test.cpp pins this, on built and snapshot-loaded
-/// αDBs). Plan *choices* may intentionally differ from older releases (the
-/// start-alias fix reorders output for queries with join-disconnected FROM
-/// entries).
+/// αDBs).
 ///
 /// This is the substrate both for evaluating ground-truth benchmark queries
 /// and for running SQuID's abduced queries (Fig. 11 compares the two).
@@ -84,9 +87,13 @@ class Executor {
   const ExecStats& stats() const { return stats_; }
 
  private:
-  /// ExecuteSelect body; assumes the join-hash cache is valid for the
-  /// current top-level call (tables unchanged since it was cleared).
-  Result<ResultSet> ExecuteSelectImpl(const SelectQuery& query);
+  /// One select block's output before any Value is built (executor.cpp).
+  struct Block;
+
+  /// Runs one select block up to emission; assumes the join-hash cache is
+  /// valid for the current top-level call (tables unchanged since it was
+  /// cleared).
+  Result<Block> ExecuteBlock(const SelectQuery& query);
 
   const Database* db_;
   ExecStats stats_;

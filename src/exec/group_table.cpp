@@ -27,28 +27,33 @@ void GroupKeyTable::Rehash() {
   }
 }
 
+size_t GroupKeyTable::Slot(const uint64_t* key, uint64_t h) const {
+  size_t b = h & (cap_ - 1);
+  while (true) {
+    const uint32_t g = slots_[b];
+    if (g == kNoGroup ||
+        (groups_[g].hash == h &&
+         std::equal(key, key + parts_, key_storage_.data() + g * parts_))) {
+      return b;
+    }
+    b = (b + 1) & (cap_ - 1);
+  }
+}
+
 void GroupKeyTable::AddBatch(const uint64_t* packed, size_t n,
                              uint32_t tuple_base) {
   for (size_t i = 0; i < n; ++i) {
     const uint64_t* key = packed + i * parts_;
     const uint64_t h = HashKey(key);
-    uint64_t b = h & (cap_ - 1);
-    while (true) {
-      const uint32_t g = slots_[b];
-      if (g == kNoGroup) {
-        slots_[b] = static_cast<uint32_t>(groups_.size());
-        groups_.push_back(Group{h, tuple_base + static_cast<uint32_t>(i), 1});
-        key_storage_.insert(key_storage_.end(), key, key + parts_);
-        if ((groups_.size() + 1) * 2 > cap_) Rehash();
-        break;
-      }
-      if (groups_[g].hash == h &&
-          std::equal(key, key + parts_, key_storage_.data() + g * parts_)) {
-        ++groups_[g].count;
-        break;
-      }
-      b = (b + 1) & (cap_ - 1);
+    const size_t b = Slot(key, h);
+    if (slots_[b] != kNoGroup) {
+      ++groups_[slots_[b]].count;
+      continue;
     }
+    slots_[b] = static_cast<uint32_t>(groups_.size());
+    groups_.push_back(Group{h, tuple_base + static_cast<uint32_t>(i), 1});
+    key_storage_.insert(key_storage_.end(), key, key + parts_);
+    if ((groups_.size() + 1) * 2 > cap_) Rehash();
   }
 }
 

@@ -2,12 +2,12 @@
 #define SQUID_EXEC_GROUP_TABLE_H_
 
 /// \file group_table.h
-/// \brief Group-by key table for the executor's aggregation path,
-/// extracted from the inline open-addressing loop it grew up as.
+/// \brief Packed-cell key table: the executor's one row-equality
+/// mechanism, behind GROUP BY, DISTINCT and INTERSECT.
 ///
-/// A grouping key is `parts` packed 64-bit words per tuple — (validity,
-/// symbol-or-bits) pairs, one pair per GROUP BY column — stored contiguously
-/// in one flat array. The table assigns dense group ids in first-occurrence
+/// A key is `parts` packed 64-bit words per tuple — (type tag,
+/// symbol-or-bits) pairs, one pair per key column — stored contiguously in
+/// one flat array. The table assigns dense group ids in first-occurrence
 /// order (the executor's output-determinism contract) and each group
 /// remembers only its first tuple's index plus a running count. The three
 /// arrays (slot table, group list, key storage) are plain vectors.
@@ -30,13 +30,19 @@ class GroupKeyTable {
     uint32_t count;
   };
 
-  /// `parts` = packed words per key (2 per GROUP BY column). Must be >= 1.
+  /// Find's answer for a key no group holds.
+  static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
+
+  /// `parts` = packed words per key (2 per key column).
   explicit GroupKeyTable(size_t parts);
 
   /// Folds `n` tuples into the table. `packed` holds n * parts words,
   /// row-major: tuple j's key is packed[j * parts, (j + 1) * parts). Tuple j
   /// is recorded as buffer index `tuple_base + j` if it opens a new group.
   void AddBatch(const uint64_t* packed, size_t n, uint32_t tuple_base);
+
+  /// The group holding `key` (`parts` words), or kNoGroup.
+  uint32_t Find(const uint64_t* key) const { return slots_[Slot(key, HashKey(key))]; }
 
   /// Groups in first-occurrence order.
   const Group* groups() const { return groups_.data(); }
@@ -50,10 +56,12 @@ class GroupKeyTable {
   }
 
  private:
-  static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
-
   /// FNV-1a over the MixJoinKey image of each packed word.
   uint64_t HashKey(const uint64_t* key) const;
+
+  /// The slot holding `key` (whose hash is `h`), or the empty slot where it
+  /// would go.
+  size_t Slot(const uint64_t* key, uint64_t h) const;
 
   /// Doubles the slot table and reinserts every group by its stored hash.
   void Rehash();

@@ -1,54 +1,8 @@
 #include "exec/result_set.h"
 
 #include <algorithm>
-#include <cstdint>
-
-#include "common/wire.h"
 
 namespace squid {
-
-std::string ResultSet::EncodeRow(const std::vector<Value>& row) {
-  std::string key;
-  for (const Value& v : row) {
-    // Type tag + 32-bit length prefix + rendered value — the shared
-    // tag+length+payload cell scheme (common/wire.h, also the net framing).
-    // The length prefix makes the encoding self-delimiting: string
-    // renderings can contain any byte (including former separator bytes
-    // like '\x1f'), so separator characters alone cannot make two distinct
-    // rows encode identically.
-    wire::AppendTagged(&key,
-                       static_cast<uint8_t>('0' + static_cast<int>(v.type())),
-                       v.ToString());
-  }
-  return key;
-}
-
-std::unordered_set<std::string> ResultSet::ToSet() const {
-  std::unordered_set<std::string> set;
-  set.reserve(rows_.size());
-  for (const auto& row : rows_) set.insert(EncodeRow(row));
-  return set;
-}
-
-void ResultSet::Deduplicate() {
-  std::unordered_set<std::string> seen;
-  std::vector<std::vector<Value>> unique;
-  unique.reserve(rows_.size());
-  for (auto& row : rows_) {
-    std::string key = EncodeRow(row);
-    if (seen.insert(std::move(key)).second) unique.push_back(std::move(row));
-  }
-  rows_ = std::move(unique);
-}
-
-void ResultSet::IntersectWith(const std::unordered_set<std::string>& keep) {
-  std::vector<std::vector<Value>> kept;
-  kept.reserve(rows_.size());
-  for (auto& row : rows_) {
-    if (keep.count(EncodeRow(row))) kept.push_back(std::move(row));
-  }
-  rows_ = std::move(kept);
-}
 
 void ResultSet::SortRows() {
   std::sort(rows_.begin(), rows_.end(),

@@ -2,11 +2,11 @@
 #define SQUID_EXEC_RESULT_SET_H_
 
 /// \file result_set.h
-/// \brief Materialized query output with the set operations the evaluation
-/// metrics need (precision/recall compare result sets, §7.1).
+/// \brief Materialized query output: the executor's emitted rows. Set
+/// semantics (DISTINCT, GROUP BY, INTERSECT) are the executor's, on packed
+/// cells before emission (exec/executor.h); a ResultSet only holds rows.
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "storage/value.h"
@@ -27,21 +27,6 @@ class ResultSet {
   void AddRow(std::vector<Value> row) { rows_.push_back(std::move(row)); }
   const std::vector<Value>& row(size_t i) const { return rows_[i]; }
   const std::vector<std::vector<Value>>& rows() const { return rows_; }
-
-  /// Stable, collision-free string encoding of a row (used for hashing /
-  /// set semantics): per value, a type tag, a 32-bit length prefix, and the
-  /// rendered value — self-delimiting, so adversarial strings containing
-  /// separator bytes cannot collide with a different multi-value row.
-  static std::string EncodeRow(const std::vector<Value>& row);
-
-  /// Set of encoded rows.
-  std::unordered_set<std::string> ToSet() const;
-
-  /// Removes duplicate rows, preserving first occurrence order.
-  void Deduplicate();
-
-  /// Keeps only rows whose encoding appears in `keep`.
-  void IntersectWith(const std::unordered_set<std::string>& keep);
 
   /// Sorts rows lexicographically by Value order (deterministic output).
   void SortRows();

@@ -6,8 +6,7 @@
 /// Discover requests and responses between a TcpServer and its clients.
 ///
 /// Every frame is one tag+length+payload cell of the shared wire scheme
-/// (common/wire.h — the same self-delimiting encoding ResultSet::EncodeRow
-/// uses per value):
+/// (common/wire.h, self-delimiting):
 ///
 ///   [ u8 type ][ u32 payload length, little-endian ][ payload bytes ]
 ///

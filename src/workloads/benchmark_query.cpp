@@ -35,8 +35,9 @@ void AddDimEquals(SelectQuery* q, const std::string& base_alias,
 }
 
 Result<ResultSet> GroundTruth(const Database& db, const BenchmarkQuery& query) {
-  SQUID_ASSIGN_OR_RETURN(ResultSet rs, ExecuteQuery(db, query.query));
-  rs.Deduplicate();
+  Query distinct = query.query;
+  if (!distinct.branches.empty()) distinct.branches[0].distinct = true;
+  SQUID_ASSIGN_OR_RETURN(ResultSet rs, ExecuteQuery(db, distinct));
   rs.SortRows();
   return rs;
 }

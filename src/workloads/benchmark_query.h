@@ -47,8 +47,8 @@ void AddDimEquals(SelectQuery* q, const std::string& base_alias,
                   const std::string& dim_alias, const std::string& key,
                   const std::string& attr, const std::string& value);
 
-/// Executes the ground truth and returns the projected first column as a
-/// deduplicated, sorted ResultSet.
+/// Executes the ground truth with its first block DISTINCT and returns the
+/// projected first column as a deduplicated, sorted ResultSet.
 Result<ResultSet> GroundTruth(const Database& db, const BenchmarkQuery& query);
 
 /// Finds a query by id (error when missing).

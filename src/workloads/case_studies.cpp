@@ -49,7 +49,8 @@ Result<CaseStudy> SciFi2000sCaseStudy(const Database& imdb) {
   cs.entity_relation = "movie";
   cs.projection_attr = "title";
 
-  // Compute the cohort from the data: Sci-Fi movies released 2000-2009.
+  // Compute the cohort from the data: the distinct (ProjectBlock) titles of
+  // Sci-Fi movies released 2000-2009.
   SelectQuery b = ProjectBlock("movie", "movie", "title");
   AddFactJoin(&b, "movie", "id", "movietogenre", "mg", "movie_id", "genre_id",
               "genre", "genre", "id");
@@ -59,7 +60,6 @@ Result<CaseStudy> SciFi2000sCaseStudy(const Database& imdb) {
                                        Value(static_cast<int64_t>(2000)),
                                        Value(static_cast<int64_t>(2009))));
   SQUID_ASSIGN_OR_RETURN(ResultSet rs, ExecuteQuery(imdb, Query::Single(b)));
-  rs.Deduplicate();
   std::vector<std::string> cohort;
   for (const Value& v : rs.ColumnValues(0)) cohort.push_back(v.ToString());
 

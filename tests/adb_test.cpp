@@ -21,9 +21,22 @@ namespace {
 using testing::MakeAcademicsDb;
 using testing::MakeMoviesDb;
 
+/// Builds the PK index of every keyed relation of `db`, as
+/// AbductionReadyDb::Build does before resolving hops: a dim hop reads its
+/// dimension through that index.
+void IndexKeys(const Database& db) {
+  for (const std::string& name : db.TableNames()) {
+    std::shared_ptr<Table> table = db.GetShared(name).value();
+    if (table->schema().primary_key()) {
+      ASSERT_TRUE(table->BuildPkIndex().ok()) << name;
+    }
+  }
+}
+
 /// Materializes `desc` alone, over adjacencies resolved for it only.
 Result<std::shared_ptr<Table>> MaterializeOne(const Database& db,
                                               const PropertyDescriptor& desc) {
+  IndexKeys(db);
   ThreadPool pool(1);
   SQUID_ASSIGN_OR_RETURN(HopAdjacencies adjacencies,
                          HopAdjacencies::Build(db, {desc}, pool));
@@ -33,6 +46,54 @@ Result<std::shared_ptr<Table>> MaterializeOne(const Database& db,
 }
 
 // ---------- Schema graph classification ----------
+
+TEST(SchemaGraphTest, DimHopsKeyOnlyTheDimensionsPrimaryKey) {
+  // person.country_code references country.code, which is not country's
+  // key; person.region_id references region's key. The αDB reads a dim hop
+  // through the dimension's PK index, so only region is a dim hop.
+  Database db("toy");
+  Schema country("country", {{"id", ValueType::kInt64},
+                             {"code", ValueType::kString},
+                             {"name", ValueType::kString}});
+  country.set_primary_key("id");
+  country.AddPropertyAttribute("name");
+  Schema region("region", {{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+  region.set_primary_key("id");
+  region.AddPropertyAttribute("name");
+  Schema person("person", {{"id", ValueType::kInt64},
+                           {"name", ValueType::kString},
+                           {"country_code", ValueType::kString},
+                           {"region_id", ValueType::kInt64}});
+  person.set_entity(true);
+  person.set_primary_key("id");
+  person.AddForeignKey({"country_code", "country", "code"});
+  person.AddForeignKey({"region_id", "region", "id"});
+  auto add = [&db](Schema schema, const std::vector<std::vector<Value>>& rows) {
+    Table* table = db.CreateTable(std::move(schema)).value();
+    for (const auto& row : rows) ASSERT_TRUE(table->AppendRow(row).ok());
+  };
+  // Country 2's code is "1": keyed by id, "1" would reach the wrong row.
+  add(country, {{Value(int64_t{1}), Value("2"), Value("Atlantis")},
+                {Value(int64_t{2}), Value("1"), Value("Lemuria")}});
+  add(region, {{Value(int64_t{7}), Value("North")}, {Value(int64_t{8}), Value("South")}});
+  add(person, {{Value(int64_t{1}), Value("Ann"), Value("1"), Value(int64_t{8})},
+               {Value(int64_t{2}), Value("Bob"), Value("2"), Value(int64_t{7})}});
+
+  auto graph = SchemaGraph::Analyze(db);
+  ASSERT_TRUE(graph.ok());
+  for (const PropertyDescriptor& desc : graph.value().descriptors()) {
+    for (const DimHop& hop : desc.dims) EXPECT_NE(hop.dim_relation, "country") << desc.id;
+  }
+  auto adb = AbductionReadyDb::Build(db);
+  ASSERT_TRUE(adb.ok()) << adb.status().ToString();
+  auto desc = adb.value()->schema_graph().FindDescriptor("person~region.name");
+  ASSERT_TRUE(desc.ok());
+  EXPECT_EQ(adb.value()->BasicValue(*desc.value(), 0).value(), Value("South"));
+  EXPECT_EQ(adb.value()->BasicValue(*desc.value(), 1).value(), Value("North"));
+  auto stats = adb.value()->StatsFor(*desc.value());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NEAR(stats.value()->SelectivityEquals(Value("South")), 0.5, 1e-9);
+}
 
 TEST(SchemaGraphTest, ClassifiesAcademicsSchema) {
   auto db = MakeAcademicsDb();
@@ -408,6 +469,7 @@ TEST(AdbTest, CappedCoStarWalkStopsEarly) {
     if (d->hops.size() == 2 && d->hops[1].next_relation == "person") costar = d;
   }
   ASSERT_NE(costar, nullptr);
+  IndexKeys(db);
   ThreadPool pool(1);
   auto adjacencies = HopAdjacencies::Build(db, graph.value().descriptors(), pool);
   ASSERT_TRUE(adjacencies.ok());
@@ -800,6 +862,7 @@ std::vector<PropertyDescriptor> ExpectMaterializersAgree(const Database& db) {
   auto graph = SchemaGraph::Analyze(db);
   EXPECT_TRUE(graph.ok());
   if (!graph.ok()) return compared;
+  IndexKeys(db);
   ThreadPool pool(4);
   auto adjacencies = HopAdjacencies::Build(db, graph.value().descriptors(), pool);
   EXPECT_TRUE(adjacencies.ok()) << adjacencies.status().ToString();

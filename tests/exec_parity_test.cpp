@@ -7,6 +7,8 @@
 // byte-identical, row for row, to the production Executor. The two
 // pipelines share only the packed-key helpers (PackCellKey/PackProbeKey/
 // JoinCellsEqual) and the plan logic; everything vectorized is independent,
+// DISTINCT and INTERSECT compare emitted Values through the tests' own cell
+// keys (testing::CellKeyOf) rather than the executor's GroupKeyTable,
 // and the reference scans every row through Value comparisons
 // (BoundPredicate::Matches) and builds its own map per join, so the typed
 // scan kernels, the value-order seeks and the PK-index joins the αDB's
@@ -25,6 +27,7 @@
 #include "exec/expression.h"
 #include "sql/parser.h"
 #include "storage/join_hash.h"
+#include "tests/test_util.h"
 
 namespace squid {
 namespace {
@@ -33,6 +36,7 @@ using bench::BuildDblpBench;
 using bench::BuildImdbBench;
 using bench::DblpBench;
 using bench::ImdbBench;
+using testing::RowKeyOf;
 
 /// FNV-1a over the packed group-key parts (the historical group-by hash).
 struct GroupKeyHash {
@@ -47,6 +51,21 @@ struct GroupKeyHash {
     return static_cast<size_t>(h);
   }
 };
+
+using RowKey = std::vector<testing::CellKey>;
+
+/// The reference's set semantics: the first occurrence of each distinct row
+/// of `rs` (under RowKeyOf, on emitted Values) that `keep` accepts, in order.
+template <typename Keep>
+ResultSet KeepRows(const ResultSet& rs, Keep keep) {
+  ResultSet out(rs.column_names());
+  std::set<RowKey> seen;
+  for (const auto& row : rs.rows()) {
+    RowKey key = RowKeyOf(row);
+    if (keep(key) && seen.insert(std::move(key)).second) out.AddRow(row);
+  }
+  return out;
+}
 
 /// The pre-vectorization select pipeline, per-tuple vectors and all. Plan
 /// logic (start-alias choice, bind order, extra edges) matches the
@@ -344,33 +363,31 @@ Result<ResultSet> ReferenceSelect(const Database& db, const SelectQuery& query) 
     result.SortRows();
   }
 
-  if (query.distinct) result.Deduplicate();
+  if (query.distinct) result = KeepRows(result, [](const RowKey&) { return true; });
   return result;
 }
 
 Result<ResultSet> ReferenceExecute(const Database& db, const Query& query) {
   if (query.branches.empty()) return Status::InvalidArgument("query with no branches");
   SQUID_ASSIGN_OR_RETURN(ResultSet out, ReferenceSelect(db, query.branches[0]));
-  if (query.branches.size() > 1) {
-    out.Deduplicate();
-    for (size_t i = 1; i < query.branches.size(); ++i) {
-      SQUID_ASSIGN_OR_RETURN(ResultSet other, ReferenceSelect(db, query.branches[i]));
-      out.IntersectWith(other.ToSet());
-    }
+  // INTERSECT: branch 0's distinct rows, in order, found in every branch.
+  for (size_t i = 1; i < query.branches.size(); ++i) {
+    SQUID_ASSIGN_OR_RETURN(ResultSet other, ReferenceSelect(db, query.branches[i]));
+    std::set<RowKey> found;
+    for (const auto& row : other.rows()) found.insert(RowKeyOf(row));
+    out = KeepRows(out, [&](const RowKey& key) { return found.count(key) > 0; });
   }
   return out;
 }
 
 /// Byte-identical comparison: column names, row count, and every row's
-/// encoded bytes, in order.
+/// cells (type and exact bits or bytes, CellKeyOf), in order.
 void ExpectByteIdentical(const ResultSet& expected, const ResultSet& actual,
                          const std::string& label) {
   ASSERT_EQ(expected.column_names(), actual.column_names()) << label;
   ASSERT_EQ(expected.num_rows(), actual.num_rows()) << label;
   for (size_t i = 0; i < expected.num_rows(); ++i) {
-    ASSERT_EQ(ResultSet::EncodeRow(expected.row(i)),
-              ResultSet::EncodeRow(actual.row(i)))
-        << label << " row " << i;
+    ASSERT_EQ(RowKeyOf(expected.row(i)), RowKeyOf(actual.row(i))) << label << " row " << i;
   }
 }
 

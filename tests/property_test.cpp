@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <unordered_set>
 
 #include "adb/abduction_ready_db.h"
 #include "common/rng.h"
@@ -257,41 +258,6 @@ TEST_P(SkewnessPropertyTest, OutlierRequiresDistanceAboveKSigma) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SkewnessPropertyTest, ::testing::Range(1, 9));
-
-// ---------- CSV round-trip property ----------
-
-class CsvPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CsvPropertyTest, EncodeRowIsInjectiveOnTypedRows) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 149);
-  // Random distinct (type-tagged) rows must encode distinctly.
-  std::vector<std::vector<Value>> rows;
-  for (int i = 0; i < 30; ++i) {
-    std::vector<Value> row;
-    switch (rng.UniformInt(0, 2)) {
-      case 0:
-        row.push_back(Value(rng.UniformInt(0, 1000)));
-        break;
-      case 1:
-        row.push_back(Value("s" + std::to_string(rng.UniformInt(0, 1000))));
-        break;
-      default:
-        row.push_back(Value::Null());
-    }
-    rows.push_back(std::move(row));
-  }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t j = i + 1; j < rows.size(); ++j) {
-      bool equal_values = rows[i][0] == rows[j][0] &&
-                          rows[i][0].type() == rows[j][0].type();
-      bool equal_encodings =
-          ResultSet::EncodeRow(rows[i]) == ResultSet::EncodeRow(rows[j]);
-      EXPECT_EQ(equal_values, equal_encodings);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CsvPropertyTest, ::testing::Range(1, 6));
 
 }  // namespace
 }  // namespace squid

@@ -191,6 +191,28 @@ std::vector<std::string> NamesOf(const ResultSet& rs) {
   return out;
 }
 
+CellKey CellKeyOf(const Value& v) {
+  const int type = static_cast<int>(v.type());
+  switch (v.type()) {
+    case ValueType::kInt64:
+      return {type, static_cast<uint64_t>(v.AsInt64()), ""};
+    case ValueType::kDouble:
+      return {type, PackedDoubleBits(v.AsDouble()), ""};
+    case ValueType::kString:
+      return {type, 0, v.AsString()};
+    case ValueType::kNull:
+      break;
+  }
+  return {type, 0, ""};
+}
+
+std::vector<CellKey> RowKeyOf(const std::vector<Value>& row) {
+  std::vector<CellKey> key;
+  key.reserve(row.size());
+  for (const Value& v : row) key.push_back(CellKeyOf(v));
+  return key;
+}
+
 std::set<std::string> NameSet(const ResultSet& rs) {
   std::set<std::string> out;
   for (const Value& v : rs.ColumnValues(0)) {

@@ -6,9 +6,11 @@
 /// research interests) and the Fig. 5 movie excerpt (persons, movies,
 /// genres), plus small assertion helpers.
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "exec/result_set.h"
@@ -31,6 +33,14 @@ std::vector<std::string> NamesOf(const ResultSet& rs);
 
 /// Convenience set construction.
 std::set<std::string> NameSet(const ResultSet& rs);
+
+/// One cell as exact set semantics compare it, written without the
+/// executor's packed keys: the type, then the number's bits (int64 as is,
+/// doubles through PackedDoubleBits, so -0.0 is 0.0) or the string's bytes.
+/// Every NULL has one key. Ordered, so rows of keys go into std::set.
+using CellKey = std::tuple<int, uint64_t, std::string>;
+CellKey CellKeyOf(const Value& v);
+std::vector<CellKey> RowKeyOf(const std::vector<Value>& row);
 
 /// Asserts (via gtest EXPECT) that two tables have identical schema, row
 /// count, cell values, and — for string columns — identical dictionary
