@@ -248,21 +248,7 @@ Status AbductionReadyDb::ResolveRecords() {
       continue;
     }
     if (!rec.stats.has_value()) continue;
-    SQUID_ASSIGN_OR_RETURN(rec.entity_table, db_.GetTable(desc.entity_relation));
-    const Table* current = rec.entity_table;
-    for (const DimHop& dim : desc.dims) {
-      DescriptorRecord::DimStep step;
-      SQUID_ASSIGN_OR_RETURN(step.from, current->ColumnByName(dim.from_attr));
-      SQUID_ASSIGN_OR_RETURN(step.dim, db_.GetTable(dim.dim_relation));
-      if (step.dim->pk_index() == nullptr) {
-        return Status::InvalidArgument("descriptor '" + desc.id +
-                                       "' dereferences unkeyed relation '" +
-                                       dim.dim_relation + "'");
-      }
-      rec.dims.push_back(step);
-      current = step.dim;
-    }
-    SQUID_ASSIGN_OR_RETURN(rec.terminal, current->ColumnByName(desc.terminal_attr));
+    SQUID_ASSIGN_OR_RETURN(rec.basic, DimChain::Resolve(db_, desc));
   }
   return Status::OK();
 }
@@ -309,30 +295,16 @@ Result<Value> AbductionReadyDb::BasicValue(const PropertyDescriptor& desc,
   if (!desc.hops.empty()) {
     return Status::InvalidArgument("BasicValue on non-basic descriptor " + desc.id);
   }
-  if (rec->terminal == nullptr) {
+  if (rec->basic.terminal == nullptr) {
     return Status::NotFound("no stats for descriptor '" + desc.id + "'");
   }
-  if (row >= rec->entity_table->num_rows()) {
+  if (row >= rec->basic.entity->num_rows()) {
     return Status::OutOfRange("row " + std::to_string(row) + " is past the end of " +
                               desc.entity_relation);
   }
-  size_t current_row = row;
-  for (size_t i = 0; i < rec->dims.size(); ++i) {
-    const DescriptorRecord::DimStep& step = rec->dims[i];
-    if (step.from->IsNull(current_row)) return Value::Null();
-    const FlatJoinHash* pk = step.dim->pk_index();
-    uint64_t key = 0;
-    const FlatJoinHash::RowSpan rows =
-        pk != nullptr && PackProbeKey(*step.dim->pk_column(), *step.from, current_row, &key)
-            ? pk->Probe(key)
-            : FlatJoinHash::RowSpan{};
-    if (rows.empty()) {
-      return Status::NotFound("no " + desc.dims[i].dim_relation + " row with key " +
-                              step.from->ValueAt(current_row).ToString());
-    }
-    current_row = rows.data[0];
-  }
-  return rec->terminal->ValueAt(current_row);
+  const std::optional<size_t> terminal_row = rec->basic.Walk(row);
+  return terminal_row.has_value() ? rec->basic.terminal->ValueAt(*terminal_row)
+                                  : Value::Null();
 }
 
 AbductionReadyDb::DerivedColumns AbductionReadyDb::DerivedColumnsOf(

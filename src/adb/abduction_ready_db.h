@@ -158,7 +158,9 @@ class AbductionReadyDb {
   Result<size_t> EntityRowByKey(const std::string& relation, const Value& key) const;
 
   /// Value of an inline / dim-chain descriptor for the entity row `row`:
-  /// the record's terminal column, reached through each dim hop's PK index.
+  /// the record's terminal column, reached through each dim hop's PK index
+  /// (DimChain::Walk). NULL when a NULL or dangling link leaves the entity
+  /// without a value, which is how the descriptor's stats count it.
   Result<Value> BasicValue(const PropertyDescriptor& desc, size_t row) const;
 
   /// A hop descriptor's derived relation as entity profiles read it: the
@@ -203,16 +205,9 @@ class AbductionReadyDb {
     DerivedColumns derived;
     std::vector<EntityRows> entity_rows;
 
-    // Basic descriptors: the entity table, each dim hop's FK column (in the
-    // relation the hop leaves) with the dim table it enters (read through
-    // its PK index), and the terminal column.
-    struct DimStep {
-      const Column* from = nullptr;
-      const Table* dim = nullptr;
-    };
-    const Table* entity_table = nullptr;
-    std::vector<DimStep> dims;
-    const Column* terminal = nullptr;
+    // Basic descriptors: the entity table, each dim hop (read through the
+    // dim's PK index) and the terminal column.
+    DimChain basic;
   };
 
   AbductionReadyDb() : db_("adb") {}

@@ -121,23 +121,14 @@ Result<HopAdjacencies::DimAdjacency> BuildDim(const Database& db,
                                               const std::string& current_relation,
                                               const DimHop& dim) {
   SQUID_ASSIGN_OR_RETURN(const Table* current, RowIdTable(db, current_relation));
-  SQUID_ASSIGN_OR_RETURN(const Column* from, current->ColumnByName(dim.from_attr));
-  SQUID_ASSIGN_OR_RETURN(const Table* target, RowIdTable(db, dim.dim_relation));
-  const FlatJoinHash* pk = target->pk_index();
-  if (pk == nullptr || target->schema().primary_key() != dim.dim_key) {
-    return Status::InvalidArgument("dim hop does not key relation '" + dim.dim_relation +
-                                   "' by its indexed primary key");
-  }
+  SQUID_ASSIGN_OR_RETURN(const DimStep step, DimStep::Resolve(db, *current, dim));
 
   HopAdjacencies::DimAdjacency adj;
   adj.begin.reserve(current->num_rows() + 1);
   adj.begin.push_back(0);
-  uint64_t packed = 0;
   for (size_t r = 0; r < current->num_rows(); ++r) {
-    if (PackProbeKey(*target->pk_column(), *from, r, &packed)) {
-      FlatJoinHash::RowSpan span = pk->Probe(packed);
-      adj.rows.insert(adj.rows.end(), span.begin(), span.end());
-    }
+    const FlatJoinHash::RowSpan span = step.Targets(r);
+    adj.rows.insert(adj.rows.end(), span.begin(), span.end());
     if (adj.rows.size() >= kNoRow) {
       return Status::InvalidArgument("dim hop into '" + dim.dim_relation +
                                      "' has too many rows for 32-bit offsets");

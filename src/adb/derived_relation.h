@@ -63,8 +63,8 @@ class HopAdjacencies {
 
   /// Resolves every distinct hop and entity order `descriptors` traverse
   /// against `db` (descriptors without fact hops contribute nothing). A dim
-  /// hop reads the PK index of its dimension, which must be current and
-  /// key `dim_key` (InvalidArgument otherwise). The
+  /// hop reads the PK index of its dimension through DimStep, which needs
+  /// it current and keying `dim_key` (InvalidArgument otherwise). The
   /// independent pieces build in parallel on `pool`; the result does not
   /// depend on its thread count.
   static Result<HopAdjacencies> Build(

@@ -472,4 +472,44 @@ Result<SchemaGraph> SchemaGraph::Analyze(const Database& db,
   return graph;
 }
 
+Result<DimStep> DimStep::Resolve(const Database& db, const Table& current,
+                                 const DimHop& hop) {
+  DimStep step;
+  SQUID_ASSIGN_OR_RETURN(step.from, current.ColumnByName(hop.from_attr));
+  SQUID_ASSIGN_OR_RETURN(step.dim, db.GetTable(hop.dim_relation));
+  if (step.dim->pk_index() == nullptr || step.dim->schema().primary_key() != hop.dim_key) {
+    return Status::InvalidArgument("dim hop does not key relation '" + hop.dim_relation +
+                                   "' by its indexed primary key");
+  }
+  return step;
+}
+
+FlatJoinHash::RowSpan DimStep::Targets(size_t row) const {
+  uint64_t key = 0;
+  return PackProbeKey(*dim->pk_column(), *from, row, &key) ? dim->pk_index()->Probe(key)
+                                                           : FlatJoinHash::RowSpan{};
+}
+
+Result<DimChain> DimChain::Resolve(const Database& db, const PropertyDescriptor& desc) {
+  DimChain chain;
+  SQUID_ASSIGN_OR_RETURN(chain.entity, db.GetTable(desc.entity_relation));
+  const Table* current = chain.entity;
+  for (const DimHop& hop : desc.dims) {
+    SQUID_ASSIGN_OR_RETURN(DimStep step, DimStep::Resolve(db, *current, hop));
+    chain.steps.push_back(step);
+    current = step.dim;
+  }
+  SQUID_ASSIGN_OR_RETURN(chain.terminal, current->ColumnByName(desc.terminal_attr));
+  return chain;
+}
+
+std::optional<size_t> DimChain::Walk(size_t row) const {
+  for (const DimStep& step : steps) {
+    const FlatJoinHash::RowSpan rows = step.Targets(row);
+    if (rows.empty()) return std::nullopt;
+    row = rows.data[0];
+  }
+  return row;
+}
+
 }  // namespace squid

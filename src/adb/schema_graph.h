@@ -29,11 +29,13 @@
 ///    (#comedies a person appeared in). Derived paths use at most
 ///    `max_fact_hops` fact traversals (default 2, as in the paper).
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "storage/database.h"
+#include "storage/join_hash.h"
 
 namespace squid {
 
@@ -117,6 +119,30 @@ struct PropertyDescriptor {
   size_t ordinal = 0;
 
   size_t NumFactHops() const { return hops.size(); }
+};
+
+/// A DimHop resolved against a database, as every dim hop the αDB follows
+/// reads it: the FK column of the relation it leaves and the dimension whose
+/// PK index it probes (Resolve: InvalidArgument unless that index is current
+/// and keys `hop.dim_key`). Targets(row) are the dim rows that row's FK cell
+/// names: none for a NULL or dangling link.
+struct DimStep {
+  const Column* from = nullptr;
+  const Table* dim = nullptr;
+  static Result<DimStep> Resolve(const Database& db, const Table& current,
+                                 const DimHop& hop);
+  FlatJoinHash::RowSpan Targets(size_t row) const;
+};
+
+/// A basic descriptor resolved against a database. Walk(row) is the terminal
+/// relation's row entity row `row` reaches through the first row each hop
+/// finds; nullopt when a NULL or dangling link leaves the entity no value.
+struct DimChain {
+  const Table* entity = nullptr;
+  std::vector<DimStep> steps;
+  const Column* terminal = nullptr;
+  static Result<DimChain> Resolve(const Database& db, const PropertyDescriptor& desc);
+  std::optional<size_t> Walk(size_t row) const;
 };
 
 /// Options controlling discovery.

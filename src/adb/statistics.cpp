@@ -1,8 +1,7 @@
 #include "adb/statistics.h"
 
 #include <algorithm>
-
-#include "storage/join_hash.h"
+#include <optional>
 
 namespace squid {
 
@@ -105,41 +104,16 @@ Result<PropertyStats> StatisticsBuilder::BuildBasic(const Database& db,
     return Status::InvalidArgument(
         "BuildBasic called on descriptor with fact hops: " + desc.id);
   }
-  SQUID_ASSIGN_OR_RETURN(const Table* entity, db.GetTable(desc.entity_relation));
+  SQUID_ASSIGN_OR_RETURN(DimChain chain, DimChain::Resolve(db, desc));
   PropertyStats stats;
   stats.kind_ = desc.kind;
-  stats.total_entities_ = entity->num_rows();
+  stats.total_entities_ = chain.entity->num_rows();
   stats.pool_ = db.pool();
 
-  // The dim chain, resolved once: each hop's FK column and the dim relation
-  // whose PK index it probes (schema_graph.h: a dim hop keys the dim's PK).
-  std::vector<std::pair<const Column*, const Table*>> steps;
-  const Table* current = entity;
-  for (const DimHop& hop : desc.dims) {
-    SQUID_ASSIGN_OR_RETURN(const Column* from, current->ColumnByName(hop.from_attr));
-    SQUID_ASSIGN_OR_RETURN(current, db.GetTable(hop.dim_relation));
-    if (current->pk_index() == nullptr || current->schema().primary_key() != hop.dim_key) {
-      return Status::InvalidArgument("descriptor '" + desc.id + "' does not key relation '" +
-                                     hop.dim_relation + "' by its indexed primary key");
-    }
-    steps.emplace_back(from, current);
-  }
-  SQUID_ASSIGN_OR_RETURN(const Column* terminal, current->ColumnByName(desc.terminal_attr));
-
-  constexpr size_t kUnlinked = ~size_t{0};
-  for (size_t r = 0; r < entity->num_rows(); ++r) {
-    // A NULL or dangling link leaves the entity without a value.
-    size_t row = r;
-    for (size_t i = 0; i < steps.size() && row != kUnlinked; ++i) {
-      const auto& [from, dim] = steps[i];
-      uint64_t key = 0;
-      const FlatJoinHash::RowSpan rows = PackProbeKey(*dim->pk_column(), *from, row, &key)
-                                             ? dim->pk_index()->Probe(key)
-                                             : FlatJoinHash::RowSpan{};
-      row = rows.empty() ? kUnlinked : rows.data[0];
-    }
-    if (row == kUnlinked) continue;
-    Value v = terminal->ValueAt(row);
+  for (size_t r = 0; r < chain.entity->num_rows(); ++r) {
+    const std::optional<size_t> row = chain.Walk(r);
+    if (!row.has_value()) continue;
+    Value v = chain.terminal->ValueAt(*row);
     if (v.is_null()) continue;
     if (desc.kind == PropertyKind::kInlineNumeric) {
       SQUID_ASSIGN_OR_RETURN(double num, v.ToNumeric());

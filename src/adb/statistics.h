@@ -125,8 +125,8 @@ class PropertyStats {
 class StatisticsBuilder {
  public:
   /// Stats for inline / dim-chain descriptors, computed from the entity
-  /// table (resolving FK-dim chains through the PK indexes of `db`'s dim
-  /// relations, which must be current).
+  /// table, each entity's dim chain walked by DimChain (through the PK
+  /// indexes of `db`'s dim relations, which must be current).
   static Result<PropertyStats> BuildBasic(const Database& db,
                                           const PropertyDescriptor& desc);
 

@@ -346,13 +346,14 @@ Result<Executor::Block> Executor::ExecuteBlock(const SelectQuery& query) {
       hash = &*filtered_hash;
     }
 
-    // Probe side: the bound alias's position within tuples.
-    auto pos_of = [&state](size_t alias) {
-      return static_cast<size_t>(
-          std::find(state.bound_order.begin(), state.bound_order.end(), alias) -
-          state.bound_order.begin());
-    };
-    const size_t bound_pos = pos_of(bound_alias);
+    // Probe side: locate the bound alias position within tuples.
+    size_t bound_pos = 0;
+    for (size_t i = 0; i < state.bound_order.size(); ++i) {
+      if (state.bound_order[i] == bound_alias) {
+        bound_pos = i;
+        break;
+      }
+    }
     SQUID_ASSIGN_OR_RETURN(const Column* bound_column,
                            state.tables[bound_alias]->ColumnByName(bound_col.attribute));
 
@@ -381,11 +382,18 @@ Result<Executor::Block> Executor::ExecuteBlock(const SelectQuery& query) {
         continue;
       }
       size_t balias = *query.FindAlias(bside->table_alias);
+      size_t bpos = 0;
+      for (size_t i = 0; i < state.bound_order.size(); ++i) {
+        if (state.bound_order[i] == balias) {
+          bpos = i;
+          break;
+        }
+      }
       SQUID_ASSIGN_OR_RETURN(const Column* bcol,
                              state.tables[balias]->ColumnByName(bside->attribute));
       SQUID_ASSIGN_OR_RETURN(const Column* ncol,
                              state.tables[next_alias]->ColumnByName(nside->attribute));
-      extras.push_back(ExtraEdge{pos_of(balias), bcol, ncol});
+      extras.push_back(ExtraEdge{bpos, bcol, ncol});
     }
 
     // Vectorized probe: per chunk, pack the probe keys of kProbeChunk

@@ -34,7 +34,9 @@
 /// per-tuple executor of that plan that scans through Value comparisons and
 /// builds a hash per join (the golden-parity suite in
 /// tests/exec_parity_test.cpp pins this, on built and snapshot-loaded
-/// αDBs).
+/// αDBs). Plan *choices* may intentionally differ from older releases (the
+/// start-alias fix reorders output for queries with join-disconnected FROM
+/// entries).
 ///
 /// This is the substrate both for evaluating ground-truth benchmark queries
 /// and for running SQuID's abduced queries (Fig. 11 compares the two).

@@ -11,6 +11,7 @@
 #include "adb/statistics.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/squid.h"
 #include "datagen/dblp_generator.h"
 #include "datagen/imdb_generator.h"
 #include "tests/test_util.h"
@@ -93,6 +94,47 @@ TEST(SchemaGraphTest, DimHopsKeyOnlyTheDimensionsPrimaryKey) {
   auto stats = adb.value()->StatsFor(*desc.value());
   ASSERT_TRUE(stats.ok());
   EXPECT_NEAR(stats.value()->SelectivityEquals(Value("South")), 0.5, 1e-9);
+}
+
+TEST(AdbTest, DanglingDimLinkHasNoValue) {
+  // Cid's region_id names no region row and Dee's is NULL: neither has a
+  // region, both in the descriptor's stats and in BasicValue, so an example
+  // set with Cid abduces like any other.
+  Database db("toy");
+  Schema region("region", {{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+  region.set_primary_key("id");
+  region.AddPropertyAttribute("name");
+  Schema person("person", {{"id", ValueType::kInt64},
+                           {"name", ValueType::kString},
+                           {"region_id", ValueType::kInt64}});
+  person.set_entity(true);
+  person.set_primary_key("id");
+  person.AddForeignKey({"region_id", "region", "id"});
+  Table* regions = db.CreateTable(std::move(region)).value();
+  ASSERT_TRUE(regions->AppendRow({Value(int64_t{8}), Value("South")}).ok());
+  Table* persons = db.CreateTable(std::move(person)).value();
+  ASSERT_TRUE(persons->AppendRow({Value(int64_t{1}), Value("Ann"), Value(int64_t{8})}).ok());
+  ASSERT_TRUE(persons->AppendRow({Value(int64_t{2}), Value("Bob"), Value(int64_t{8})}).ok());
+  ASSERT_TRUE(persons->AppendRow({Value(int64_t{3}), Value("Cid"), Value(int64_t{99})}).ok());
+  ASSERT_TRUE(persons->AppendRow({Value(int64_t{4}), Value("Dee"), Value::Null()}).ok());
+
+  auto adb = AbductionReadyDb::Build(db);
+  ASSERT_TRUE(adb.ok()) << adb.status().ToString();
+  auto desc = adb.value()->schema_graph().FindDescriptor("person~region.name");
+  ASSERT_TRUE(desc.ok());
+  EXPECT_EQ(adb.value()->BasicValue(*desc.value(), 0).value(), Value("South"));
+  for (size_t row : {size_t{2}, size_t{3}}) {
+    auto v = adb.value()->BasicValue(*desc.value(), row);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_TRUE(v.value().is_null()) << row;
+  }
+  auto stats = adb.value()->StatsFor(*desc.value());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NEAR(stats.value()->SelectivityEquals(Value("South")), 0.5, 1e-9);
+
+  Squid squid(adb.value().get(), SquidConfig{});
+  auto abduced = squid.Discover({"Ann", "Cid"});
+  EXPECT_TRUE(abduced.ok()) << abduced.status().ToString();
 }
 
 TEST(SchemaGraphTest, ClassifiesAcademicsSchema) {

@@ -36,6 +36,7 @@ using bench::BuildDblpBench;
 using bench::BuildImdbBench;
 using bench::DblpBench;
 using bench::ImdbBench;
+using testing::ExactRowOf;
 using testing::RowKeyOf;
 
 /// FNV-1a over the packed group-key parts (the historical group-by hash).
@@ -381,13 +382,14 @@ Result<ResultSet> ReferenceExecute(const Database& db, const Query& query) {
 }
 
 /// Byte-identical comparison: column names, row count, and every row's
-/// cells (type and exact bits or bytes, CellKeyOf), in order.
+/// cells (type and the double's own bits or the string's bytes,
+/// ExactRowOf, so -0.0 and 0.0 differ), in order.
 void ExpectByteIdentical(const ResultSet& expected, const ResultSet& actual,
                          const std::string& label) {
   ASSERT_EQ(expected.column_names(), actual.column_names()) << label;
   ASSERT_EQ(expected.num_rows(), actual.num_rows()) << label;
   for (size_t i = 0; i < expected.num_rows(); ++i) {
-    ASSERT_EQ(RowKeyOf(expected.row(i)), RowKeyOf(actual.row(i))) << label << " row " << i;
+    ASSERT_EQ(ExactRowOf(expected.row(i)), ExactRowOf(actual.row(i))) << label << " row " << i;
   }
 }
 

@@ -21,6 +21,7 @@
 namespace squid {
 namespace {
 
+using testing::ExactRowOf;
 using testing::MakeAcademicsDb;
 using testing::MakeMoviesDb;
 using testing::NameSet;
@@ -393,7 +394,7 @@ TEST(ExecutorTest, IntersectHasSetSemantics) {
   EXPECT_GT(no_distinct.value().num_rows(), rs.value().num_rows());
   EXPECT_EQ(NameSet(rs.value()), NameSet(no_distinct.value()));
   // And each surviving row appears exactly once.
-  EXPECT_EQ(NamesOf(rs.value()).size(), rs.value().num_rows());
+  EXPECT_EQ(NameSet(rs.value()).size(), rs.value().num_rows());
 }
 
 // ---------- Set semantics: DISTINCT, GROUP BY and INTERSECT ----------
@@ -1055,7 +1056,7 @@ TEST(PkIndexJoinTest, IndexedJoinsMatchPerQueryBuilds) {
     ASSERT_TRUE(expected.ok() && actual.ok()) << sql;
     ASSERT_EQ(expected.value().num_rows(), actual.value().num_rows()) << sql;
     for (size_t i = 0; i < expected.value().num_rows(); ++i) {
-      EXPECT_EQ(RowKeyOf(expected.value().row(i)), RowKeyOf(actual.value().row(i)))
+      EXPECT_EQ(ExactRowOf(expected.value().row(i)), ExactRowOf(actual.value().row(i)))
           << sql << " row " << i;
     }
     EXPECT_LE(b.stats().join_hashes_built, a.stats().join_hashes_built) << sql;

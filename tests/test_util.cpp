@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -191,13 +192,20 @@ std::vector<std::string> NamesOf(const ResultSet& rs) {
   return out;
 }
 
-CellKey CellKeyOf(const Value& v) {
+namespace {
+
+/// A cell's key; `raw_doubles` keeps a double's own bits (so -0.0 is not 0.0).
+CellKey KeyOf(const Value& v, bool raw_doubles) {
   const int type = static_cast<int>(v.type());
   switch (v.type()) {
     case ValueType::kInt64:
       return {type, static_cast<uint64_t>(v.AsInt64()), ""};
-    case ValueType::kDouble:
-      return {type, PackedDoubleBits(v.AsDouble()), ""};
+    case ValueType::kDouble: {
+      const double d = v.AsDouble();
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      return {type, raw_doubles ? bits : PackedDoubleBits(d), ""};
+    }
     case ValueType::kString:
       return {type, 0, v.AsString()};
     case ValueType::kNull:
@@ -206,11 +214,23 @@ CellKey CellKeyOf(const Value& v) {
   return {type, 0, ""};
 }
 
-std::vector<CellKey> RowKeyOf(const std::vector<Value>& row) {
+std::vector<CellKey> KeysOf(const std::vector<Value>& row, bool raw_doubles) {
   std::vector<CellKey> key;
   key.reserve(row.size());
-  for (const Value& v : row) key.push_back(CellKeyOf(v));
+  for (const Value& v : row) key.push_back(KeyOf(v, raw_doubles));
   return key;
+}
+
+}  // namespace
+
+CellKey CellKeyOf(const Value& v) { return KeyOf(v, /*raw_doubles=*/false); }
+
+std::vector<CellKey> RowKeyOf(const std::vector<Value>& row) {
+  return KeysOf(row, /*raw_doubles=*/false);
+}
+
+std::vector<CellKey> ExactRowOf(const std::vector<Value>& row) {
+  return KeysOf(row, /*raw_doubles=*/true);
 }
 
 std::set<std::string> NameSet(const ResultSet& rs) {

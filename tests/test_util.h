@@ -41,6 +41,9 @@ std::set<std::string> NameSet(const ResultSet& rs);
 using CellKey = std::tuple<int, uint64_t, std::string>;
 CellKey CellKeyOf(const Value& v);
 std::vector<CellKey> RowKeyOf(const std::vector<Value>& row);
+/// The row's cells as RowKeyOf gives them, but with each double's own bits,
+/// so -0.0 and 0.0 differ: for asserting two results are identical.
+std::vector<CellKey> ExactRowOf(const std::vector<Value>& row);
 
 /// Asserts (via gtest EXPECT) that two tables have identical schema, row
 /// count, cell values, and — for string columns — identical dictionary
